@@ -162,6 +162,11 @@ def truncate_to_explicit(model: CountModel, min_k: int = 0) -> Explicit:
     return Explicit(tuple((int(k), float(p)) for k, p in zip(ks, ps)))
 
 
+# nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST
+_NICE_NUMERATOR = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 2.0, Variant.POSTDOC: 1.0}
+_NICE_FIRST = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 1.0, Variant.POSTDOC: 0.0}
+
+
 def nice_probability(variant: Variant, t: int) -> float:
     """Chance that the t-th arrival is a nice candidate for the variant.
 
@@ -171,11 +176,17 @@ def nice_probability(variant: Variant, t: int) -> float:
     """
     if t < 1:
         raise ValueError("step index starts at 1")
-    if variant is Variant.CLASSIC:
-        return 1.0 / t
-    if variant is Variant.BEST_OR_WORST:
-        return 1.0 if t == 1 else 2.0 / t
-    return 0.0 if t == 1 else 1.0 / t
+    return _NICE_FIRST[variant] if t == 1 else _NICE_NUMERATOR[variant] / t
+
+
+def nice_probabilities(variant: Variant, horizon: int) -> np.ndarray:
+    """nice_probability(variant, t) for t = 0..horizon, bit for bit; slot 0
+    is a 0.0 placeholder."""
+    nu = np.zeros(horizon + 1)
+    if horizon >= 1:
+        nu[1:] = _NICE_NUMERATOR[variant] / np.arange(1, horizon + 1, dtype=float)
+        nu[1] = _NICE_FIRST[variant]
+    return nu
 
 
 def accept_success_known(variant: Variant, n: int, r: int) -> float:

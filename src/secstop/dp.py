@@ -11,6 +11,10 @@ value (for best-or-worst at t = 1 the sole object is simultaneously best- and
 worst-so-far, which the single-identity step definitions undercount — see
 printed_recursion_gap).  The overall optimal success probability is C(0),
 where q_0 = p(X >= 1) absorbs any mass at X = 0.
+
+The suffix moments, A(t), q_t, nu_t, the accept mask and the scan for the
+reachable accept pattern are whole-array numpy expressions; the recursion
+for C is the only sequential pass over the horizon.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .core_model import (
     Poisson,
     ThresholdPolicy,
     Variant,
-    nice_probability,
+    nice_probabilities,
     support,
 )
 
@@ -49,19 +53,6 @@ class DPPolicy:
     witness: tuple[int, int] | None
 
 
-def _behavioral_accept_value(variant: Variant, t: int, k: int) -> float:
-    """Success chance when the t-th of k objects is nice and accepted."""
-    if variant is Variant.CLASSIC:
-        return t / k
-    if variant is Variant.BEST_OR_WORST:
-        if t == 1:
-            return 1.0 if k == 1 else 2.0 / k
-        return t / k
-    if t == 1 or k == 1:
-        return 0.0
-    return t * (t - 1) / (k * (k - 1))
-
-
 def _dense_pmf(model: CountModel) -> np.ndarray:
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
@@ -72,80 +63,91 @@ def _dense_pmf(model: CountModel) -> np.ndarray:
     return dense
 
 
+def _suffix_moments(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Suffix sums over k >= t for t = 0..T+1 (slot T+1 is 0):
+    S[t] = p(X >= t), U1[t] = sum p(k)/k, U2[t] = sum p(k)/(k(k-1))."""
+    kf = np.arange(len(dense), dtype=float)
+    w1 = np.where(kf >= 1, dense / np.maximum(kf, 1.0), 0.0)
+    w2 = np.where(kf >= 2, dense / np.maximum(kf * (kf - 1.0), 1.0), 0.0)
+    S, U1, U2 = (np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]) for w in (dense, w1, w2))
+    return S, U1, U2
+
+
+def _accept_values(variant: Variant, S: np.ndarray, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
+    """Definition-style accept values A(t), t = 0..T, in the single-identity
+    convention: t U1/S, or t(t-1) U2/S for postdoc; 0 where p(X >= t) = 0."""
+    T = len(S) - 2
+    t = np.arange(T + 1)
+    if variant is Variant.POSTDOC:
+        num = (t * (t - 1)).astype(float) * U2[: T + 1]
+    else:
+        num = t.astype(float) * U1[: T + 1]
+    return np.divide(num, S[: T + 1], out=np.zeros(T + 1), where=S[: T + 1] > 0.0)
+
+
+def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float]:
+    """C(t) for t = 0..T from C(t) = q_t [nu_{t+1} max(A, C) + (1 - nu_{t+1}) C]
+    at t + 1, with C(T) = 0 and q_t = S[t+1]/S[t] (0 where S[t] = 0).
+
+    The max makes this the one pass that must run step by step; it runs on
+    plain floats, which index and multiply far faster than numpy scalars.
+    """
+    T = len(A) - 1
+    q = np.divide(S[1 : T + 1], S[:T], out=np.zeros(T), where=S[:T] > 0.0)
+    nu_rev = nu[:0:-1]
+    c = 0.0
+    C = [c]
+    for qt, a, v, w in zip(q[::-1].tolist(), A[:0:-1].tolist(), nu_rev.tolist(), (1.0 - nu_rev).tolist()):
+        c = qt * (v * (a if a > c else c) + w * c)
+        C.append(c)
+    C.reverse()
+    return C
+
+
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     dense = _dense_pmf(model)
     T = len(dense) - 1
-    kf = np.arange(T + 1, dtype=float)
+    S, U1, U2 = _suffix_moments(dense)
+    nu = nice_probabilities(variant, T)
 
-    # suffix sums over k: S[t] = p(X >= t), U1[t] = sum p/k, U2[t] = sum p/(k(k-1))
-    S = np.concatenate([np.cumsum(dense[::-1])[::-1], [0.0]])
-    w1 = np.where(kf >= 1, dense / np.maximum(kf, 1.0), 0.0)
-    w2 = np.where(kf >= 2, dense / np.maximum(kf * (kf - 1.0), 1.0), 0.0)
-    U1 = np.concatenate([np.cumsum(w1[::-1])[::-1], [0.0]])
-    U2 = np.concatenate([np.cumsum(w2[::-1])[::-1], [0.0]])
+    A = _accept_values(variant, S, U1, U2)
+    if variant is Variant.BEST_OR_WORST and S[1] > 0.0:
+        # k = 1: the object is both best and worst, value 1; else 2/k
+        A[1] = (2.0 * U1[1] - dense[1]) / S[1]
 
-    A = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        if S[t] <= 0.0:
-            continue
-        if variant is Variant.CLASSIC:
-            A[t] = t * U1[t] / S[t]
-        elif variant is Variant.BEST_OR_WORST:
-            if t == 1:
-                # k = 1: the object is both best and worst, value 1; else 2/k
-                A[1] = (2.0 * U1[1] - dense[1]) / S[1]
-            else:
-                A[t] = t * U1[t] / S[t]
-        else:
-            A[t] = t * (t - 1) * U2[t] / S[t] if t >= 2 else 0.0
-
-    C = np.zeros(T + 1)
-    for t in range(T - 1, -1, -1):
-        if S[t] <= 0.0:
-            C[t] = 0.0
-            continue
-        q = S[t + 1] / S[t]
-        nu = nice_probability(variant, t + 1)
-        C[t] = q * (nu * max(A[t + 1], C[t + 1]) + (1.0 - nu) * C[t + 1])
+    C = _continue_values(S, A, nu)
+    Cv = np.array(C)
 
     # ties resolve to accept; the band absorbs float noise in exact ties
     # (odd-n Known models tie A and C exactly at step (n+1)/2)
-    accept = [False] * (T + 1)
-    for t in range(1, T + 1):
-        accept[t] = S[t] > 0.0 and A[t] >= C[t] - _TIE_REL * max(1.0, C[t])
+    live = S[: T + 1] > 0.0
+    accept = live & (A >= Cv - _TIE_REL * np.maximum(1.0, Cv))
+    accept[0] = False
 
     # Classify the policy by its reachable decisions only.  An accepting
     # step whose nice-probability is exactly 1 (step 1, and step 2 for the
     # best-or-worst rule) absorbs every surviving trajectory, so decisions
     # past it are vacuous: the realized policy of "accept at 1, dip, accept
     # late" is indistinguishable from the pure cutoff-0 rule.
-    realizable = []
-    for t in range(1, T + 1):
-        nu = nice_probability(variant, t)
-        if S[t] > 0.0 and nu > 0.0:
-            realizable.append(t)
-            if accept[t] and nu >= 1.0:
-                break
-    pattern = [accept[t] for t in realizable]
-    is_threshold = all(not (a and not b) for a, b in zip(pattern, pattern[1:]))
+    realizable = np.flatnonzero(live & (nu > 0.0))
+    absorbing = np.flatnonzero(accept[realizable] & (nu[realizable] >= 1.0))
+    if absorbing.size:
+        realizable = realizable[: absorbing[0] + 1]
+    pattern = accept[realizable]
+    drops = np.flatnonzero(pattern[:-1] & ~pattern[1:])
 
     witness = None
     threshold = None
-    if not is_threshold:
-        for (t1, a1), (t2, a2) in zip(
-            zip(realizable, pattern), zip(realizable[1:], pattern[1:])
-        ):
-            if a1 and not a2:
-                witness = (t1, t2)
-                break
+    if drops.size:
+        j = drops[0]
+        witness = (int(realizable[j]), int(realizable[j + 1]))
     else:
-        first_accept = next((t for t, a in zip(realizable, pattern) if a), None)
-        if first_accept is None:
-            r = realizable[-1] if realizable else T
+        if pattern.any():
+            r = int(realizable[np.argmax(pattern)]) - 1
         else:
-            r = first_accept - 1
+            r = int(realizable[-1]) if realizable.size else T
         # canonical form: dropping leading never-nice steps changes nothing
-        while r >= 1 and nice_probability(variant, r) == 0.0:
+        while r >= 1 and nu[r] == 0.0:
             r -= 1
         threshold = r
 
@@ -153,11 +155,11 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         variant=variant,
         model=model,
         horizon=T,
-        accept_at=tuple(accept),
-        value_accept=tuple(A),
+        accept_at=tuple(accept.tolist()),
+        value_accept=tuple(A.tolist()),
         value_reject=tuple(C),
-        value=float(C[0]),
-        is_threshold=is_threshold,
+        value=C[0],
+        is_threshold=witness is None,
         threshold=threshold,
         witness=witness,
     )
@@ -181,37 +183,12 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     """
     pol = backward_induction(variant, model)
     dense = _dense_pmf(model)
-    T = len(dense) - 1
-    kf = np.arange(T + 1, dtype=float)
-    S = np.concatenate([np.cumsum(dense[::-1])[::-1], [0.0]])
-    U1 = np.concatenate(
-        [np.cumsum(np.where(kf >= 1, dense / np.maximum(kf, 1.0), 0.0)[::-1])[::-1], [0.0]]
-    )
-    U2 = np.concatenate(
-        [
-            np.cumsum(
-                np.where(kf >= 2, dense / np.maximum(kf * (kf - 1.0), 1.0), 0.0)[::-1]
-            )[::-1],
-            [0.0],
-        ]
-    )
-    # definition-style accept values (single-identity convention throughout)
-    A = np.zeros(T + 1)
-    for t in range(1, T + 1):
-        if S[t] <= 0.0:
-            continue
-        if variant is Variant.POSTDOC:
-            A[t] = t * (t - 1) * U2[t] / S[t] if t >= 2 else 0.0
-        else:
-            A[t] = t * U1[t] / S[t]
-    Cp = np.zeros(T + 1)
-    for t in range(T - 1, -1, -1):
-        if S[t] <= 0.0:
-            continue
-        q = S[t + 1] / S[t]
-        w = 1.0 / (t + 1)
-        Cp[t] = q * (w * max(A[t + 1], Cp[t + 1]) + (1.0 - w) * Cp[t + 1])
-    return float(np.max(np.abs(Cp - np.array(pol.value_reject))))
+    S, U1, U2 = _suffix_moments(dense)
+    # definition-style accept values (single-identity convention throughout);
+    # the classic nice chances are exactly the printed weights 1/(t+1)
+    A = _accept_values(variant, S, U1, U2)
+    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, len(dense) - 1))
+    return float(np.max(np.abs(np.array(Cp) - np.array(pol.value_reject))))
 
 
 _ORACLE_MAX_K = 9

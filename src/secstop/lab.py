@@ -118,19 +118,6 @@ def _uniform_positive_cutoffs(n_max: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
-def _classic_known_positive_cutoffs(n_max: int) -> np.ndarray:
-    """M(n) over positive cutoffs for the classic rule with known n:
-    argmax of (r/n)(H_{n-1} - H_{r-1})."""
-    H = harmonic_numbers(n_max + 1)
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        r = np.arange(1, n + 1, dtype=np.float64)
-        vals = r * (H[n - 1] - H[np.arange(0, n)])
-        out[n] = int(np.argmax(vals)) + 1
-    return out
-
-
 def _positive_cutoff_at(variant: Variant, n: int) -> int:
     """argmax over r in [1, n] of the variant's cutoff curve at horizon n
     (classic against known-n, two-sided against the uniform model)."""

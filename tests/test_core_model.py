@@ -20,6 +20,7 @@ from secstop.core_model import (
     Variant,
     accept_success_known,
     explicit_from_dict,
+    nice_probabilities,
     nice_probability,
     pbw_known,
     poisson_k_max,
@@ -81,6 +82,15 @@ def test_nice_probability_values():
 def test_nice_probability_against_enumeration(variant, t):
     hits = sum(_is_nice(variant, perm) for perm in permutations(range(1, t + 1)))
     assert nice_probability(variant, t) == pytest.approx(hits / math.factorial(t), abs=1e-15)
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_nice_probabilities_bit_equal_scalar_and_formula(variant):
+    first, numerator = {V.CLASSIC: (1.0, 1.0), V.BEST_OR_WORST: (1.0, 2.0), V.POSTDOC: (0.0, 1.0)}[variant]
+    want = [0.0, first] + [numerator / t for t in range(2, 5001)]
+    assert nice_probabilities(variant, 5000).tolist() == want
+    assert [nice_probability(variant, t) for t in range(1, 5001)] == want[1:]
+    assert nice_probabilities(variant, 0).tolist() == [0.0]
 
 
 def test_accept_success_examples():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from secstop.core_model import (
@@ -11,11 +12,14 @@ from secstop.core_model import (
     ThresholdPolicy,
     Uniform,
     Variant,
+    nice_probability,
     pbw_known,
+    support,
     threshold_success_known,
     truncate_to_explicit,
 )
 from secstop.dp import (
+    DPPolicy,
     backward_induction,
     exhaustive_oracle,
     printed_recursion_gap,
@@ -54,6 +58,97 @@ def test_known_classic_value_matches_threshold_formula(n):
     assert pol.is_threshold
     best = max(threshold_success_known(Variant.CLASSIC, n, r) for r in range(n + 1))
     assert pol.value == pytest.approx(best, abs=1e-13)
+
+
+# ------------------------------------------- step-by-step reference induction
+
+def _loop_induction(variant, model):
+    """Reference: the induction written as one scalar loop per stage, each
+    step reading numpy scalars and nice_probability directly."""
+    ks, ps = support(model)
+    T = int(ks.max())
+    dense = np.zeros(T + 1)
+    dense[ks] = ps
+    kf = np.arange(T + 1, dtype=float)
+    S = np.concatenate([np.cumsum(dense[::-1])[::-1], [0.0]])
+    w1 = np.where(kf >= 1, dense / np.maximum(kf, 1.0), 0.0)
+    w2 = np.where(kf >= 2, dense / np.maximum(kf * (kf - 1.0), 1.0), 0.0)
+    U1 = np.concatenate([np.cumsum(w1[::-1])[::-1], [0.0]])
+    U2 = np.concatenate([np.cumsum(w2[::-1])[::-1], [0.0]])
+
+    A = np.zeros(T + 1)
+    for t in range(1, T + 1):
+        if S[t] <= 0.0:
+            continue
+        if variant is Variant.POSTDOC:
+            A[t] = t * (t - 1) * U2[t] / S[t] if t >= 2 else 0.0
+        elif variant is Variant.BEST_OR_WORST and t == 1:
+            A[1] = (2.0 * U1[1] - dense[1]) / S[1]
+        else:
+            A[t] = t * U1[t] / S[t]
+
+    C = np.zeros(T + 1)
+    for t in range(T - 1, -1, -1):
+        if S[t] <= 0.0:
+            continue
+        q = S[t + 1] / S[t]
+        nu = nice_probability(variant, t + 1)
+        C[t] = q * (nu * max(A[t + 1], C[t + 1]) + (1.0 - nu) * C[t + 1])
+
+    accept = [False] * (T + 1)
+    for t in range(1, T + 1):
+        accept[t] = bool(S[t] > 0.0 and A[t] >= C[t] - 1e-12 * max(1.0, C[t]))
+
+    realizable = []
+    for t in range(1, T + 1):
+        nu = nice_probability(variant, t)
+        if S[t] > 0.0 and nu > 0.0:
+            realizable.append(t)
+            if accept[t] and nu >= 1.0:
+                break
+    pattern = [accept[t] for t in realizable]
+    pairs = list(zip(realizable, realizable[1:]))
+    witness = next(((t1, t2) for t1, t2 in pairs if accept[t1] and not accept[t2]), None)
+    threshold = None
+    if witness is None:
+        first = next((t for t, a in zip(realizable, pattern) if a), None)
+        r = (realizable[-1] if realizable else T) if first is None else first - 1
+        while r >= 1 and nice_probability(variant, r) == 0.0:
+            r -= 1
+        threshold = r
+    return DPPolicy(variant, model, T, tuple(accept), tuple(A.tolist()), tuple(C.tolist()),
+                    float(C[0]), witness is None, threshold, witness)
+
+
+def _assert_same_policy(got, want):
+    assert got == want
+    for field in ("value_accept", "value_reject", "value"):
+        assert np.array(getattr(got, field)).tobytes() == np.array(getattr(want, field)).tobytes()
+    for field in ("is_threshold", "threshold", "witness"):
+        assert type(getattr(got, field)) is type(getattr(want, field))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_induction_matches_loop_reference_known_and_uniform(variant):
+    for n in range(1, 61):
+        _assert_same_policy(backward_induction(variant, Known(n)), _loop_induction(variant, Known(n)))
+    for n in range(1, 301):
+        _assert_same_policy(backward_induction(variant, Uniform(n)), _loop_induction(variant, Uniform(n)))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "model",
+    [
+        Explicit(((0, 1.0),)),
+        Explicit(((0, 0.5), (3, 0.5))),
+        Explicit(((0, 0.2), (1, 0.3), (4, 0.5))),
+        Explicit(((100, 0.99), (1000, 0.01))),
+        *(truncate_to_explicit(Poisson(lam)) for lam in (2.0, 5.0, 8.0, 1000.0)),
+    ],
+)
+def test_induction_matches_loop_reference_explicit(variant, model):
+    _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
 
 
 # ------------------------------------------------- coherence with the curve

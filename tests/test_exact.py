@@ -8,6 +8,7 @@ those routes — the suffix-sum implementation is never compared to itself.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +67,45 @@ def test_step_reject_uniform_values():
     assert got == pytest.approx(direct, abs=1e-14)
     assert got == pytest.approx(0.4521541950113377, abs=1e-13)
     assert step_reject_prob(V.POSTDOC, Uniform(10), 4) == pytest.approx(got / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 57, 1000, 20000])
+def test_uniform_step_accept_closed_form_matches_direct_sum(n):
+    # r runs across the switch between the digamma form and the short tail
+    # sums at n - r = n/8
+    for r in sorted({1, 2, n // 2, n - n // 8 - 1, n - n // 8, n - 1, n} & set(range(1, n + 1))):
+        direct = math.fsum(r / k for k in range(r, n + 1)) / (n + 1 - r)
+        for variant in (V.CLASSIC, V.BEST_OR_WORST):
+            assert step_accept_prob(variant, Uniform(n), r) == pytest.approx(direct, rel=1e-13)
+
+
+def _uniform_step_refs(r, n):
+    """(P_A, P_R) of the best-or-worst rule under Uniform(1..n) at 50 digits:
+    r (H_n - H_{r-1})/(n+1-r) and 2r sum_{k=r..n-1} ((n-k)/k) / (n(n+1-r))."""
+    with mpmath.workdps(50):
+        accept = r * (mpmath.harmonic(n) - mpmath.harmonic(r - 1)) / (n + 1 - r)
+        pairs = n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1)) - (n - r)
+        return accept, 2 * r * pairs / (n * (n + 1 - r))
+
+
+@pytest.mark.parametrize("r", [1, 500_000, 950_000, 990_000, 999_999, 1_000_000])
+def test_uniform_step_probs_large_n_against_mpmath(r):
+    # near r = n the digamma differences cancel; the values must hold anyway
+    n = 10**6
+    accept, reject = _uniform_step_refs(r, n)
+    want = {
+        (V.BEST_OR_WORST, "accept"): accept,
+        (V.BEST_OR_WORST, "reject"): reject,
+        (V.POSTDOC, "accept"): mpmath.mpf(r) / n if r >= 2 else mpmath.mpf(0),
+        (V.POSTDOC, "reject"): reject / 2,
+    }
+    for (variant, what), ref in want.items():
+        fn = step_accept_prob if what == "accept" else step_reject_prob
+        got = fn(variant, Uniform(n), r)
+        if ref == 0:
+            assert got == 0.0
+        else:
+            assert abs((got - ref) / ref) <= 1e-12, (variant, what, got, ref)
 
 
 def test_step_probs_poisson_against_direct_sums():
@@ -252,6 +292,13 @@ def test_best_cutoff_postdoc_ties_resolve_to_zero():
         assert c.value(0) == pytest.approx(c.value(1), abs=1e-15)
         if rep.cutoff == 0:
             assert c.value(0) >= c.values.max() - 1e-13
+
+
+def test_best_cutoff_tie_band_is_relative():
+    # F(203188) exceeds F(203187) by 3.6e-12 relative, above the 1e-12 band;
+    # an absolute band of 1e-12 on a curve near 0.2 would call them tied
+    assert best_cutoff(V.POSTDOC, Uniform(10**6)).cutoff == 203188
+    assert best_cutoff(V.BEST_OR_WORST, Uniform(10**6)).cutoff == 203188
 
 
 def test_best_cutoff_poisson():
