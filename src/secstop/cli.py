@@ -185,6 +185,10 @@ def cmd_curve(args) -> int:
     if args.sweep == "lambda":
         if args.from_ is None or args.to is None or args.step is None:
             raise ModelSpecError("--sweep lambda needs --from, --to, --step")
+        if not args.step > 0:
+            raise ModelSpecError(f"--step must be positive, got {args.step}")
+        if args.to < args.from_:
+            raise ModelSpecError(f"--to {args.to} is below --from {args.from_}")
         count = int(round((args.to - args.from_) / args.step)) + 1
         records = []
         for i in range(count):

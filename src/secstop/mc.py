@@ -6,8 +6,11 @@ index) and never of how trials are batched: partitioning a run across
 workers or chunks changes nothing.  Per trial, draw index 0 picks the
 candidate count X by cdf inversion and draw s >= 1 yields the relative rank
 of the s-th arrival among the first s — a uniform random permutation needs
-nothing more.  After acceptance the accepted object's overall rank is
-tracked online to the horizon, which decides success for all three rules.
+nothing more.  After acceptance the accepted object's running rank among
+the arrivals so far is tracked online.  `simulate` draws nothing at or
+before the cutoff, and a trial leaves its step loop once its count is
+reached or once its accepted object can no longer win; `run_episode` walks
+one trial's steps 1..X in full and is the scalar reference for it.
 """
 
 from __future__ import annotations
@@ -36,13 +39,19 @@ def _mix(z: int) -> int:
     return z
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+def _mix_array(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """`_mix` elementwise, in place on the uint64 array z; tmp is scratch of
+    z's shape."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=tmp)
+    z ^= tmp
     z *= np.uint64(_MULT1)
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
     z *= np.uint64(_MULT2)
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 
 
@@ -116,7 +125,8 @@ def run_episode(variant: Variant, k: int, r: int, rng_state: int) -> bool:
     return accepted_rank == 2
 
 
-_CHUNK = 1 << 20
+# Trials per pass: at 2^16 a step's arrays stay inside one core's L2 cache.
+_CHUNK = 1 << 16
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -139,40 +149,56 @@ def simulate(config: SimConfig) -> SimReport:
             np.uint64(seed & _MASK) + np.uint64(_GAMMA) * (t_abs + np.uint64(1))
         )
 
-        u0 = (
-            _mix_array(base + np.uint64(_GAMMA)) >> np.uint64(11)
-        ).astype(np.float64) * _INV_2_53
+        bits = _mix_array(base + np.uint64(_GAMMA)) >> np.uint64(11)
+        u0 = bits.view(np.int64) * _INV_2_53  # int64 converts faster than uint64
         idx = np.minimum(np.searchsorted(cdf, u0, side="right"), len(ks) - 1)
         X = ks[idx]
         zeros += int(np.count_nonzero(X == 0))
 
-        acc = np.zeros(m, dtype=np.int64)  # accepted object's running rank; 0 = none
-        s_max = int(X.max(initial=0))
-        for s in range(1, s_max + 1):
-            step = np.uint64((_GAMMA * (s + 1)) & _MASK)
-            us = (
-                _mix_array(base + step) >> np.uint64(11)
-            ).astype(np.float64) * _INV_2_53
-            rank = 1 + np.minimum((us * s).astype(np.int64), s - 1)
-            alive = X >= s
+        # Only trials that reach past the cutoff can accept, and steps 1..r
+        # need no draw: each draw is a pure function of (trial, step).
+        live = X > r
+        base, X = base[live], X[live]
+        # accepted object's running rank, 0 = none; float, so q < acc needs no cast
+        acc = np.zeros(X.size)
+        draw, tmp, scaled = np.empty_like(base), np.empty_like(base), np.empty(X.size)
+        s = r
+        while X.size:
+            s += 1
+            n = X.size
+            z = np.add(base, np.uint64((_GAMMA * (s + 1)) & _MASK), out=draw[:n])
+            _mix_array(z, tmp[:n])
+            z >>= np.uint64(11)
+            # q = u * s for the step's uniform u = z / 2^53, with one rounding
+            # as s / 2^53 is exact; u <= 1 - 2^-53 keeps q below s after it.
+            # So the relative rank 1 + min(floor(q), s - 1) is 1 + floor(q):
+            # rank <= a  <=>  q < a, and rank >= a  <=>  q >= a - 1.
+            q = np.multiply(z.view(np.int64), s * _INV_2_53, out=scaled[:n])
+            acc += q < acc  # the new arrival ranks above the accepted object
+            waiting = acc == 0
             if variant is Variant.CLASSIC:
-                nice = rank == 1
+                acc[waiting & (q < 1)] = 1
+                winning = acc == 1
             elif variant is Variant.BEST_OR_WORST:
-                nice = (rank == 1) | (rank == s)
+                best = q < 1
+                take = waiting & (best | (q >= s - 1))
+                acc[take] = np.where(best[take], 1.0, s)
+                winning = (acc == 1) | (acc == s)
             else:
-                nice = rank == 2 if s >= 2 else np.zeros(m, dtype=bool)
-            take = alive & (acc == 0) & (s > r) & nice
-            bump = alive & (acc > 0) & (rank <= acc)
-            acc[bump] += 1
-            acc[take] = rank[take]
-
-        if variant is Variant.CLASSIC:
-            win = acc == 1
-        elif variant is Variant.BEST_OR_WORST:
-            win = (acc > 0) & ((acc == 1) | (acc == X))
-        else:
-            win = acc == 2
-        successes += int(np.count_nonzero(win))
+                acc[waiting & (q >= 1) & (q < 2)] = 2
+                winning = acc == 2
+            # `winning` is the final win rule with X read as s.  A trial is
+            # done once X == s, and lost once it accepted and is not winning:
+            # ranks only grow, and a bw rank that is neither 1 nor s can never
+            # again be 1 or the last step.  Done and lost trials never count
+            # again, so they are dropped only once they are an eighth of the
+            # arrays: one gather then serves many steps.
+            successes += int(np.count_nonzero(winning & (X == s)))
+            keep = (X > s) & (winning | waiting)
+            k = int(np.count_nonzero(keep))
+            if 8 * k < 7 * n:
+                kept = np.flatnonzero(keep)
+                base, X, acc = base[kept], X[kept], acc[kept]
         done += m
 
     p_hat = successes / config.trials

@@ -143,6 +143,20 @@ def test_curve_sweep_requires_bounds(capsys):
     assert code == 2 and "needs --from" in err
 
 
+@pytest.mark.parametrize(
+    "bounds,message",
+    [
+        (("--from", "1", "--to", "2", "--step", "0"), "--step must be positive"),
+        (("--from", "1", "--to", "2", "--step", "-0.5"), "--step must be positive"),
+        (("--from", "2", "--to", "1", "--step", "0.5"), "below --from"),
+    ],
+)
+def test_curve_sweep_rejects_bad_range(capsys, bounds, message):
+    code, out, err = run(capsys, "curve", "--variant", "bw", "--sweep", "lambda", *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+
+
 # --------------------------------------------------------------- simulate
 
 def test_simulate_deterministic_and_calibrated(capsys):

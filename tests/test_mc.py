@@ -1,8 +1,11 @@
 """Simulator vs. exact engine: determinism, splitting, and calibration."""
 
+import math
+
 import numpy as np
 import pytest
 
+from secstop import mc
 from secstop.core_model import (
     Explicit,
     Known,
@@ -15,8 +18,12 @@ from secstop.core_model import (
 )
 from secstop.exact import best_cutoff, success_curve
 from secstop.mc import (
+    _GAMMA,
+    _INV_2_53,
+    _MASK,
     SimConfig,
     SimReport,
+    _mix_array,
     draw_uniform,
     merge,
     run_episode,
@@ -93,14 +100,118 @@ def test_merge_rejects_mismatched_runs():
         merge(a, c)
 
 
-def test_chunk_boundary_is_invisible():
-    # same trials split manually at an arbitrary point vs. one call
-    cfg = _config(Variant.CLASSIC, Uniform(8), 2, 3_000, seed=5)
-    parts = [
-        simulate(_config(Variant.CLASSIC, Uniform(8), 2, 1_234, seed=5)),
-        simulate(_config(Variant.CLASSIC, Uniform(8), 2, 1_766, seed=5, offset=1_234)),
-    ]
-    assert merge(*parts) == simulate(cfg)
+def test_chunk_boundary_is_invisible(monkeypatch):
+    # one call over several chunks vs. the same trials split at an
+    # arbitrary point vs. the reference loop in a single chunk
+    monkeypatch.setattr(mc, "_CHUNK", 1000)
+    for variant in Variant:
+        cfg = _config(variant, Uniform(8), 2, 3_000, seed=5)
+        parts = [
+            simulate(_config(variant, Uniform(8), 2, 1_234, seed=5)),
+            simulate(_config(variant, Uniform(8), 2, 1_766, seed=5, offset=1_234)),
+        ]
+        assert merge(*parts) == simulate(cfg) == _loop_simulate(cfg)
+
+
+# --------------------------------------------- step-by-step reference loop
+
+_LOOP_CHUNK = 1 << 20
+
+
+def _loop_simulate(config):
+    """Reference: the step loop that walks steps 1..max X for every trial of
+    a chunk, dead, decided or before the cutoff alike, and applies the win
+    rule once at the end."""
+    ks, ps = support(config.model)
+    cdf = np.cumsum(ps)
+    ks = ks.astype(np.int64)
+    r = config.policy.cutoff
+    variant = config.variant
+    seed = config.seed
+
+    successes = 0
+    zeros = 0
+    done = 0
+    while done < config.trials:
+        m = min(_LOOP_CHUNK, config.trials - done)
+        t_abs = np.arange(
+            config.trial_offset + done, config.trial_offset + done + m, dtype=np.uint64
+        )
+        base = _mix_array(
+            np.uint64(seed & _MASK) + np.uint64(_GAMMA) * (t_abs + np.uint64(1))
+        )
+
+        u0 = (
+            _mix_array(base + np.uint64(_GAMMA)) >> np.uint64(11)
+        ).astype(np.float64) * _INV_2_53
+        idx = np.minimum(np.searchsorted(cdf, u0, side="right"), len(ks) - 1)
+        X = ks[idx]
+        zeros += int(np.count_nonzero(X == 0))
+
+        acc = np.zeros(m, dtype=np.int64)  # accepted object's running rank; 0 = none
+        s_max = int(X.max(initial=0))
+        for s in range(1, s_max + 1):
+            step = np.uint64((_GAMMA * (s + 1)) & _MASK)
+            us = (
+                _mix_array(base + step) >> np.uint64(11)
+            ).astype(np.float64) * _INV_2_53
+            rank = 1 + np.minimum((us * s).astype(np.int64), s - 1)
+            alive = X >= s
+            if variant is Variant.CLASSIC:
+                nice = rank == 1
+            elif variant is Variant.BEST_OR_WORST:
+                nice = (rank == 1) | (rank == s)
+            else:
+                nice = rank == 2 if s >= 2 else np.zeros(m, dtype=bool)
+            take = alive & (acc == 0) & (s > r) & nice
+            bump = alive & (acc > 0) & (rank <= acc)
+            acc[bump] += 1
+            acc[take] = rank[take]
+
+        if variant is Variant.CLASSIC:
+            win = acc == 1
+        elif variant is Variant.BEST_OR_WORST:
+            win = (acc > 0) & ((acc == 1) | (acc == X))
+        else:
+            win = acc == 2
+        successes += int(np.count_nonzero(win))
+        done += m
+
+    p_hat = successes / config.trials
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)
+    return SimReport(
+        config=config,
+        successes=successes,
+        p_hat=p_hat,
+        stderr=stderr,
+        draws_of_zero=zeros,
+    )
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "model",
+    [
+        Known(1),
+        Known(2),
+        Known(50),
+        Uniform(1),
+        Uniform(40),
+        Poisson(0.5),
+        Poisson(2.0),
+        Poisson(10.0),
+        Explicit(((0, 0.2), (3, 0.3), (7, 0.5))),
+        Explicit(((0, 1.0),)),
+    ],
+)
+def test_simulate_matches_loop_reference(variant, model):
+    # cutoff 0 for bw accepts the first object, which is then both the best
+    # and the worst; a cutoff at or past max X never accepts
+    top = int(support(model)[0].max())
+    for r in sorted({0, 1, top // 2, top, top + 1}):
+        for seed, offset in ((3, 0), (4, 0), (3, 987_654)):
+            cfg = _config(variant, model, r, 2_000, seed=seed, offset=offset)
+            assert simulate(cfg) == _loop_simulate(cfg), (r, seed, offset)
 
 
 # ------------------------------------------- scalar path replays vector path
