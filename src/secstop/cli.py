@@ -28,7 +28,7 @@ from .core_model import (
     explicit_from_dict,
     truncate_to_explicit,
 )
-from .dp import backward_induction
+from .dp import backward_induction, verify_threshold_structure
 from .estimate import (
     EstimatorId,
     g_theta,
@@ -45,6 +45,10 @@ from .lab import (
 )
 from .mc import SimConfig, simulate
 from .specfun import DEFAULT_POLICY, TruncationError, TruncationPolicy
+
+
+# each rate of `curve --sweep lambda` is one best_cutoff call
+_MAX_SWEEP_RATES = 10_000
 
 
 class ModelSpecError(ValueError):
@@ -189,7 +193,10 @@ def cmd_curve(args) -> int:
             raise ModelSpecError(f"--step must be positive, got {args.step}")
         if args.to < args.from_:
             raise ModelSpecError(f"--to {args.to} is below --from {args.from_}")
-        count = int(round((args.to - args.from_) / args.step)) + 1
+        span = (args.to - args.from_) / args.step
+        if not span <= _MAX_SWEEP_RATES - 1:  # also inf and nan
+            raise ModelSpecError(f"--sweep lambda is capped at {_MAX_SWEEP_RATES} rates")
+        count = int(round(span)) + 1
         records = []
         for i in range(count):
             lam = args.from_ + i * args.step
@@ -367,41 +374,31 @@ def cmd_scan_failures(args) -> int:
 
 # ------------------------------------------------------------ verify suites
 
-def _check(name: str, ok: bool, detail: str) -> tuple[str, bool, str]:
-    return name, ok, detail
-
-
 def _suite_thresholds() -> list[tuple[str, bool, str]]:
-    from .dp import verify_threshold_structure
-
     out = []
     for n in (5, 17, 40, 60):
         ok, _ = verify_threshold_structure(Variant.BEST_OR_WORST, Uniform(n))
-        out.append(_check(f"bw uniform n={n} threshold", ok, "accept region is an up-set"))
+        out.append((f"bw uniform n={n} threshold", ok, "accept region is an up-set"))
     ok, _ = verify_threshold_structure(
         Variant.POSTDOC, truncate_to_explicit(Poisson(8.0))
     )
-    out.append(_check("pd poisson lam=8 threshold", ok, "accept region is an up-set"))
+    out.append(("pd poisson lam=8 threshold", ok, "accept region is an up-set"))
     pol = backward_induction(Variant.BEST_OR_WORST, Known(30))
-    out.append(
-        _check(
-            "bw known n=30 cutoff",
-            pol.threshold == 15,
-            f"threshold {pol.threshold} vs floor(n/2) = 15",
-        )
-    )
+    out.append((
+        "bw known n=30 cutoff",
+        pol.threshold == 15,
+        f"threshold {pol.threshold} vs floor(n/2) = 15",
+    ))
     for lam in (5.0, 10.0):
         pol = backward_induction(
             Variant.BEST_OR_WORST, truncate_to_explicit(Poisson(lam))
         )
         rep = best_cutoff(Variant.BEST_OR_WORST, Poisson(lam))
-        out.append(
-            _check(
-                f"bw poisson lam={lam:g} induction vs curve",
-                pol.threshold == rep.cutoff and abs(pol.value - rep.prob) < 1e-12,
-                f"dp ({pol.threshold}, {pol.value:.12g}) vs argmax ({rep.cutoff}, {rep.prob:.12g})",
-            )
-        )
+        out.append((
+            f"bw poisson lam={lam:g} induction vs curve",
+            pol.threshold == rep.cutoff and abs(pol.value - rep.prob) < 1e-12,
+            f"dp ({pol.threshold}, {pol.value:.12g}) vs argmax ({rep.cutoff}, {rep.prob:.12g})",
+        ))
     return out
 
 
@@ -410,11 +407,11 @@ def _suite_constants() -> list[tuple[str, bool, str]]:
     l0 = lambda0()
     lm, plm = lambda_m()
     return [
-        _check("theta", abs(th - 0.20318786997997998) < 1e-14, f"{th:.12g}"),
-        _check("g(theta)", abs(g - 0.3238051189459574) < 1e-14, f"{g:.12g}"),
-        _check("lambda0", abs(l0 - 2.2197719) < 1e-6, f"{l0:.12g}"),
-        _check("lambda_m", abs(lm - 2.01771) < 1e-3, f"{lm:.12g}"),
-        _check("P(lambda_m)", abs(plm - 0.72647) < 1e-3, f"{plm:.12g}"),
+        ("theta", abs(th - 0.20318786997997998) < 1e-14, f"{th:.12g}"),
+        ("g(theta)", abs(g - 0.3238051189459574) < 1e-14, f"{g:.12g}"),
+        ("lambda0", abs(l0 - 2.2197719) < 1e-6, f"{l0:.12g}"),
+        ("lambda_m", abs(lm - 2.01771) < 1e-3, f"{lm:.12g}"),
+        ("P(lambda_m)", abs(plm - 0.72647) < 1e-3, f"{plm:.12g}"),
     ]
 
 
@@ -430,37 +427,29 @@ def _suite_failures() -> list[tuple[str, bool, str]]:
     ok = scan.failures == _PRINTED_ROUND_N_THETA_FAILURES
     extra = sorted(set(scan.failures) - set(_PRINTED_ROUND_N_THETA_FAILURES))
     missing = sorted(set(_PRINTED_ROUND_N_THETA_FAILURES) - set(scan.failures))
-    out.append(
-        _check(
-            "round(n*theta) failures [2,121] match the known list",
-            ok,
-            f"extra {extra}, missing {missing}",
-        )
-    )
-    out.append(
-        _check(
-            "round(n*theta) never off by more than 1",
-            scan.max_deviation <= 1,
-            f"max deviation {scan.max_deviation}",
-        )
-    )
+    out.append((
+        "round(n*theta) failures [2,121] match the known list",
+        ok,
+        f"extra {extra}, missing {missing}",
+    ))
+    out.append((
+        "round(n*theta) never off by more than 1",
+        scan.max_deviation <= 1,
+        f"max deviation {scan.max_deviation}",
+    ))
     scan = scan_estimator_failures(EstimatorId.AFFINE_THETA, 2, 3000)
-    out.append(
-        _check(
-            "affine estimate fails only at 2, 3, 23, 2971",
-            scan.failures == (2, 3, 23, 2971),
-            f"failures {list(scan.failures)}",
-        )
-    )
+    out.append((
+        "affine estimate fails only at 2, 3, 23, 2971",
+        scan.failures == (2, 3, 23, 2971),
+        f"failures {list(scan.failures)}",
+    ))
     scan = scan_estimator_failures(EstimatorId.LAMBERT_UNIFORM, 2, 3000)
-    out.append(
-        _check(
-            "lambert estimate never fails above 4",
-            all(n <= 4 for n in scan.failures),
-            f"failures {list(scan.failures)} (23 and 2971 are knife-edge "
-            "cells where the smoothed maximizer rounds up past the argmax)",
-        )
-    )
+    out.append((
+        "lambert estimate never fails above 4",
+        all(n <= 4 for n in scan.failures),
+        f"failures {list(scan.failures)} (23 and 2971 are knife-edge "
+        "cells where the smoothed maximizer rounds up past the argmax)",
+    ))
     return out
 
 
@@ -469,32 +458,26 @@ def _suite_convergents() -> list[tuple[str, bool, str]]:
     rows = verify_convergent_cutoffs(
         Variant.CLASSIC, cf_convergents(math.exp(-1.0), 12)
     )
-    out.append(
-        _check(
-            "1/e convergents coincide with classic cutoffs",
-            all(match for *_, match in rows),
-            f"{len(rows)} fractions through 1001/2721",
-        )
-    )
+    out.append((
+        "1/e convergents coincide with classic cutoffs",
+        all(match for *_, match in rows),
+        f"{len(rows)} fractions through 1001/2721",
+    ))
     convs = [c for c in cf_convergents(theta(), 12) if 0 < c.q <= _COINCIDENCE_HORIZON]
     rows = verify_convergent_cutoffs(Variant.BEST_OR_WORST, convs)
-    out.append(
-        _check(
-            "theta convergents coincide with uniform-model cutoffs",
-            all(match for *_, match in rows),
-            f"{len(rows)} fractions through 1313/6462",
-        )
-    )
+    out.append((
+        "theta convergents coincide with uniform-model cutoffs",
+        all(match for *_, match in rows),
+        f"{len(rows)} fractions through 1313/6462",
+    ))
     return out
 
 
 def _suite_counterexample() -> list[tuple[str, bool, str]]:
-    from .dp import verify_threshold_structure
-
     model = Explicit(((100, 0.99), (1000, 0.01)))
     ok, witness = verify_threshold_structure(Variant.CLASSIC, model)
     return [
-        _check(
+        (
             "two-point classic model is not a threshold problem",
             (not ok) and witness == (100, 101),
             f"witness {witness}: accept at 100, reject at 101",
@@ -505,7 +488,7 @@ def _suite_counterexample() -> list[tuple[str, bool, str]]:
 def _suite_conjecture() -> list[tuple[str, bool, str]]:
     scan = scan_estimator_failures(EstimatorId.HALF_LAMBDA_MINUS_ONE, 2, 200)
     out = [
-        _check(
+        (
             "floor(lambda/2 - 1) vs exact M over integer rates 2..200",
             True,
             f"{len(scan.failures)} deviations (findings, not failures)",
@@ -513,7 +496,7 @@ def _suite_conjecture() -> list[tuple[str, bool, str]]:
     ]
     for lam, pred, actual in scan.details:
         out.append(
-            _check(f"finding: lambda={lam}", True, f"predicted {pred}, exact {actual}")
+            (f"finding: lambda={lam}", True, f"predicted {pred}, exact {actual}")
         )
     return out
 

@@ -12,9 +12,10 @@ worst-so-far, which the single-identity step definitions undercount — see
 printed_recursion_gap).  The overall optimal success probability is C(0),
 where q_0 = p(X >= 1) absorbs any mass at X = 0.
 
-The suffix moments, A(t), q_t, nu_t, the accept mask and the scan for the
-reachable accept pattern are whole-array numpy expressions; the recursion
-for C is the only sequential pass over the horizon.
+The suffix moments (p(X >= t), sum p/k, sum p/(k(k-1))) and A(t) come from
+`exact.SuffixMoments`.  They, q_t, nu_t, the accept mask and the scan for
+the reachable accept pattern are whole-array numpy expressions; the
+recursion for C is the only sequential pass over the horizon.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core_model import (
     nice_probabilities,
     support,
 )
+from .exact import SuffixMoments
 
 _TIE_REL = 1e-12
 
@@ -53,36 +55,14 @@ class DPPolicy:
     witness: tuple[int, int] | None
 
 
-def _dense_pmf(model: CountModel) -> np.ndarray:
+def _moments(model: CountModel) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
+    """(moments, steps t = 0..T, S(t) for t = 0..T+1) with T the top of the
+    support; slot T+1 of S is 0."""
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
-    ks, ps = support(model)
-    T = int(ks.max())
-    dense = np.zeros(T + 1)
-    dense[ks] = ps
-    return dense
-
-
-def _suffix_moments(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Suffix sums over k >= t for t = 0..T+1 (slot T+1 is 0):
-    S[t] = p(X >= t), U1[t] = sum p(k)/k, U2[t] = sum p(k)/(k(k-1))."""
-    kf = np.arange(len(dense), dtype=float)
-    w1 = np.where(kf >= 1, dense / np.maximum(kf, 1.0), 0.0)
-    w2 = np.where(kf >= 2, dense / np.maximum(kf * (kf - 1.0), 1.0), 0.0)
-    S, U1, U2 = (np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]]) for w in (dense, w1, w2))
-    return S, U1, U2
-
-
-def _accept_values(variant: Variant, S: np.ndarray, U1: np.ndarray, U2: np.ndarray) -> np.ndarray:
-    """Definition-style accept values A(t), t = 0..T, in the single-identity
-    convention: t U1/S, or t(t-1) U2/S for postdoc; 0 where p(X >= t) = 0."""
-    T = len(S) - 2
-    t = np.arange(T + 1)
-    if variant is Variant.POSTDOC:
-        num = (t * (t - 1)).astype(float) * U2[: T + 1]
-    else:
-        num = t.astype(float) * U1[: T + 1]
-    return np.divide(num, S[: T + 1], out=np.zeros(T + 1), where=S[: T + 1] > 0.0)
+    mom = SuffixMoments(model)
+    t = np.arange(int(mom.ks.max()) + 2)
+    return mom, t[:-1], mom.S[mom.at(t)]
 
 
 def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float]:
@@ -105,15 +85,15 @@ def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float
 
 
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
-    dense = _dense_pmf(model)
-    T = len(dense) - 1
-    S, U1, U2 = _suffix_moments(dense)
+    mom, t, S = _moments(model)
+    T = len(t) - 1
     nu = nice_probabilities(variant, T)
 
-    A = _accept_values(variant, S, U1, U2)
+    A = mom.accept_values(variant, t)
     if variant is Variant.BEST_OR_WORST and S[1] > 0.0:
         # k = 1: the object is both best and worst, value 1; else 2/k
-        A[1] = (2.0 * U1[1] - dense[1]) / S[1]
+        i = mom.at(1)
+        A[1] = (2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)) / S[1]
 
     C = _continue_values(S, A, nu)
     Cv = np.array(C)
@@ -182,12 +162,11 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     far the printed system drifts from the behavioral values.
     """
     pol = backward_induction(variant, model)
-    dense = _dense_pmf(model)
-    S, U1, U2 = _suffix_moments(dense)
+    mom, t, S = _moments(model)
     # definition-style accept values (single-identity convention throughout);
     # the classic nice chances are exactly the printed weights 1/(t+1)
-    A = _accept_values(variant, S, U1, U2)
-    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, len(dense) - 1))
+    A = mom.accept_values(variant, t)
+    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, len(t) - 1))
     return float(np.max(np.abs(np.array(Cp) - np.array(pol.value_reject))))
 
 

@@ -4,30 +4,34 @@ The central object is the cutoff -> success-probability curve
 
     F(r) = sum_k p(X = k) * threshold_success_known(variant, k, r),
 
-evaluated for a whole range of r in O(support) via suffix sums.  On top of it
-sit the conditional step probabilities (accept now vs. reject and continue),
-closed forms for the uniform and Poisson families, and the optimal-cutoff
-search.
+evaluated for a whole range of r in O(support) via suffix sums.  Those sums
+(p(X >= t), sum p/k, sum p/(k(k-1)), ...) live in one place, SuffixMoments,
+which the curve and the backward induction in `dp` read; the step
+probabilities on finite tables stay direct weighted dots, which do not
+drift with the table size.  On top of the curve sit the conditional step
+probabilities (accept now vs. reject and continue), closed forms for the
+uniform and Poisson families, and the optimal-cutoff search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core_model import (
     CountModel,
     CutoffReport,
-    Explicit,
     Known,
     Poisson,
     Uniform,
     Variant,
+    accept_success_known,
     poisson_k_max,
     support,
-    tail_prob,
+    threshold_success_known,
 )
 from .specfun import (
     DEFAULT_POLICY,
@@ -63,17 +67,64 @@ class SuccessCurve:
         return float(self.values[r - self.r_min])
 
 
-def _policy_of(model: CountModel) -> TruncationPolicy:
-    return model.tp if isinstance(model, Poisson) else DEFAULT_POLICY
+class SuffixMoments:
+    """Suffix sums of the count pmf over k >= t, on the sorted support:
 
+        S(t)  = p(X >= t)              U1(t) = sum p(k)/k
+        U2(t) = sum p(k)/(k(k-1))      V(t)  = sum p(k)/(k-1)
+        W(t)  = sum p(k) H_{k-1}/k     (classic curves only)
 
-def _accept_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
-    """Definition-style success weight of accepting a nice r-th object when
-    X = k.  Single-identity convention: r/k for classic and best-or-worst."""
-    k = np.asarray(k, dtype=float)
-    if variant is Variant.POSTDOC:
-        return np.where(k > 1, r * (r - 1) / np.maximum(k * (k - 1), 1.0), 0.0)
-    return r / k
+    U1 and W leave out k = 0, U2 and V leave out k <= 1.  Each table is a
+    sequential suffix cumsum with a trailing 0, built on first use; at(t)
+    maps an array of steps to table slots (the first support point >= t), so
+    U1(t) is ``m.U1[m.at(t)]``.  Gathered at every t = 0..max k they equal
+    the sums over a dense pmf bit for bit: the absent points add exact zeros.
+    """
+
+    def __init__(self, model: CountModel, min_k: int = 0) -> None:
+        self.ks, self.ps = support(model, min_k)
+        self._k = self.ks.astype(float)
+
+    def at(self, t) -> np.ndarray:
+        return np.searchsorted(self.ks, t, side="left")
+
+    @staticmethod
+    def _suffix(w: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return self._suffix(self.ps)
+
+    @cached_property
+    def U1(self) -> np.ndarray:
+        return self._suffix(np.where(self._k >= 1, self.ps / np.maximum(self._k, 1.0), 0.0))
+
+    @cached_property
+    def U2(self) -> np.ndarray:
+        k = self._k
+        return self._suffix(np.where(k >= 2, self.ps / np.maximum(k * (k - 1.0), 1.0), 0.0))
+
+    @cached_property
+    def V(self) -> np.ndarray:
+        return self._suffix(np.where(self._k >= 2, self.ps / np.maximum(self._k - 1.0, 1.0), 0.0))
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        h = harmonic_numbers(int(self.ks.max(initial=0)))[np.maximum(self.ks - 1, 0)]
+        return self._suffix(np.where(self._k >= 1, h * self.ps / np.maximum(self._k, 1.0), 0.0))
+
+    def accept_values(self, variant: Variant, t: np.ndarray) -> np.ndarray:
+        """A(t): success of accepting a nice t-th object given X >= t, in the
+        single-identity convention: t U1(t)/S(t), or t(t-1) U2(t)/S(t) for
+        postdoc; 0 where p(X >= t) = 0."""
+        i = self.at(t)
+        if variant is Variant.POSTDOC:
+            num = (t * (t - 1)).astype(float) * self.U2[i]
+        else:
+            num = t.astype(float) * self.U1[i]
+        s = self.S[i]
+        return np.divide(num, s, out=np.zeros(len(t)), where=s > 0.0)
 
 
 def _reject_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
@@ -82,28 +133,9 @@ def _reject_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
     if variant is Variant.CLASSIC:
         # (r/k)(H_{k-1} - H_{r-1}) for k > r, else 0
         kk = k.astype(int)
-        hs = harmonic_numbers(int(kk.max()) if kk.size else 1)
-        vals = np.where(k > r, (r / k) * (hs[np.maximum(kk - 1, 0)] - hs[r - 1]), 0.0)
-        return vals
+        hs = harmonic_numbers(int(kk.max()))
+        return np.where(k > r, (r / k) * (hs[np.maximum(kk - 1, 0)] - hs[r - 1]), 0.0)
     bw = np.where(k > r, 2.0 * r * (k - r) / np.maximum(k * (k - 1.0), 1.0), 0.0)
-    bw = np.where(k <= 1, 0.0, bw)
-    return bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
-
-
-def _accept_weight_scalar(variant: Variant, r: int, k: int) -> float:
-    if variant is Variant.POSTDOC:
-        return r * (r - 1) / (k * (k - 1)) if k > 1 else 0.0
-    return r / k
-
-
-def _reject_weight_scalar(variant: Variant, r: int, k: int) -> float:
-    if k <= r or k <= 1:
-        return 0.0
-    if variant is Variant.CLASSIC:
-        from .specfun import harmonic
-
-        return (r / k) * (harmonic(k - 1) - harmonic(r - 1))
-    bw = 2.0 * r * (k - r) / (k * (k - 1.0))
     return bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
 
 
@@ -148,6 +180,17 @@ def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
     return digamma(n + 1) - digamma(r), r - n + n * (digamma(n) - digamma(r))
 
 
+def _table_tail(model: CountModel, r: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(ks, ps, p(X >= r)) over the support points k >= r of a finite table,
+    for weighted dots, which unlike suffix-sum ratios do not drift with n."""
+    ks, ps = support(model, min_k=r)
+    mask = ks >= r
+    tail = ps[mask].sum()
+    if tail <= 0.0:
+        raise ConditioningError(f"p(X >= {r}) = 0")
+    return ks[mask], ps[mask], tail
+
+
 def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
     """P_A(r): success chance accepting a nice candidate at step r, averaged
     over X conditioned on X >= r (single-identity accept weights)."""
@@ -158,21 +201,20 @@ def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
         if r > n:
             raise ConditioningError(f"p(X >= {r}) = 0 under Uniform(1..{n})")
         if variant is Variant.POSTDOC:
-            if r == 1:
-                return 0.0
             # telescoping sum of 1/(k(k-1)) collapses to r/n as well
-            return r / n
+            return 0.0 if r == 1 else r / n
         return float(r * _uniform_tail_sums(r, n)[0] / (n + 1 - r))
     if isinstance(model, Poisson):
         return _poisson_conditional(
-            lambda k: _accept_weight_scalar(variant, r, k), model.lam, r, model.tp
+            lambda k: accept_success_known(variant, k, r), model.lam, r, model.tp
         )
-    ks, ps = support(model, min_k=r)
-    mask = ks >= r
-    tail = ps[mask].sum()
-    if tail <= 0.0:
-        raise ConditioningError(f"p(X >= {r}) = 0")
-    return float(np.dot(_accept_weight(variant, r, ks[mask]), ps[mask]) / tail)
+    ks, ps, tail = _table_tail(model, r)
+    k = ks.astype(float)
+    if variant is Variant.POSTDOC:
+        w = np.where(k > 1, r * (r - 1) / np.maximum(k * (k - 1), 1.0), 0.0)
+    else:
+        w = r / k
+    return float(np.dot(w, ps) / tail)
 
 
 def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
@@ -191,84 +233,54 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
         return float(np.mean(_reject_weight(variant, r, ks)))
     if isinstance(model, Poisson):
         return _poisson_conditional(
-            lambda k: _reject_weight_scalar(variant, r, k), model.lam, r, model.tp
+            lambda k: threshold_success_known(variant, k, r), model.lam, r, model.tp
         )
-    ks, ps = support(model, min_k=r)
-    mask = ks >= r
-    tail = ps[mask].sum()
-    if tail <= 0.0:
-        raise ConditioningError(f"p(X >= {r}) = 0")
-    return float(np.dot(_reject_weight(variant, r, ks[mask]), ps[mask]) / tail)
-
-
-def _first_step_values(variant: Variant, ks: np.ndarray) -> np.ndarray:
-    """Per-k success of 'accept the first nice candidate from step 1 on'.
-
-    classic: first object is always nice -> 1/k.  best-or-worst: the first
-    object is both best and worst so far -> 1 for k = 1, 2/k after.  postdoc:
-    the first object is never nice, so the wait begins at step 2 -> 1/k for
-    k >= 2 and 0 for k <= 1.
-    """
-    k = np.asarray(ks, dtype=float)
-    safe = np.maximum(k, 1.0)
-    if variant is Variant.CLASSIC:
-        return np.where(k >= 1, 1.0 / safe, 0.0)
-    if variant is Variant.BEST_OR_WORST:
-        return np.where(k == 1, 1.0, np.where(k >= 2, 2.0 / safe, 0.0))
-    return np.where(k >= 2, 1.0 / safe, 0.0)
+    ks, ps, tail = _table_tail(model, r)
+    return float(np.dot(_reject_weight(variant, r, ks), ps) / tail)
 
 
 def success_curve(variant: Variant, model: CountModel, r_max: int) -> SuccessCurve:
-    """F(r) for r = 0..r_max in one pass of suffix sums over the support."""
+    """F(r) for r = 0..r_max from the suffix moments past each r:
+
+        classic        F(r) = r (W(r+1) - H_{r-1} U1(r+1)),
+        best-or-worst  F(r) = 2r (V(r+1) - r U2(r+1)),  postdoc half of it,
+
+    and F(0) the dot product below.
+    """
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
-    ks, ps = support(model, min_k=r_max)
-    kf = ks.astype(float)
-    top = int(ks.max(initial=0))
-
+    mom = SuffixMoments(model, min_k=r_max)
     values = np.zeros(r_max + 1)
-    values[0] = float(np.dot(_first_step_values(variant, ks), ps))
-
+    # F(0) per k: classic 1/k; best-or-worst 2/k, 1 at k = 1 (the sole object
+    # is best and worst); postdoc 1/k from k = 2 (step 1 is never nice).
+    # Formed before the tables, so its temporaries are gone at their peak.
+    k = mom.ks
+    first = np.where(k >= (2 if variant is Variant.POSTDOC else 1), 1.0 / np.maximum(k, 1.0), 0.0)
+    if variant is Variant.BEST_OR_WORST:
+        first = np.where(k == 1, 1.0, 2.0 * first)
+    values[0] = float(np.dot(first, mom.ps))
+    del first
     if r_max >= 1:
+        i = mom.at(np.arange(2, r_max + 2))  # the support past each r
         r = np.arange(1, r_max + 1, dtype=float)
         if variant is Variant.CLASSIC:
-            hs = harmonic_numbers(max(top, r_max))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w_c = np.where(kf >= 1, hs[np.maximum(ks - 1, 0)] * ps / np.maximum(kf, 1.0), 0.0)
-                w_d = np.where(kf >= 1, ps / np.maximum(kf, 1.0), 0.0)
-            C = _suffix_sums(ks, w_c, r_max)
-            D = _suffix_sums(ks, w_d, r_max)
-            values[1:] = r * (C[1:] - hs[np.arange(0, r_max)] * D[1:])
+            h = harmonic_numbers(r_max)[:-1]  # H_{r-1}
+            values[1:] = r * (mom.W[i] - h * mom.U1[i])
         else:
-            denom = np.maximum(kf * (kf - 1.0), 1.0)
-            w_a = np.where(ks >= 2, ps / np.maximum(kf - 1.0, 1.0), 0.0)
-            w_b = np.where(ks >= 2, ps / denom, 0.0)
-            A = _suffix_sums(ks, w_a, r_max)
-            B = _suffix_sums(ks, w_b, r_max)
-            bw = 2.0 * r * (A[1:] - r * B[1:])
+            bw = 2.0 * r * (mom.V[i] - r * mom.U2[i])
             values[1:] = bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
-
     np.clip(values, 0.0, 1.0, out=values)
-    return SuccessCurve(variant, model, 0, r_max, values, truncation_terms_used=len(ks))
-
-
-def _suffix_sums(ks: np.ndarray, weights: np.ndarray, r_max: int) -> np.ndarray:
-    """S[r] = sum of weights over support points k > r, for r = 0..r_max."""
-    out = np.zeros(r_max + 1)
-    if len(ks) == 0:
-        return out
-    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    # first support index strictly greater than each r
-    idx = np.searchsorted(ks, np.arange(r_max + 1), side="right")
-    return suffix[idx]
+    return SuccessCurve(variant, model, 0, r_max, values, truncation_terms_used=len(mom.ks))
 
 
 def closed_form_uniform(r: int, n: int) -> float:
     """Best-or-worst cutoff-success under Uniform[1, n]:
-    F(r, n) = 2r(r - n + n(psi(n) - psi(r)))/n^2 for 1 <= r <= n."""
+    F(r, n) = 2r(r - n + n(psi(n) - psi(r)))/n^2 for 1 <= r <= n, with the
+    bracket, sum_{k=r..n-1} (n-k)/k, taken from _uniform_tail_sums so that it
+    does not cancel as r nears n."""
     if not (1 <= r <= n):
         raise ValueError("need 1 <= r <= n")
-    return 2.0 * r * (r - n + n * (digamma(n) - digamma(r))) / (n * n)
+    return 2.0 * r * _uniform_tail_sums(r, n)[1] / (n * n)
 
 
 def poisson_smoothing_coefficients(
@@ -294,12 +306,9 @@ def poisson_smoothing_coefficients(
         s2 = 1.0 - e_lam + 2.0 * lam + (EULER_GAMMA - ein + log_lam) * (1.0 - lam)
         return s1 / e_lam, s2 / e_lam
     k_max = poisson_k_max(lam, tp=tp)
-    p = poisson_pmf_array(lam, k_max)
-    k = np.arange(k_max + 1, dtype=float)
-    m2 = k >= 2
-    exp_s1 = float(np.sum(p[m2] / (k[m2] - 1.0)))
-    exp_s2 = float(np.sum(p[m2] / (k[m2] * (k[m2] - 1.0))))
-    return exp_s1, exp_s2
+    p = poisson_pmf_array(lam, k_max)[2:]
+    k = np.arange(2, k_max + 1, dtype=float)
+    return float(np.sum(p / (k - 1.0))), float(np.sum(p / (k * (k - 1.0))))
 
 
 def poisson_fstar_and_f(

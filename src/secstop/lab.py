@@ -102,28 +102,16 @@ def cf_convergents(x: float, count: int) -> list[Convergent]:
 
 # --------------------------------------------------- exact restricted argmax
 
-@lru_cache(maxsize=4)
-def _uniform_positive_cutoffs(n_max: int) -> np.ndarray:
-    """M(n) over positive cutoffs for the two-sided rule, n = 1..n_max.
-
-    Uses 2r(r - n + n(psi(n) - psi(r)))/n^2; the n-constant scale is dropped,
-    which cannot move the argmax.  One growing harmonic table serves all n.
-    """
-    H = harmonic_numbers(n_max + 1)  # H[i] = H_i, H[0] = 0
-    out = np.zeros(n_max + 1, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        r = np.arange(1, n + 1, dtype=np.float64)
-        vals = r * (r - n) + n * r * (H[n - 1] - H[np.arange(0, n)])
-        out[n] = int(np.argmax(vals)) + 1
-    return out
-
-
-def _positive_cutoff_at(variant: Variant, n: int) -> int:
+def _positive_cutoff_at(variant: Variant, n: int, H: np.ndarray) -> int:
     """argmax over r in [1, n] of the variant's cutoff curve at horizon n
-    (classic against known-n, two-sided against the uniform model)."""
-    H = harmonic_numbers(n + 1)
+    (classic against known-n, two-sided against the uniform model), from a
+    harmonic table H = [H_0, H_1, ...] reaching at least H_{n-1}.
+
+    The two-sided curve is 2r(r - n + n(psi(n) - psi(r)))/n^2 with its
+    n-constant scale dropped, which cannot move the argmax.
+    """
     r = np.arange(1, n + 1, dtype=np.float64)
-    hr = H[np.arange(0, n)]
+    hr = H[:n]
     if variant is Variant.CLASSIC:
         vals = r * (H[n - 1] - hr)
     elif variant is Variant.BEST_OR_WORST:
@@ -131,6 +119,14 @@ def _positive_cutoff_at(variant: Variant, n: int) -> int:
     else:
         raise ValueError("convergent coincidences exist for classic and bw only")
     return int(np.argmax(vals)) + 1
+
+
+@lru_cache(maxsize=4)
+def _uniform_positive_cutoffs(n_max: int) -> tuple[int, ...]:
+    """M(n) of the two-sided rule for n = 0..n_max (slot 0 unused), from one
+    harmonic table; cached, since the failures suite scans 2..3000 twice."""
+    H = harmonic_numbers(n_max + 1)
+    return (0, *(_positive_cutoff_at(Variant.BEST_OR_WORST, n, H) for n in range(1, n_max + 1)))
 
 
 def verify_convergent_cutoffs(
@@ -145,7 +141,7 @@ def verify_convergent_cutoffs(
         (c.p, c.q, m, m == c.p)
         for c in convergents
         if c.p > 0
-        for m in (_positive_cutoff_at(variant, c.q),)
+        for m in (_positive_cutoff_at(variant, c.q, harmonic_numbers(c.q + 1)),)
     ]
 
 
@@ -187,7 +183,7 @@ def scan_estimator_failures(
         for n in range(n_min, n_max + 1):
             est = dict(uniform_cutoff_estimates(n))[estimator]
             rounded = integer_estimate(estimator, est)
-            m = int(exact[n])
+            m = exact[n]
             if rounded != m:
                 failures.append(n)
                 details.append((n, rounded, m))

@@ -16,7 +16,7 @@ one trial's steps 1..X in full and is the scalar reference for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

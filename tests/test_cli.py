@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -155,6 +156,27 @@ def test_curve_sweep_rejects_bad_range(capsys, bounds, message):
     code, out, err = run(capsys, "curve", "--variant", "bw", "--sweep", "lambda", *bounds)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("to,step", [("1e9", "1e-9"), ("10001", "1"), ("inf", "1")])
+def test_curve_sweep_size_is_capped(capsys, to, step):
+    # 10^18 rates would run until killed; the cap refuses before the first one
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "curve", "--variant", "bw", "--sweep", "lambda", "--from", "1", "--to", to, "--step", step
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "capped at 10000 rates" in err
+
+
+def test_curve_sweep_cap_counts_rates(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_SWEEP_RATES", 3)
+    sweep = ("curve", "--variant", "bw", "--sweep", "lambda", "--from", "1", "--format", "csv")
+    code, out, _ = run(capsys, *sweep, "--to", "2", "--step", "0.5")
+    assert code == 0 and len(parse_csv(out)) == 3
+    code, _, err = run(capsys, *sweep, "--to", "2.5", "--step", "0.5")
+    assert code == 2 and "capped at 3 rates" in err
 
 
 # --------------------------------------------------------------- simulate

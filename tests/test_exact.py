@@ -1,8 +1,10 @@
 """Tests for the exact engine.
 
 Oracle routes: direct per-k weighted sums (plain Python loops, scipy pmfs),
-exact rationals for the uniform family, and frozen literals derived from
-those routes — the suffix-sum implementation is never compared to itself.
+exact rationals for the uniform family, 50-digit mpmath sums, and frozen
+literals derived from those routes.  The one same-algorithm comparison is
+the bit-identity check against the curve's earlier per-curve suffix sums,
+kept below as a reference for the shared SuffixMoments table.
 """
 
 import math
@@ -21,8 +23,11 @@ from secstop.core_model import (
     Uniform,
     Variant,
     explicit_from_dict,
+    support,
     threshold_success_known,
+    truncate_to_explicit,
 )
+from secstop.dp import backward_induction
 from secstop.exact import (
     ConditioningError,
     best_cutoff,
@@ -32,6 +37,7 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
+from secstop.specfun import harmonic_numbers
 
 V = Variant
 
@@ -218,6 +224,149 @@ def test_curve_matches_weighted_sums_on_explicit_models(weights, variant):
         assert bw.value(r) == pytest.approx(2 * pd.value(r), abs=1e-13)
 
 
+# ------------------- reference: the curve from per-curve A/B/C/D suffix sums
+#
+# The form success_curve had before SuffixMoments, kept verbatim: each curve
+# built its own weight arrays and suffix sums, and F(0) is a dot product of
+# per-k first-step values.  For r >= 1 the shared moments add the same terms
+# in the same order, and F(0) is the same dot, so the values agree bit for bit.
+
+
+def _first_step_values(variant: Variant, ks: np.ndarray) -> np.ndarray:
+    k = np.asarray(ks, dtype=float)
+    safe = np.maximum(k, 1.0)
+    if variant is Variant.CLASSIC:
+        return np.where(k >= 1, 1.0 / safe, 0.0)
+    if variant is Variant.BEST_OR_WORST:
+        return np.where(k == 1, 1.0, np.where(k >= 2, 2.0 / safe, 0.0))
+    return np.where(k >= 2, 1.0 / safe, 0.0)
+
+
+def _suffix_sums(ks: np.ndarray, weights: np.ndarray, r_max: int) -> np.ndarray:
+    out = np.zeros(r_max + 1)
+    if len(ks) == 0:
+        return out
+    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
+    idx = np.searchsorted(ks, np.arange(r_max + 1), side="right")
+    return suffix[idx]
+
+
+def _abcd_success_curve(variant, model, r_max):
+    """(values, truncation terms) of the A/B/C/D form."""
+    ks, ps = support(model, min_k=r_max)
+    kf = ks.astype(float)
+    top = int(ks.max(initial=0))
+
+    values = np.zeros(r_max + 1)
+    values[0] = float(np.dot(_first_step_values(variant, ks), ps))
+
+    if r_max >= 1:
+        r = np.arange(1, r_max + 1, dtype=float)
+        if variant is Variant.CLASSIC:
+            hs = harmonic_numbers(max(top, r_max))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w_c = np.where(kf >= 1, hs[np.maximum(ks - 1, 0)] * ps / np.maximum(kf, 1.0), 0.0)
+                w_d = np.where(kf >= 1, ps / np.maximum(kf, 1.0), 0.0)
+            C = _suffix_sums(ks, w_c, r_max)
+            D = _suffix_sums(ks, w_d, r_max)
+            values[1:] = r * (C[1:] - hs[np.arange(0, r_max)] * D[1:])
+        else:
+            denom = np.maximum(kf * (kf - 1.0), 1.0)
+            w_a = np.where(ks >= 2, ps / np.maximum(kf - 1.0, 1.0), 0.0)
+            w_b = np.where(ks >= 2, ps / denom, 0.0)
+            A = _suffix_sums(ks, w_a, r_max)
+            B = _suffix_sums(ks, w_b, r_max)
+            bw = 2.0 * r * (A[1:] - r * B[1:])
+            values[1:] = bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
+
+    np.clip(values, 0.0, 1.0, out=values)
+    return values, len(ks)
+
+
+def _accept_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    if variant is Variant.POSTDOC:
+        return np.where(k > 1, r * (r - 1) / np.maximum(k * (k - 1), 1.0), 0.0)
+    return r / k
+
+
+def _dot_step_accept(variant, model, r):
+    """The finite-support P_A(r) as a weighted dot, the form before
+    SuffixMoments."""
+    ks, ps = support(model, min_k=r)
+    mask = ks >= r
+    return float(np.dot(_accept_weight(variant, r, ks[mask]), ps[mask]) / ps[mask].sum())
+
+
+_MIXED_MODELS = [
+    explicit_from_dict({0: 0.2, 3: 0.3, 7: 0.5}),
+    explicit_from_dict({0: 0.5, 1: 0.25, 4: 0.25}),
+    explicit_from_dict({0: 1.0}),
+    explicit_from_dict({100: 0.99, 1000: 0.01}),
+] + [truncate_to_explicit(Poisson(lam)) for lam in (2.0, 5.0, 8.0, 1000.0)]
+
+
+def _top(model):
+    return max(k for k, _ in model.items) if isinstance(model, Explicit) else model.n
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_curve_matches_abcd_reference(variant):
+    models = [Known(n) for n in range(1, 61)] + [Uniform(n) for n in range(1, 301)]
+    models += _MIXED_MODELS + [Poisson(lam) for lam in (2.0, 5.0, 8.0)]
+    for model in models:
+        r_max = _top(model) + 2 if not isinstance(model, Poisson) else 30
+        c = success_curve(variant, model, r_max)
+        want, terms = _abcd_success_curve(variant, model, r_max)
+        assert c.truncation_terms_used == terms
+        assert np.array_equal(c.values, want), model
+
+
+# the weighted dot is within about 2e-16 of the exact rational value on
+# these models; a ratio of sequential suffix sums, r U1(r)/S(r), drifts by
+# about n eps on a flat table of n points (7.9e-15 at 295 points)
+_ACCEPT_REL = 1e-15
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_step_accept_matches_weighted_dot(variant):
+    # the table path runs for Known and Explicit models; Uniform pmfs reach
+    # it as explicit tables
+    models = [Known(n) for n in range(1, 61)]
+    models += [truncate_to_explicit(Uniform(n)) for n in range(1, 301, 7)] + _MIXED_MODELS
+    worst = 0.0
+    for model in models:
+        top = _top(model)
+        for r in range(1, top + 1):
+            if r > 64 and r % 37 and r < top - 2:
+                continue  # every r on small supports, a spread on large ones
+            got = step_accept_prob(variant, model, r)
+            want = _dot_step_accept(variant, model, r)
+            if want:
+                worst = max(worst, abs(got - want) / want)
+            else:
+                assert got == 0.0
+    assert worst <= _ACCEPT_REL, worst
+
+
+@pytest.mark.parametrize("variant", list(V))
+# every mixed model but the 1,400-point Poisson(1000) table
+@pytest.mark.parametrize("model", [Known(9), truncate_to_explicit(Uniform(40)), *_MIXED_MODELS[:-1]])
+def test_step_accept_is_the_induction_accept_value(variant, model):
+    # on finite supports P_A(r) is the DP's A(r), a ratio of suffix sums,
+    # except the best-or-worst step 1, where the DP counts the sole object
+    # as both best and worst; the two add in different orders
+    pol = backward_induction(variant, model)
+    for r in range(1, pol.horizon + 1):
+        if r == 1 and variant is V.BEST_OR_WORST:
+            continue
+        try:
+            got = step_accept_prob(variant, model, r)
+        except ConditioningError:
+            continue
+        assert got == pytest.approx(pol.value_accept[r], rel=1e-14, abs=0.0), r
+
+
 # ------------------------------------------------------------- closed forms
 
 
@@ -231,6 +380,21 @@ def test_closed_form_uniform():
     assert closed_form_uniform(20, 100) == pytest.approx(0.33185514419837536, abs=1e-13)
     with pytest.raises(ValueError):
         closed_form_uniform(0, 5)
+
+
+@pytest.mark.parametrize("n", [2, 10, 57, 10**4, 10**6])
+def test_closed_form_uniform_near_n_against_mpmath(n):
+    # the digamma form cancels as r nears n (6.6e-4 relative at n - 1 for
+    # n = 10^6); the short tail sum must hold to double precision
+    for r in sorted({1, n // 2, (95 * n) // 100, (99 * n) // 100, n - 1, n} - {0}):
+        with mpmath.workdps(50):
+            pairs = n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1)) - (n - r)
+            ref = 2 * r * pairs / n**2
+        got = closed_form_uniform(r, n)
+        if r == n:
+            assert got == 0.0
+        else:
+            assert abs((got - ref) / ref) <= 1e-14, (r, n, got, ref)
 
 
 def test_poisson_fstar_identity():
