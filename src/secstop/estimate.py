@@ -4,7 +4,9 @@ The limiting success probability of a cutoff fraction x (reject the first
 x*n of a two-sided search) is g(x) = -2x ln x - 2x(1 - x), maximized at
 theta = -W(-2/e^2)/2, where g(theta) = 2(theta - theta^2).  Around that
 limit sit three practical estimators of the exact uniform-model cutoff and
-two for the Poisson model; the exact argmax itself stays in `exact`.
+two for the Poisson model; the exact argmax itself stays in `exact`.  The
+two Poisson rates are roots of closed forms in I(lam) = sum lam^k/(k k!):
+lambda0 of 2 lam - I(lam), lambda_m of 2(e^lam - 1)/lam - 1 - 2 I(lam) + lam.
 """
 
 from __future__ import annotations
@@ -21,13 +23,8 @@ from .core_model import (
     Uniform,
     Variant,
 )
-from .exact import (
-    best_cutoff,
-    poisson_smoothing_coefficients,
-    step_accept_prob,
-    step_reject_prob,
-)
-from .specfun import DEFAULT_POLICY, TruncationPolicy, digamma, lambert_w0
+from .exact import best_cutoff, poisson_smoothing_coefficients
+from .specfun import DEFAULT_POLICY, TruncationPolicy, digamma, ein_series, lambert_w0
 
 
 class EstimatorId(str, Enum):
@@ -116,68 +113,41 @@ def poisson_cutoff_estimates(
     ]
 
 
-@lru_cache(maxsize=1)
-def lambda0(tol: float = 1e-9) -> float:
-    """Rate at which accepting a nice first candidate stops dominating.
-
-    Root of P_A(1) - P_R(1) for the two-sided rule under Poisson arrivals
-    (step probabilities in the single-identity convention of `exact`), found
-    by bisection on (0.1, 10).  Below it the accept curve stays on top at
-    every step, so cutoff 0 is unbeatable.
-    """
-
-    def h(lam: float) -> float:
-        model = Poisson(lam)
-        return step_accept_prob(
-            Variant.BEST_OR_WORST, model, 1
-        ) - step_reject_prob(Variant.BEST_OR_WORST, model, 1)
-
-    lo, hi = 0.1, 10.0
-    h_lo = h(lo)
-    if not (h_lo > 0.0 > h(hi)):
-        raise RuntimeError("bisection bracket lost")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi], f(lo) > 0 > f(hi), bisected down to adjacent
+    doubles."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
-def _p_of_lam(lam: float) -> float:
-    return best_cutoff(Variant.BEST_OR_WORST, Poisson(lam)).prob
+def lambda0() -> float:
+    """Rate at which accepting a nice first candidate stops dominating.
+
+    Root of P_A(1) - P_R(1) for the two-sided rule under Poisson arrivals
+    (step probabilities in the single-identity convention of `exact`), which
+    is e^-lam (2 lam - I(lam)); bisected on [1, 3].  Below it the accept curve
+    stays on top at every step, so cutoff 0 is unbeatable.
+    """
+    return _bisect(lambda lam: 2.0 * lam - ein_series(lam), 1.0, 3.0)
 
 
-@lru_cache(maxsize=1)
 def lambda_m() -> tuple[float, float]:
     """(argmax, max) of lam -> optimal two-sided success under Poisson(lam).
 
-    Direct maximization: coarse grid on [0.5, 6], then golden-section on the
-    bracketing interval.  Near the optimum the best cutoff is 0, so the
-    objective is a single smooth arc and unimodal refinement is safe.
+    Near the optimum the best cutoff is 0, with success e^-lam (2 I(lam) - lam),
+    whose rate derivative is e^-lam (2(e^lam - 1)/lam - 1 - 2 I(lam) + lam);
+    its root on [1, 3] is bisected, and the max is best_cutoff's value there.
     """
-    grid = [0.5 + 0.05 * i for i in range(111)]
-    vals = [_p_of_lam(x) for x in grid]
-    i = max(range(len(grid)), key=vals.__getitem__)
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = _p_of_lam(c), _p_of_lam(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _p_of_lam(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _p_of_lam(d)
-    lam = 0.5 * (a + b)
-    return lam, _p_of_lam(lam)
+    lam = _bisect(
+        lambda x: 2.0 * math.expm1(x) / x - 1.0 - 2.0 * ein_series(x) + x, 1.0, 3.0
+    )
+    return lam, best_cutoff(Variant.BEST_OR_WORST, Poisson(lam)).prob
 
 
 def with_estimates(report: CutoffReport) -> CutoffReport:

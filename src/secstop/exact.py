@@ -42,6 +42,7 @@ from .specfun import (
     harmonic_numbers,
     poisson_pmf,
     poisson_pmf_array,
+    series,
 )
 
 # relative slack for treating two curve values as tied (see best_cutoff)
@@ -140,30 +141,12 @@ def _reject_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
 
 
 def _poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy) -> float:
-    """E[w(X) | X >= r] for Poisson X via pmf-ratio series from k = r.
+    """E[w(X) | X >= r] for Poisson X via the pmf-ratio series from k = r.
 
     Terms are normalized by pmf(r), so the conditioning survives r far above
     lam where pmf and tail both underflow.  Assumes 0 <= w <= 1.
     """
-    num = den = cn = cd = 0.0
-    t = 1.0
-    k = r
-    for _ in range(tp.max_terms):
-        w = float(weights(k))
-        y = t * w - cn
-        s = num + y
-        cn = (s - num) - y
-        num = s
-        y = t - cd
-        s = den + y
-        cd = (s - den) - y
-        den = s
-        ratio = lam / (k + 1.0)
-        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= tp.rel_tol * den:
-            return num / den
-        t *= ratio
-        k += 1
-    raise RuntimeError("conditional expectation did not converge")
+    return series(1.0, lambda k: lam / (k + 1.0), r, tp, weight=weights)
 
 
 def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:

@@ -136,7 +136,7 @@ def verify_convergent_cutoffs(
     optimum at horizon q hit the numerator?  classic runs against the
     known-n curve, the two-sided rule against the uniform-model curve.
     Index-0 convergents (p = 0) are skipped — a cutoff at horizon 1 is
-    vacuous.  Horizons beyond the exact harmonic table are out of range."""
+    vacuous."""
     return [
         (c.p, c.q, m, m == c.p)
         for c in convergents

@@ -1,7 +1,9 @@
 """Scalar special functions backing the closed forms used everywhere else.
 
-All arithmetic is 64-bit float.  Long series use compensated (Kahan)
-accumulation, and every infinite series is truncated under an explicit
+All arithmetic is 64-bit float.  Every Poisson-side infinite sum (the upper
+Poisson tail, I(lam), the sinh integral and the conditional expectations of
+`exact`) goes through one kernel, `series`: a Kahan-compensated sum of
+positive terms t_{k+1} = t_k * ratio(k), truncated under an explicit
 TruncationPolicy so callers control the tail bound instead of inheriting a
 hidden one.
 """
@@ -64,38 +66,46 @@ def _grow_harmonic(limit: int) -> None:
 
 
 def harmonic(m: int) -> float:
-    """H_m = 1 + 1/2 + ... + 1/m (H_0 = 0).  Exact summation; m <= 10^4."""
+    """H_m = 1 + 1/2 + ... + 1/m (H_0 = 0): exact summation up to 10^4,
+    psi(m + 1) + gamma from the asymptotic expansion above."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if m > _HARMONIC_EXACT_LIMIT:
-        raise ValueError(f"harmonic cache capped at {_HARMONIC_EXACT_LIMIT}")
+        return digamma(m + 1) + EULER_GAMMA
     if m >= len(_H):
         _grow_harmonic(m)
     return _H[m]
 
 
 def harmonic_numbers(limit: int) -> np.ndarray:
-    """Array [H_0, H_1, ..., H_limit] sharing the compensated cache."""
-    if limit > _HARMONIC_EXACT_LIMIT:
-        raise ValueError(f"harmonic cache capped at {_HARMONIC_EXACT_LIMIT}")
-    if limit >= len(_H):
-        _grow_harmonic(limit)
-    return np.array(_H[: limit + 1])
+    """Array [H_0, H_1, ..., H_limit]: the compensated cache up to 10^4, the
+    expansion of `harmonic` past it."""
+    head = min(limit, _HARMONIC_EXACT_LIMIT)
+    if head >= len(_H):
+        _grow_harmonic(head)
+    m1 = np.arange(head + 2, limit + 2, dtype=float)  # m + 1 for m past the cache
+    return np.concatenate([_H[: head + 1], _psi_asymptotic(m1, np.log) + EULER_GAMMA])
+
+
+def _psi_asymptotic(m, log=math.log):
+    """ln m - 1/(2m) - 1/(12m^2) + 1/(120m^4): psi(m) for m > 10^4, on a
+    number, or on a float array with log=np.log."""
+    inv = 1.0 / m
+    inv2 = inv * inv
+    return log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
 
 
 def digamma(m: int) -> float:
     """psi(m) at a positive integer: H_{m-1} - gamma.
 
     Exact harmonic summation up to the cache limit, then the standard
-    asymptotic expansion ln m - 1/(2m) - 1/(12m^2) + 1/(120m^4).
+    asymptotic expansion (`_psi_asymptotic`).
     """
     if m < 1:
         raise ValueError("digamma defined here for positive integers only")
     if m <= _HARMONIC_EXACT_LIMIT:
         return harmonic(m - 1) - EULER_GAMMA
-    inv = 1.0 / m
-    inv2 = inv * inv
-    return math.log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
+    return _psi_asymptotic(m)
 
 
 _BRANCH_POINT = -math.exp(-1.0)
@@ -169,6 +179,40 @@ def poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
+def series(
+    term: float, ratio, k: int = 0, tp: TruncationPolicy = DEFAULT_POLICY, weight=None
+) -> float:
+    """Sum of positive terms t_k, t_{k+1} = t_k * ratio(k), from the given k
+    and first term; with weight, the weighted mean sum t_k w(k) / sum t_k.
+
+    Both sums are Kahan-compensated.  The series stops once a term is 0, or
+    once ratio(k) = q < 1 bounds the remaining tail, term q/(1 - q), below
+    tp.rel_tol times the sum; TruncationError once tp.max_terms are used.
+    With weight, a term past 2^900 rescales the term, both sums and their
+    carries by the exact 2^-900, so conditional series, whose terms reach
+    lam^(k-r) r!/k!, do not overflow; below 2^900 no bit changes.
+    """
+    s = c = ws = wc = 0.0
+    for _ in range(tp.max_terms):
+        if weight is not None:
+            y = term * weight(k) - wc
+            t = ws + y
+            wc = (t - ws) - y
+            ws = t
+        y = term - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        q = ratio(k)
+        if term == 0.0 or (q < 1.0 and term * q / (1.0 - q) < tp.rel_tol * s):
+            return s if weight is None else ws / s
+        term *= q
+        k += 1
+        if weight is not None and term > 2.0**900:
+            term, s, c, ws, wc = (x * 2.0**-900 for x in (term, s, c, ws, wc))
+    raise TruncationError("series did not converge under the policy")
+
+
 def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
     """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam)."""
     if r < 0:
@@ -189,68 +233,30 @@ def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> f
             acc = t
             term *= lam / (k + 1.0)
         return max(0.0, 1.0 - acc)
-    acc = 0.0
-    c = 0.0
-    term = poisson_pmf(r, lam)
-    if term == 0.0:
-        return 0.0  # leading term underflowed: the whole tail is < 1e-300
-    k = r
-    for _ in range(tp.max_terms):
-        y = term - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
-        ratio = lam / (k + 1.0)
-        if term == 0.0 or (ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc):
-            return acc
-        term *= ratio
-        k += 1
-    raise TruncationError("poisson_tail did not converge under the policy")
+    # an underflowed leading term ends the series at 0: the tail is < 1e-300
+    return series(poisson_pmf(r, lam), lambda k: lam / (k + 1.0), r, tp)
+
+
+def ein_series(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """I(lam) = integral_0^lam (e^x - 1)/x dx = sum_{k>=1} lam^k / (k * k!)."""
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    return series(lam, lambda k: lam * k / ((k + 1.0) * (k + 1.0)), 1, tp)
 
 
 def ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """E(lam) = gamma + ln(lam) + integral_0^lam (e^x - 1)/x dx.
-
-    The integral expands into sum_{k>=1} lam^k / (k * k!), all terms positive.
-    """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    acc = 0.0
-    c = 0.0
-    term = lam  # k = 1 term
-    k = 1
-    for _ in range(tp.max_terms):
-        y = term - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
-        ratio = lam * k / ((k + 1.0) * (k + 1.0))
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
-            break
-        term *= ratio
-        k += 1
-    else:
-        raise TruncationError("ein_integral series did not converge")
-    return EULER_GAMMA + math.log(lam) + acc
+    """E(lam) = gamma + ln(lam) + I(lam), I the series of `ein_series`."""
+    i = ein_series(lam, tp)  # rejects lam <= 0
+    return EULER_GAMMA + math.log(lam) + i
 
 
 def sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
     """S(lam) = integral_0^lam sinh(x)/x dx = sum_j lam^(2j+1)/((2j+1)(2j+1)!)."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    acc = 0.0
-    c = 0.0
-    term = lam  # j = 0
-    j = 0
-    for _ in range(tp.max_terms):
-        y = term - c
-        t = acc + y
-        c = (t - acc) - y
-        acc = t
+
+    def ratio(j: int) -> float:
         m = 2 * j + 1
-        ratio = lam * lam * m / ((m + 2.0) * (m + 2.0) * (m + 1.0))
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
-            return acc
-        term *= ratio
-        j += 1
-    raise TruncationError("sinh_integral series did not converge")
+        return lam * lam * m / ((m + 2.0) * (m + 2.0) * (m + 1.0))
+
+    return series(lam, ratio, 0, tp)

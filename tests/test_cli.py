@@ -79,6 +79,22 @@ def test_cutoff_known_even(capsys):
     assert rec["P"] == "0.555555555556"  # 10/18 at 12 significant digits
 
 
+def test_cutoff_classic_past_the_exact_harmonic_range(capsys):
+    # F(r) = (r/n)(1/r + ... + 1/(n-1)) is unimodal; its peak lies near n/e
+    n = 20000
+    code, out, _ = run(
+        capsys, "cutoff", "--variant", "classic", "--model", f"known:n={n}",
+        "--format", "json",
+    )
+    assert code == 0
+    (rec,) = json.loads(out)
+    near = range(int(n / math.e) - 10, int(n / math.e) + 11)
+    f = {r: r / n * math.fsum(1.0 / j for j in range(r, n)) for r in near}
+    m = max(near, key=f.__getitem__)
+    assert int(rec["M"]) == m
+    assert float(rec["P"]) == pytest.approx(f[m], rel=1e-11)
+
+
 def test_cutoff_uniform_estimator_columns(capsys):
     code, out, _ = run(
         capsys, "cutoff", "--variant", "bw", "--model", "uniform:n=100",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from secstop.core_model import Poisson, Uniform, Variant
@@ -143,6 +144,45 @@ def test_lambda_m_frozen():
     assert p == pytest.approx(0.7264704765922492, abs=1e-12)
     assert lam == pytest.approx(2.01771, abs=1e-3)
     assert p == pytest.approx(0.72647, abs=1e-3)
+
+
+def _mpmath_I(x):
+    """I(x) = sum_{k>=1} x^k/(k k!) = Ei(x) - gamma - ln x."""
+    return mpmath.ei(x) - mpmath.euler - mpmath.log(x)
+
+
+def test_lambda0_against_mpmath():
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(lambda x: 2 * x - _mpmath_I(x), 2.2)
+    assert abs(lambda0() - ref) < 1e-14 * ref
+
+
+def test_lambda_m_against_mpmath():
+    # root of the rate derivative of the cutoff-0 success e^-x (2 I(x) - x)
+    with mpmath.workdps(40):
+        ref = mpmath.findroot(
+            lambda x: mpmath.diff(lambda y: mpmath.exp(-y) * (2 * _mpmath_I(y) - y), x), 2.0
+        )
+    assert abs(lambda_m()[0] - ref) < 1e-14 * ref
+
+
+def test_lambda0_is_where_the_step_one_gap_changes_sign():
+    def gap(lam):
+        model = Poisson(lam)
+        return step_accept_prob(Variant.BEST_OR_WORST, model, 1) - step_reject_prob(
+            Variant.BEST_OR_WORST, model, 1
+        )
+
+    root = lambda0()
+    assert gap(root * (1.0 - 1e-9)) > 0.0 > gap(root * (1.0 + 1e-9))
+
+
+def test_lambda_m_is_the_peak_of_the_optimal_success():
+    lam, p = lambda_m()
+    rep = best_cutoff(Variant.BEST_OR_WORST, Poisson(lam))
+    assert rep.cutoff == 0 and rep.prob == p
+    for other in (lam - 1e-3, lam + 1e-3):
+        assert best_cutoff(Variant.BEST_OR_WORST, Poisson(other)).prob <= p
 
 
 def test_success_vs_rate_is_unimodal_nearby():

@@ -2,9 +2,10 @@
 
 Oracle routes: direct per-k weighted sums (plain Python loops, scipy pmfs),
 exact rationals for the uniform family, 50-digit mpmath sums, and frozen
-literals derived from those routes.  The one same-algorithm comparison is
-the bit-identity check against the curve's earlier per-curve suffix sums,
-kept below as a reference for the shared SuffixMoments table.
+literals derived from those routes.  The same-algorithm comparisons are
+the bit-identity checks against the curve's earlier per-curve suffix sums,
+kept below as a reference for the shared SuffixMoments table, and against
+the Poisson conditional series loop that the specfun kernel replaced.
 """
 
 import math
@@ -22,6 +23,7 @@ from secstop.core_model import (
     Poisson,
     Uniform,
     Variant,
+    accept_success_known,
     explicit_from_dict,
     support,
     threshold_success_known,
@@ -37,7 +39,7 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop.specfun import harmonic_numbers
+from secstop.specfun import DEFAULT_POLICY, TruncationPolicy, harmonic_numbers
 
 V = Variant
 
@@ -140,6 +142,90 @@ def test_step_probs_survive_deep_conditioning():
     # r far beyond lam: pmf and tail both underflow, the ratio series must not
     v = step_accept_prob(V.BEST_OR_WORST, Poisson(2.0), 400)
     assert 0.99 < v <= 1.0
+
+
+# (rate, r): the running term lam^(k-r) r!/k! of the conditional series
+# passes the double range at r = 1 from about lam = 710 on
+_LARGE_RATE_CASES = [(720, 1), (720, 360), (1000, 1), (1000, 500), (5000, 1), (5000, 2500)]
+
+
+def _poisson_conditional_mpmath(weight, lam, r):
+    """E[w(X) | X >= r] for X ~ Poisson(lam) at 50 digits, summed directly
+    over k = r .. lam + 40 sqrt(lam) + 100 from the pmf ratio."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        t = mpmath.mpf(1)
+        num = den = mpmath.mpf(0)
+        for k in range(r, int(lam + 40 * mpmath.sqrt(lam)) + 100):
+            num += t * weight(k)
+            den += t
+            t = t * lam / (k + 1)
+        return num / den
+
+
+@pytest.mark.parametrize("lam, r", _LARGE_RATE_CASES)
+def test_poisson_step_probs_at_large_rates_against_mpmath(lam, r):
+    model = Poisson(float(lam))
+    with mpmath.workdps(50):
+        h_r = mpmath.harmonic(r - 1)
+    refs = {
+        "bw accept": (step_accept_prob(V.BEST_OR_WORST, model, r), lambda k: mpmath.mpf(r) / k),
+        "bw reject": (
+            step_reject_prob(V.BEST_OR_WORST, model, r),
+            lambda k: mpmath.mpf(2 * r * (k - r)) / (k * (k - 1)) if k > 1 else 0,
+        ),
+        "classic reject": (
+            step_reject_prob(V.CLASSIC, model, r),
+            lambda k: mpmath.mpf(r) / k * (mpmath.harmonic(k - 1) - h_r),
+        ),
+    }
+    for name, (got, weight) in refs.items():
+        ref = _poisson_conditional_mpmath(weight, lam, r)
+        assert abs(got - ref) < 1e-14 * ref, (name, got, float(ref))
+
+
+def _loop_poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy) -> float:
+    """E[w(X) | X >= r] for Poisson X via pmf-ratio series from k = r.
+
+    Terms are normalized by pmf(r), so the conditioning survives r far above
+    lam where pmf and tail both underflow.  Assumes 0 <= w <= 1.
+    """
+    num = den = cn = cd = 0.0
+    t = 1.0
+    k = r
+    for _ in range(tp.max_terms):
+        w = float(weights(k))
+        y = t * w - cn
+        s = num + y
+        cn = (s - num) - y
+        num = s
+        y = t - cd
+        s = den + y
+        cd = (s - den) - y
+        den = s
+        ratio = lam / (k + 1.0)
+        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= tp.rel_tol * den:
+            return num / den
+        t *= ratio
+        k += 1
+    raise RuntimeError("conditional expectation did not converge")
+
+
+def test_poisson_step_probs_match_the_loop_bit_for_bit():
+    # the conditional series before the shared kernel, verbatim above, on the
+    # rate and cutoff grid of tests/test_specfun.py
+    rates = [float(x) for x in np.linspace(0.01, 60.0, 700)] + [100.0, 500.0]
+    for lam in rates:
+        model = Poisson(lam)
+        f = math.floor(lam)
+        for r in (1, 2, 5, f + 2, 2 * f + 3, 50, 150, 400):
+            for v in V:
+                for got, weight in (
+                    (step_accept_prob(v, model, r), lambda k: accept_success_known(v, k, r)),
+                    (step_reject_prob(v, model, r), lambda k: threshold_success_known(v, k, r)),
+                ):
+                    ref = _loop_poisson_conditional(weight, lam, r, DEFAULT_POLICY)
+                    assert got == ref, (v, lam, r, got, ref)
 
 
 def test_step_prob_conditioning_errors():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -90,11 +91,15 @@ def test_theta_convergents_match_through_6462():
     assert all(match for *_, match in rows)
 
 
-def test_deep_horizons_out_of_range():
-    with pytest.raises(ValueError):
-        verify_convergent_cutoffs(
-            Variant.BEST_OR_WORST, [Convergent(11766, 57907, 9)]
-        )
+def test_deep_horizons_past_the_exact_harmonic_range():
+    # past H_10000 the harmonic table comes from the digamma expansion; the
+    # argmax at q = 57907 against 40-digit harmonic numbers near r = q theta
+    n = 57907
+    rows = verify_convergent_cutoffs(Variant.BEST_OR_WORST, [Convergent(11766, n, 9)])
+    with mpmath.workdps(40):
+        h = mpmath.harmonic(n - 1)
+        vals = {r: r * (r - n) + n * r * (h - mpmath.harmonic(r - 1)) for r in range(11750, 11790)}
+    assert rows == [(11766, n, max(vals, key=vals.get), True)]
 
 
 def test_postdoc_has_no_coincidence_scan():

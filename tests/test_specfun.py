@@ -2,11 +2,14 @@
 
 Every value here is pinned against an independent route: scipy's
 implementations, adaptive quadrature of the defining integrals, or direct
-partial sums — never against the module under test.
+partial sums — never against the module under test.  The one
+same-algorithm comparison is the bit-identity check of the series kernel
+against the loops it replaced, kept below as references.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +29,7 @@ from secstop.specfun import (
     poisson_pmf,
     poisson_pmf_array,
     poisson_tail,
+    series,
     sinh_integral,
 )
 
@@ -53,6 +57,23 @@ def test_harmonic_numbers_matches_scalar():
     assert hs[0] == 0.0
     for m in (1, 2, 17, 999, 2000):
         assert hs[m] == harmonic(m)
+
+
+@pytest.mark.parametrize("m", [10**4, 10**4 + 1, 5 * 10**4, 10**6])
+def test_harmonic_past_the_cache_against_mpmath(m):
+    with mpmath.workdps(40):
+        ref = mpmath.harmonic(m)
+    assert abs(harmonic(m) - ref) < 1e-15 * ref
+    assert abs(harmonic_numbers(m)[m] - ref) < 1e-15 * ref
+
+
+def test_harmonic_numbers_past_the_cache_match_scalar():
+    hs = harmonic_numbers(60_000)
+    assert len(hs) == 60_001
+    assert np.array_equal(hs[:10_001], harmonic_numbers(10_000))
+    for m in (10_001, 10_002, 12_345, 33_333, 59_999, 60_000):
+        h = harmonic(m)
+        assert abs(hs[m] - h) <= math.ulp(h)
 
 
 def test_digamma_frozen_values():
@@ -185,3 +206,127 @@ def test_series_respect_max_terms():
     tight = TruncationPolicy(rel_tol=1e-15, max_terms=64)
     with pytest.raises(TruncationError):
         ein_integral(250.0, tight)
+    with pytest.raises(TruncationError):
+        sinh_integral(500.0, tight)
+    with pytest.raises(TruncationError):
+        series(1.0, lambda k: 250.0 / (k + 1.0), 1, tight, weight=lambda k: 0.5)
+
+
+def test_series_kernel():
+    # e = sum 1/k!, and the weighted mean of k under the Poisson(3) pmf ratios
+    # from k = 0 is the Poisson mean
+    assert series(1.0, lambda k: 1.0 / (k + 1.0)) == pytest.approx(math.e, rel=1e-16)
+    assert series(1.0, lambda k: 3.0 / (k + 1.0), weight=float) == pytest.approx(3.0, rel=1e-15)
+    # a zero leading term ends the sum at once
+    assert series(0.0, lambda k: 2.0) == 0.0
+
+
+# ------------------- references: the series loops before the shared kernel
+#
+# Verbatim copies of the loops that `series` replaced; the kernel must give
+# the same bits wherever they return a value.
+
+
+def _loop_poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam)."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if r == 0:
+        return 1.0
+    if r <= lam + 1.0:
+        # complement of a short head sum: better conditioned than the tail
+        acc = 0.0
+        c = 0.0
+        term = math.exp(-lam)
+        for k in range(r):
+            y = term - c
+            t = acc + y
+            c = (t - acc) - y
+            acc = t
+            term *= lam / (k + 1.0)
+        return max(0.0, 1.0 - acc)
+    acc = 0.0
+    c = 0.0
+    term = poisson_pmf(r, lam)
+    if term == 0.0:
+        return 0.0  # leading term underflowed: the whole tail is < 1e-300
+    k = r
+    for _ in range(tp.max_terms):
+        y = term - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+        ratio = lam / (k + 1.0)
+        if term == 0.0 or (ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc):
+            return acc
+        term *= ratio
+        k += 1
+    raise TruncationError("poisson_tail did not converge under the policy")
+
+
+def _loop_ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """E(lam) = gamma + ln(lam) + integral_0^lam (e^x - 1)/x dx.
+
+    The integral expands into sum_{k>=1} lam^k / (k * k!), all terms positive.
+    """
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    acc = 0.0
+    c = 0.0
+    term = lam  # k = 1 term
+    k = 1
+    for _ in range(tp.max_terms):
+        y = term - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+        ratio = lam * k / ((k + 1.0) * (k + 1.0))
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
+            break
+        term *= ratio
+        k += 1
+    else:
+        raise TruncationError("ein_integral series did not converge")
+    return EULER_GAMMA + math.log(lam) + acc
+
+
+def _loop_sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """S(lam) = integral_0^lam sinh(x)/x dx = sum_j lam^(2j+1)/((2j+1)(2j+1)!)."""
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    acc = 0.0
+    c = 0.0
+    term = lam  # j = 0
+    j = 0
+    for _ in range(tp.max_terms):
+        y = term - c
+        t = acc + y
+        c = (t - acc) - y
+        acc = t
+        m = 2 * j + 1
+        ratio = lam * lam * m / ((m + 2.0) * (m + 2.0) * (m + 1.0))
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
+            return acc
+        term *= ratio
+        j += 1
+    raise TruncationError("sinh_integral series did not converge")
+
+
+# 700 rates on [0.01, 60] plus two large ones, and cutoffs on both sides of
+# the head/tail switch at r = lam + 1
+KERNEL_RATES = [float(x) for x in np.linspace(0.01, 60.0, 700)] + [100.0, 500.0]
+
+
+def kernel_cutoffs(lam: float) -> list[int]:
+    f = math.floor(lam)
+    return [1, 2, 5, f + 2, 2 * f + 3, 50, 150, 400]
+
+
+def test_series_match_the_loops_bit_for_bit():
+    for lam in KERNEL_RATES:
+        assert ein_integral(lam) == _loop_ein_integral(lam)
+        assert sinh_integral(lam) == _loop_sinh_integral(lam)
+        for r in kernel_cutoffs(lam):
+            assert poisson_tail(r, lam) == _loop_poisson_tail(r, lam), (r, lam)
