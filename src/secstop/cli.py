@@ -47,7 +47,8 @@ from .mc import SimConfig, simulate
 from .specfun import DEFAULT_POLICY, TruncationError, TruncationPolicy
 
 
-# each rate of `curve --sweep lambda` is one best_cutoff call
+# cap on the points swept by `curve --sweep lambda` (rates) and by
+# `scan-failures` (n or rates); each point is one exact argmax
 _MAX_SWEEP_RATES = 10_000
 
 
@@ -155,13 +156,12 @@ def _tp_from_args(args) -> TruncationPolicy:
     return TruncationPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
 
 
-def _default_rmax(model: CountModel) -> int:
-    """Past these horizons F(r) only decays, so the curve is complete."""
-    if isinstance(model, (Known, Uniform)):
-        return model.n
+def _default_rmax(model: CountModel) -> int | None:
+    """Past lam + 8 sqrt(lam) a Poisson curve only decays, so it is complete
+    there; None is the top of the support, for every other model."""
     if isinstance(model, Poisson):
         return int(math.ceil(model.lam + 8.0 * math.sqrt(model.lam))) + 2
-    return max(k for k, _ in model.items)
+    return None
 
 
 def cmd_cutoff(args) -> int:
@@ -209,7 +209,7 @@ def cmd_curve(args) -> int:
     model = parse_model(args.model, tp)
     rmax = args.rmax if args.rmax is not None else _default_rmax(model)
     curve = success_curve(variant, model, rmax)
-    records = [{"r": r, "F": curve.value(r)} for r in range(curve.r_min, curve.r_max + 1)]
+    records = [{"r": r, "F": curve.value(r)} for r in range(curve.r_max + 1)]
     _emit(records, args.format)
     return 0
 
@@ -351,6 +351,8 @@ _ESTIMATOR_FLAGS = {
 
 
 def cmd_scan_failures(args) -> int:
+    if not 1 <= args.from_ <= args.to <= _MAX_SWEEP_RATES:  # also inf and nan
+        raise ModelSpecError(f"scan-failures needs 1 <= --from <= --to <= {_MAX_SWEEP_RATES}")
     scan = scan_estimator_failures(
         _ESTIMATOR_FLAGS[args.estimator], int(args.from_), int(args.to)
     )
@@ -529,9 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, model_required=True):
+    def common(p):
         p.add_argument("--variant", choices=[v.value for v in Variant], required=True)
-        p.add_argument("--model", required=model_required)
+        p.add_argument("--model", required=True)
         _shared(p)
 
     def _shared(p):

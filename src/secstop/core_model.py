@@ -9,8 +9,9 @@ random order, where only relative ranks are observable and there is no recall:
 
 The number of objects X may itself be random (Known, Uniform[1, n],
 Poisson(lam), or an explicit pmf).  This module carries the model types, the
-"nice candidate" probabilities, and the fixed-n closed forms used as building
-blocks by the exact and simulation engines.
+"nice candidate" chances nu_t, the two-sided factor (2 for best-or-worst, 1
+for postdoc) and the fixed-n closed forms used as building blocks by the exact
+and simulation engines; F(0) = sum_k p(k) nu_k for every count model.
 """
 
 from __future__ import annotations
@@ -145,26 +146,26 @@ def tail_prob(model: CountModel, r: int) -> float:
     return float(sum(p for k, p in model.items if k >= r))
 
 
-def truncate_to_explicit(model: CountModel, min_k: int = 0) -> Explicit:
+def truncate_to_explicit(model: CountModel) -> Explicit:
     """Finite-support stand-in with the upper tail folded into the last point.
 
     Mass-preserving, so unconditional success probabilities computed against
     the result match the original model up to the folded tail's contribution.
     """
-    ks, ps = support(model, min_k)
-    if isinstance(model, Poisson):
-        # fold the true tail mass, not 1 - sum(head): the head sum's rounding
-        # error (~1e-15) would dwarf the genuine tail (~1e-60 at the default
-        # horizon) and plant a phantom atom that poisons conditional tails
-        residual = poisson_tail(int(ks[-1]) + 1, model.lam, model.tp)
-        ps = ps.copy()
-        ps[-1] += residual
+    ks, ps = support(model)
+    # fold p(X > top), 0 for finite tables, not 1 - sum(head): for Poisson the
+    # head sum's rounding (~1e-15) would dwarf the true tail (~1e-60) and plant
+    # a phantom atom that poisons conditional tails
+    ps[-1] += tail_prob(model, int(ks[-1]) + 1)
     return Explicit(tuple((int(k), float(p)) for k, p in zip(ks, ps)))
 
 
 # nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST
 _NICE_NUMERATOR = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 2.0, Variant.POSTDOC: 1.0}
 _NICE_FIRST = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 1.0, Variant.POSTDOC: 0.0}
+# factor on r(k - r)/(k(k - 1)) in the two-sided rules' cutoff success; the
+# postdoc values are the best-or-worst ones halved, which is exact in floats
+_TWO_SIDED = {Variant.BEST_OR_WORST: 2.0, Variant.POSTDOC: 1.0}
 
 
 def nice_probability(variant: Variant, t: int) -> float:
@@ -179,13 +180,12 @@ def nice_probability(variant: Variant, t: int) -> float:
     return _NICE_FIRST[variant] if t == 1 else _NICE_NUMERATOR[variant] / t
 
 
-def nice_probabilities(variant: Variant, horizon: int) -> np.ndarray:
-    """nice_probability(variant, t) for t = 0..horizon, bit for bit; slot 0
-    is a 0.0 placeholder."""
-    nu = np.zeros(horizon + 1)
-    if horizon >= 1:
-        nu[1:] = _NICE_NUMERATOR[variant] / np.arange(1, horizon + 1, dtype=float)
-        nu[1] = _NICE_FIRST[variant]
+def nice_probabilities(variant: Variant, t: np.ndarray) -> np.ndarray:
+    """nice_probability(variant, t) at each step of the integer array t, bit
+    for bit; 0.0 at t = 0."""
+    nu = _NICE_NUMERATOR[variant] / np.maximum(t, 1.0)
+    nu[t == 1] = _NICE_FIRST[variant]
+    nu[t == 0] = 0.0
     return nu
 
 
@@ -209,29 +209,19 @@ def accept_success_known(variant: Variant, n: int, r: int) -> float:
 
 def threshold_success_known(variant: Variant, n: int, r: int) -> float:
     """Success chance of 'reject the first r, then take the first nice
-    candidate' when exactly n objects arrive."""
+    candidate' when exactly n objects arrive; nu_n at r = 0, so that
+    F(0) = sum_k p(k) nu_k."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    if variant is Variant.CLASSIC:
-        if r == 0:
-            return 1.0 / n
-        if r >= n:
-            return 0.0
-        return (r / n) * (digamma(n) - digamma(r))
-    # best-or-worst core value; postdoc is exactly half of it
     if r == 0:
-        bw = 1.0 if n == 1 else 2.0 / n
-    elif r > n or n == 1:
-        bw = 0.0
-    else:
-        bw = 2.0 * r * (n - r) / (n * (n - 1))
-    if variant is Variant.BEST_OR_WORST:
-        return bw
-    if n == 1:
-        return 0.0  # no second best exists
-    return 0.5 * bw
+        return nice_probability(variant, n)
+    if r >= n:
+        return 0.0
+    if variant is Variant.CLASSIC:
+        return (r / n) * (digamma(n) - digamma(r))
+    return _TWO_SIDED[variant] * r * (n - r) / (n * (n - 1))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,7 @@ from .core_model import (
     nice_probabilities,
     support,
 )
-from .exact import SuffixMoments
-
-_TIE_REL = 1e-12
+from .exact import _TIE_REL, SuffixMoments
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     mom, t, S = _moments(model)
     T = len(t) - 1
-    nu = nice_probabilities(variant, T)
+    nu = nice_probabilities(variant, t)
 
     A = mom.accept_values(variant, t)
     if variant is Variant.BEST_OR_WORST and S[1] > 0.0:
@@ -166,7 +164,7 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     # definition-style accept values (single-identity convention throughout);
     # the classic nice chances are exactly the printed weights 1/(t+1)
     A = mom.accept_values(variant, t)
-    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, len(t) - 1))
+    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, t))
     return float(np.max(np.abs(np.array(Cp) - np.array(pol.value_reject))))
 
 

@@ -12,11 +12,11 @@ lambda0 of 2 lam - I(lam), lambda_m of 2(e^lam - 1)/lam - 1 - 2 I(lam) + lam.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from enum import Enum
 from functools import lru_cache
 
 from .core_model import (
-    CountModel,
     CutoffReport,
     EstimatorCheck,
     Poisson,
@@ -152,7 +152,7 @@ def lambda_m() -> tuple[float, float]:
 
 def with_estimates(report: CutoffReport) -> CutoffReport:
     """Attach the applicable estimator checks (rounded vs. exact cutoff)."""
-    model: CountModel = report.model
+    model = report.model
     if isinstance(model, Uniform):
         pairs = uniform_cutoff_estimates(model.n)
     elif isinstance(model, Poisson):
@@ -168,10 +168,4 @@ def with_estimates(report: CutoffReport) -> CutoffReport:
         )
         for eid, val in pairs
     )
-    return CutoffReport(
-        model=report.model,
-        variant=report.variant,
-        cutoff=report.cutoff,
-        prob=report.prob,
-        estimators=checks,
-    )
+    return replace(report, estimators=checks)

@@ -4,10 +4,11 @@ The central object is the cutoff -> success-probability curve
 
     F(r) = sum_k p(X = k) * threshold_success_known(variant, k, r),
 
-evaluated for a whole range of r in O(support) via suffix sums.  Those sums
-(p(X >= t), sum p/k, sum p/(k(k-1)), ...) live in one place, SuffixMoments,
-which the curve and the backward induction in `dp` read; the step
-probabilities on finite tables stay direct weighted dots, which do not
+evaluated for a whole range of r in O(support) via suffix sums; F(0) is
+sum_k p(k) nu_k, and the two-sided rules share one form times _TWO_SIDED.
+The sums (p(X >= t), sum p/k, sum p/(k(k-1)), ...) live in one place,
+SuffixMoments, which the curve and the backward induction in `dp` read; the
+step probabilities on finite tables stay direct weighted dots, which do not
 drift with the table size.  On top of the curve sit the conditional step
 probabilities (accept now vs. reject and continue), closed forms for the
 uniform and Poisson families, and the optimal-cutoff search.
@@ -22,13 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from .core_model import (
+    _TWO_SIDED,
     CountModel,
     CutoffReport,
-    Known,
     Poisson,
     Uniform,
     Variant,
     accept_success_known,
+    nice_probabilities,
     poisson_k_max,
     support,
     threshold_success_known,
@@ -57,15 +59,14 @@ class ConditioningError(ValueError):
 class SuccessCurve:
     variant: Variant
     model: CountModel
-    r_min: int
     r_max: int
-    values: np.ndarray
+    values: np.ndarray  # F(0), ..., F(r_max)
     truncation_terms_used: int
 
     def value(self, r: int) -> float:
-        if not (self.r_min <= r <= self.r_max):
+        if not (0 <= r <= self.r_max):
             raise IndexError("r outside the computed range")
-        return float(self.values[r - self.r_min])
+        return float(self.values[r])
 
 
 class SuffixMoments:
@@ -136,8 +137,7 @@ def _reject_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
         kk = k.astype(int)
         hs = harmonic_numbers(int(kk.max()))
         return np.where(k > r, (r / k) * (hs[np.maximum(kk - 1, 0)] - hs[r - 1]), 0.0)
-    bw = np.where(k > r, 2.0 * r * (k - r) / np.maximum(k * (k - 1.0), 1.0), 0.0)
-    return bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
+    return np.where(k > r, _TWO_SIDED[variant] * r * (k - r) / np.maximum(k * (k - 1.0), 1.0), 0.0)
 
 
 def _poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy) -> float:
@@ -210,8 +210,7 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
         if r > n:
             raise ConditioningError(f"p(X >= {r}) = 0 under Uniform(1..{n})")
         if variant is not Variant.CLASSIC:
-            bw = 2.0 * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r))
-            return float(bw) if variant is Variant.BEST_OR_WORST else float(0.5 * bw)
+            return float(_TWO_SIDED[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
         ks = np.arange(r, n + 1)
         return float(np.mean(_reject_weight(variant, r, ks)))
     if isinstance(model, Poisson):
@@ -222,27 +221,22 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
     return float(np.dot(_reject_weight(variant, r, ks), ps) / tail)
 
 
-def success_curve(variant: Variant, model: CountModel, r_max: int) -> SuccessCurve:
-    """F(r) for r = 0..r_max from the suffix moments past each r:
+def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:
+    """F(r) for r = 0..r_max (default: the top of the support) from the
+    suffix moments past each r:
 
-        classic        F(r) = r (W(r+1) - H_{r-1} U1(r+1)),
-        best-or-worst  F(r) = 2r (V(r+1) - r U2(r+1)),  postdoc half of it,
+        classic    F(r) = r (W(r+1) - H_{r-1} U1(r+1)),
+        two-sided  F(r) = c r (V(r+1) - r U2(r+1)),  c = 2 bw, 1 pd,
 
-    and F(0) the dot product below.
+    and F(0) = sum_k p(k) nu_k, a dot over the support.
     """
-    if r_max < 0:
+    if r_max is not None and r_max < 0:
         raise ValueError("r_max must be >= 0")
-    mom = SuffixMoments(model, min_k=r_max)
+    mom = SuffixMoments(model, min_k=r_max or 0)
+    if r_max is None:
+        r_max = int(mom.ks[-1])
     values = np.zeros(r_max + 1)
-    # F(0) per k: classic 1/k; best-or-worst 2/k, 1 at k = 1 (the sole object
-    # is best and worst); postdoc 1/k from k = 2 (step 1 is never nice).
-    # Formed before the tables, so its temporaries are gone at their peak.
-    k = mom.ks
-    first = np.where(k >= (2 if variant is Variant.POSTDOC else 1), 1.0 / np.maximum(k, 1.0), 0.0)
-    if variant is Variant.BEST_OR_WORST:
-        first = np.where(k == 1, 1.0, 2.0 * first)
-    values[0] = float(np.dot(first, mom.ps))
-    del first
+    values[0] = float(np.dot(nice_probabilities(variant, mom.ks), mom.ps))
     if r_max >= 1:
         i = mom.at(np.arange(2, r_max + 2))  # the support past each r
         r = np.arange(1, r_max + 1, dtype=float)
@@ -250,10 +244,9 @@ def success_curve(variant: Variant, model: CountModel, r_max: int) -> SuccessCur
             h = harmonic_numbers(r_max)[:-1]  # H_{r-1}
             values[1:] = r * (mom.W[i] - h * mom.U1[i])
         else:
-            bw = 2.0 * r * (mom.V[i] - r * mom.U2[i])
-            values[1:] = bw if variant is Variant.BEST_OR_WORST else 0.5 * bw
+            values[1:] = _TWO_SIDED[variant] * r * (mom.V[i] - r * mom.U2[i])
     np.clip(values, 0.0, 1.0, out=values)
-    return SuccessCurve(variant, model, 0, r_max, values, truncation_terms_used=len(mom.ks))
+    return SuccessCurve(variant, model, r_max, values, truncation_terms_used=len(mom.ks))
 
 
 def closed_form_uniform(r: int, n: int) -> float:
@@ -312,8 +305,9 @@ def poisson_fstar_and_f(
     return fstar, head
 
 
-def best_cutoff(variant: Variant, model: CountModel, r_max: int | None = None) -> CutoffReport:
-    """Argmax of the cutoff curve over r in [0, r_max], ties to the smallest r.
+def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
+    """Argmax of the cutoff curve over r from 0 to the top of the support,
+    ties to the smallest r.
 
     r = 0 means "accept the first nice candidate immediately"; for small or
     front-loaded models that genuinely dominates every positive cutoff.
@@ -321,14 +315,7 @@ def best_cutoff(variant: Variant, model: CountModel, r_max: int | None = None) -
     analytically equal policies (e.g. cutoffs 0 and 1 for the postdoc rule,
     whose first step is never nice) resolve deterministically.
     """
-    if r_max is None:
-        if isinstance(model, (Known, Uniform)):
-            r_max = model.n
-        elif isinstance(model, Poisson):
-            r_max = poisson_k_max(model.lam, tp=model.tp)
-        else:
-            r_max = max(k for k, _ in model.items)
-    curve = success_curve(variant, model, r_max)
+    curve = success_curve(variant, model)
     vmax = float(curve.values.max())
     tol = _TIE_REL * abs(vmax)
     m = int(np.argmax(curve.values >= vmax - tol))

@@ -16,7 +16,7 @@ one trial's steps 1..X in full and is the scalar reference for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,44 +201,24 @@ def simulate(config: SimConfig) -> SimReport:
                 base, X, acc = base[kept], X[kept], acc[kept]
         done += m
 
+    return _report(config, successes, zeros)
+
+
+def _report(config: SimConfig, successes: int, zeros: int) -> SimReport:
     p_hat = successes / config.trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)
-    return SimReport(
-        config=config,
-        successes=successes,
-        p_hat=p_hat,
-        stderr=stderr,
-        draws_of_zero=zeros,
-    )
+    return SimReport(config, successes, p_hat, stderr, draws_of_zero=zeros)
 
 
 def merge(a: SimReport, b: SimReport) -> SimReport:
     """Combine two reports from disjoint trial ranges of the same run."""
     ca, cb = a.config, b.config
-    if (ca.variant, ca.model, ca.policy, ca.seed) != (
-        cb.variant,
-        cb.model,
-        cb.policy,
-        cb.seed,
-    ):
+    if replace(cb, trials=ca.trials, trial_offset=ca.trial_offset) != ca:
         raise ValueError("reports come from different runs")
     if ca.trial_offset + ca.trials != cb.trial_offset:
         raise ValueError("trial ranges are not adjacent")
-    config = SimConfig(
-        variant=ca.variant,
-        model=ca.model,
-        policy=ca.policy,
-        trials=ca.trials + cb.trials,
-        seed=ca.seed,
-        trial_offset=ca.trial_offset,
-    )
-    successes = a.successes + b.successes
-    p_hat = successes / config.trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)
-    return SimReport(
-        config=config,
-        successes=successes,
-        p_hat=p_hat,
-        stderr=stderr,
-        draws_of_zero=a.draws_of_zero + b.draws_of_zero,
+    return _report(
+        replace(ca, trials=ca.trials + cb.trials),
+        a.successes + b.successes,
+        a.draws_of_zero + b.draws_of_zero,
     )

@@ -223,9 +223,12 @@ def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> f
         return 1.0
     if r <= lam + 1.0:
         # complement of a short head sum: better conditioned than the tail
+        term = math.exp(-lam)
+        if term < np.finfo(float).tiny:
+            # exp(-lam) is subnormal or 0 (lam > 708.4): sum down from k = r - 1
+            return max(0.0, 1.0 - series(poisson_pmf(r - 1, lam), lambda j: (r - 1 - j) / lam, 0, tp))
         acc = 0.0
         c = 0.0
-        term = math.exp(-lam)
         for k in range(r):
             y = term - c
             t = acc + y

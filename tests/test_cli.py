@@ -319,6 +319,20 @@ def test_scan_failures_human_summary(capsys):
     assert "failures in [2, 50], max deviation 1" in out
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [("--from", "2", "--to", "inf"), ("--from", "2", "--to", "1e400"), ("--from=-inf", "--to", "5"),
+     ("--from", "nan", "--to", "5"), ("--from", "2", "--to", "10001"), ("--from", "0", "--to", "5"),
+     ("--from", "9", "--to", "5")],
+)
+def test_scan_failures_needs_finite_bounds_within_the_cap(capsys, bounds):
+    # a non-finite bound must not reach int(), and the scan is O(n_max^2),
+    # so its size is capped like the lambda sweep
+    code, out, err = run(capsys, "scan-failures", "--estimator", "roundntheta", *bounds)
+    assert code == 2 and out == ""
+    assert err == "error: scan-failures needs 1 <= --from <= --to <= 10000\n"
+
+
 # ----------------------------------------------------------------- verify
 
 @pytest.mark.parametrize(

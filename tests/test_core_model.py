@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
+from secstop.specfun import digamma
 
 V = Variant
 
@@ -88,9 +90,11 @@ def test_nice_probability_against_enumeration(variant, t):
 def test_nice_probabilities_bit_equal_scalar_and_formula(variant):
     first, numerator = {V.CLASSIC: (1.0, 1.0), V.BEST_OR_WORST: (1.0, 2.0), V.POSTDOC: (0.0, 1.0)}[variant]
     want = [0.0, first] + [numerator / t for t in range(2, 5001)]
-    assert nice_probabilities(variant, 5000).tolist() == want
+    assert nice_probabilities(variant, np.arange(5001)).tolist() == want
     assert [nice_probability(variant, t) for t in range(1, 5001)] == want[1:]
-    assert nice_probabilities(variant, 0).tolist() == [0.0]
+    assert nice_probabilities(variant, np.arange(1)).tolist() == [0.0]
+    steps = np.array([7, 0, 4999, 1, 2])
+    assert nice_probabilities(variant, steps).tolist() == [want[t] for t in steps]
 
 
 def test_accept_success_examples():
@@ -136,6 +140,41 @@ def test_threshold_success_formula_examples():
     assert threshold_success_known(V.BEST_OR_WORST, 1, 1) == 0.0
     assert threshold_success_known(V.POSTDOC, 1, 0) == 0.0
     assert threshold_success_known(V.CLASSIC, 1, 0) == 1.0
+
+
+def _branched_threshold_success_known(variant: Variant, n: int, r: int) -> float:
+    """threshold_success_known as it was before F(0) became nu_n and the
+    two-sided rules shared one factor, kept verbatim."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if variant is Variant.CLASSIC:
+        if r == 0:
+            return 1.0 / n
+        if r >= n:
+            return 0.0
+        return (r / n) * (digamma(n) - digamma(r))
+    # best-or-worst core value; postdoc is exactly half of it
+    if r == 0:
+        bw = 1.0 if n == 1 else 2.0 / n
+    elif r > n or n == 1:
+        bw = 0.0
+    else:
+        bw = 2.0 * r * (n - r) / (n * (n - 1))
+    if variant is Variant.BEST_OR_WORST:
+        return bw
+    if n == 1:
+        return 0.0  # no second best exists
+    return 0.5 * bw
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_threshold_success_bit_equal_to_the_branched_form(variant):
+    for n in range(1, 301):
+        for r in range(0, n + 3):
+            want = _branched_threshold_success_known(variant, n, r)
+            assert threshold_success_known(variant, n, r) == want, (n, r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])

@@ -25,6 +25,7 @@ from secstop.core_model import (
     Variant,
     accept_success_known,
     explicit_from_dict,
+    poisson_k_max,
     support,
     threshold_success_known,
     truncate_to_explicit,
@@ -32,6 +33,7 @@ from secstop.core_model import (
 from secstop.dp import backward_induction
 from secstop.exact import (
     ConditioningError,
+    SuffixMoments,
     best_cutoff,
     closed_form_uniform,
     poisson_fstar_and_f,
@@ -557,6 +559,48 @@ def test_best_cutoff_poisson():
     assert rep.prob == pytest.approx(0.49434952017960376, abs=1e-12)
     # small rates: accepting the first nice candidate immediately is optimal
     assert best_cutoff(V.BEST_OR_WORST, Poisson(2.0)).cutoff == 0
+
+
+# The cutoff-0 value and the default horizon as they were before F(0) became
+# sum_k p(k) nu_k and the horizon the top of the support, kept verbatim: the
+# per-variant `first` array, and best_cutoff's r_max dispatch by model type.
+
+
+def _first_array_f0(variant, model, r_max):
+    mom = SuffixMoments(model, min_k=r_max)
+    k = mom.ks
+    first = np.where(k >= (2 if variant is Variant.POSTDOC else 1), 1.0 / np.maximum(k, 1.0), 0.0)
+    if variant is Variant.BEST_OR_WORST:
+        first = np.where(k == 1, 1.0, 2.0 * first)
+    return float(np.dot(first, mom.ps))
+
+
+def _dispatched_best_cutoff(variant, model, r_max=None):
+    if r_max is None:
+        if isinstance(model, (Known, Uniform)):
+            r_max = model.n
+        elif isinstance(model, Poisson):
+            r_max = poisson_k_max(model.lam, tp=model.tp)
+        else:
+            r_max = max(k for k, _ in model.items)
+    curve = success_curve(variant, model, r_max)
+    vmax = float(curve.values.max())
+    m = int(np.argmax(curve.values >= vmax - 1e-12 * abs(vmax)))
+    return m, float(curve.values[m])
+
+
+_PINNED_RATES = [0.01, 0.1, 0.5, 1.0, 2.2, 5.0, 30.0, 100.0, 1000.0, 1e4, 1e5]
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(variant):
+    models = [Known(n) for n in range(1, 301)] + [Uniform(n) for n in range(1, 301)]
+    models += _MIXED_MODELS + [Poisson(lam) for lam in _PINNED_RATES]
+    for model in models:
+        for r_max in (0, 5):
+            assert success_curve(variant, model, r_max).value(0) == _first_array_f0(variant, model, r_max)
+        rep = best_cutoff(variant, model)
+        assert (rep.cutoff, rep.prob) == _dispatched_best_cutoff(variant, model), model
 
 
 # ---------------------------------------------------- structural invariants

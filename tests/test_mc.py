@@ -1,6 +1,7 @@
 """Simulator vs. exact engine: determinism, splitting, and calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ def test_merge_rejects_mismatched_runs():
     c = simulate(_config(Variant.CLASSIC, Known(5), 1, 100, seed=1, offset=500))
     with pytest.raises(ValueError):
         merge(a, c)
+    # the adjacent right half merges; a change to any one field other than
+    # the trial range makes it a different run
+    right = _config(Variant.CLASSIC, Known(5), 1, 50, seed=1, offset=100)
+    assert merge(a, simulate(right)).config.trials == 150
+    for field, value in [("variant", Variant.POSTDOC), ("model", Known(6)),
+                         ("policy", ThresholdPolicy(2)), ("seed", 2)]:
+        with pytest.raises(ValueError, match="different runs"):
+            merge(a, simulate(replace(right, **{field: value})))
 
 
 def test_chunk_boundary_is_invisible(monkeypatch):

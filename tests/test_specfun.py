@@ -170,6 +170,24 @@ def test_poisson_tail_complement(r, lam):
     assert abs(poisson_tail(r, lam) + head - 1.0) < 1e-12
 
 
+def _head_cutoffs(lam: float) -> list[int]:
+    """r = 1, lam/2, lam - 3 sqrt(lam), floor(lam) and floor(lam) + 1: every
+    one at or below lam + 1, where the tail is the complement of a head sum."""
+    f = math.floor(lam)
+    return [1, int(lam / 2), int(lam - 3.0 * math.sqrt(lam)), f, f + 1]
+
+
+@pytest.mark.parametrize("lam", [701.0, 720.0, 1000.0, 5000.0])
+def test_poisson_tail_head_at_large_rates_against_mpmath(lam):
+    # exp(-lam) is subnormal from lam = 708 and 0 from 746 on, so a head sum
+    # started at k = 0 gives exactly 1.0 at (1001, 1000), where the tail is
+    # 0.4916; the regularized lower gamma P(r, lam) is p(X >= r)
+    for r in _head_cutoffs(lam):
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(r, 0, lam, regularized=True))
+        assert abs(poisson_tail(r, lam) - ref) <= 5e-11 * ref, (r, lam)
+
+
 def test_poisson_tail_truncation_error():
     with pytest.raises(TruncationError):
         poisson_tail(120, 100.0, TruncationPolicy(rel_tol=1e-15, max_terms=64))
