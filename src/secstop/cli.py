@@ -5,7 +5,7 @@ Every command renders flat key -> value records in one of three formats
 digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
-error; 3 numeric failure (series truncation, lost bracket).
+error; 3 numeric failure (series truncation, lost bracket) or out of memory.
 """
 
 from __future__ import annotations
@@ -43,13 +43,17 @@ from .lab import (
     scan_estimator_failures,
     verify_convergent_cutoffs,
 )
-from .mc import SimConfig, simulate
+from .mc import SimConfig, simulate, trial_steps
 from .specfun import DEFAULT_POLICY, TruncationError, TruncationPolicy
 
 
 # cap on the points swept by `curve --sweep lambda` (rates) and by
 # `scan-failures` (n or rates); each point is one exact argmax
 _MAX_SWEEP_RATES = 10_000
+
+# cap on the trial-steps of one `simulate` run, trials * E[(X - cutoff)+]:
+# about 26 s at the step loop's measured 7.6e7 steps/s
+_MAX_TRIAL_STEPS = 2e9
 
 
 class ModelSpecError(ValueError):
@@ -224,6 +228,11 @@ def cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
+    steps = trial_steps(config)
+    if not steps <= _MAX_TRIAL_STEPS:
+        raise ModelSpecError(
+            f"simulate would walk about {steps:.3g} trial-steps; the cap is {_MAX_TRIAL_STEPS:.0e}"
+        )
     rep = simulate(config)
     exact = success_curve(variant, model, args.cutoff).value(args.cutoff)
     z = (rep.p_hat - exact) / rep.stderr if rep.stderr > 0 else 0.0
@@ -605,6 +614,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (TruncationError, RuntimeError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
+        return 3
+    except MemoryError as exc:
+        sys.stderr.write(f"numeric failure: out of memory: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

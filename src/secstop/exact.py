@@ -7,7 +7,8 @@ The central object is the cutoff -> success-probability curve
 evaluated for a whole range of r in O(support) via suffix sums; F(0) is
 sum_k p(k) nu_k, and the two-sided rules share one form times _TWO_SIDED.
 The sums (p(X >= t), sum p/k, sum p/(k(k-1)), ...) live in one place,
-SuffixMoments, which the curve and the backward induction in `dp` read; the
+SuffixMoments, which the curve and the backward induction in `dp` read
+through a slot map that needs no search on a contiguous support; the
 step probabilities on finite tables stay direct weighted dots, which do not
 drift with the table size.  On top of the curve sit the conditional step
 probabilities (accept now vs. reject and continue), closed forms for the
@@ -16,7 +17,6 @@ uniform and Poisson families, and the optimal-cutoff search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,10 +37,8 @@ from .core_model import (
 )
 from .specfun import (
     DEFAULT_POLICY,
-    EULER_GAMMA,
     TruncationPolicy,
     digamma,
-    ein_integral,
     harmonic_numbers,
     poisson_pmf,
     poisson_pmf_array,
@@ -77,22 +75,38 @@ class SuffixMoments:
         W(t)  = sum p(k) H_{k-1}/k     (classic curves only)
 
     U1 and W leave out k = 0, U2 and V leave out k <= 1.  Each table is a
-    sequential suffix cumsum with a trailing 0, built on first use; at(t)
-    maps an array of steps to table slots (the first support point >= t), so
-    U1(t) is ``m.U1[m.at(t)]``.  Gathered at every t = 0..max k they equal
-    the sums over a dense pmf bit for bit: the absent points add exact zeros.
+    sequential suffix cumsum with a trailing 0, built on first use from one
+    weight buffer; at(t) maps steps to table slots (the first support point
+    >= t), so U1(t) is ``m.U1[m.at(t)]``.  On a contiguous support (Known,
+    Uniform, Poisson, a gapless table) that slot is t - k_0 clipped to the
+    table, the integers a binary search would give; a table with gaps
+    searches.  Gathered at every t = 0..max k the tables equal the sums over
+    a dense pmf bit for bit: the absent points add exact zeros.
     """
 
     def __init__(self, model: CountModel, min_k: int = 0) -> None:
         self.ks, self.ps = support(model, min_k)
         self._k = self.ks.astype(float)
+        n = len(self.ks)
+        self._k0 = int(self.ks[0]) if n and self.ks[-1] - self.ks[0] == n - 1 else None
 
     def at(self, t) -> np.ndarray:
-        return np.searchsorted(self.ks, t, side="left")
+        if self._k0 is None:
+            return np.searchsorted(self.ks, t, side="left")
+        i = np.subtract(t, self._k0)
+        return np.clip(i, 0, len(self.ks), out=i if i.ndim else None)
 
     @staticmethod
     def _suffix(w: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+        out = np.empty(len(w) + 1)
+        out[-1] = 0.0
+        np.cumsum(w[::-1], out=out[-2::-1])
+        return out
+
+    def _weights(self, k_min: int) -> tuple[np.ndarray, slice]:
+        """(w, s): a zeroed weight buffer over the support and the slice of
+        its points k >= k_min, where each table writes its p(k)/d(k)."""
+        return np.zeros(len(self.ks)), slice(int(self.at(k_min)), None)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -100,21 +114,33 @@ class SuffixMoments:
 
     @cached_property
     def U1(self) -> np.ndarray:
-        return self._suffix(np.where(self._k >= 1, self.ps / np.maximum(self._k, 1.0), 0.0))
+        w, s = self._weights(1)
+        np.divide(self.ps[s], self._k[s], out=w[s])
+        return self._suffix(w)
 
     @cached_property
     def U2(self) -> np.ndarray:
-        k = self._k
-        return self._suffix(np.where(k >= 2, self.ps / np.maximum(k * (k - 1.0), 1.0), 0.0))
+        w, s = self._weights(2)
+        k, d = self._k[s], w[s]
+        np.subtract(k, 1.0, out=d)
+        np.multiply(k, d, out=d)
+        np.divide(self.ps[s], d, out=d)
+        return self._suffix(w)
 
     @cached_property
     def V(self) -> np.ndarray:
-        return self._suffix(np.where(self._k >= 2, self.ps / np.maximum(self._k - 1.0, 1.0), 0.0))
+        w, s = self._weights(2)
+        np.subtract(self._k[s], 1.0, out=w[s])
+        np.divide(self.ps[s], w[s], out=w[s])
+        return self._suffix(w)
 
     @cached_property
     def W(self) -> np.ndarray:
-        h = harmonic_numbers(int(self.ks.max(initial=0)))[np.maximum(self.ks - 1, 0)]
-        return self._suffix(np.where(self._k >= 1, h * self.ps / np.maximum(self._k, 1.0), 0.0))
+        w, s = self._weights(1)
+        h = harmonic_numbers(int(self.ks[-1]))[self.ks[s] - 1]  # H_{k-1}
+        np.multiply(h, self.ps[s], out=w[s])
+        np.divide(w[s], self._k[s], out=w[s])
+        return self._suffix(w)
 
     def accept_values(self, variant: Variant, t: np.ndarray) -> np.ndarray:
         """A(t): success of accepting a nice t-th object given X >= t, in the
@@ -238,13 +264,24 @@ def success_curve(variant: Variant, model: CountModel, r_max: int | None = None)
     values = np.zeros(r_max + 1)
     values[0] = float(np.dot(nice_probabilities(variant, mom.ks), mom.ps))
     if r_max >= 1:
+        # in place, in the order of r (W - H_{r-1} U1) and (c r)(V - r U2);
+        # every slot of i is in range, so mode="clip" only skips a buffered copy
         i = mom.at(np.arange(2, r_max + 2))  # the support past each r
         r = np.arange(1, r_max + 1, dtype=float)
+        out, tmp = values[1:], np.empty(r_max)
         if variant is Variant.CLASSIC:
-            h = harmonic_numbers(r_max)[:-1]  # H_{r-1}
-            values[1:] = r * (mom.W[i] - h * mom.U1[i])
+            np.take(mom.W, i, out=out, mode="clip")
+            np.take(mom.U1, i, out=tmp, mode="clip")
+            tmp *= harmonic_numbers(r_max)[:-1]  # H_{r-1}
+            out -= tmp
+            out *= r
         else:
-            values[1:] = _TWO_SIDED[variant] * r * (mom.V[i] - r * mom.U2[i])
+            np.take(mom.V, i, out=out, mode="clip")
+            np.take(mom.U2, i, out=tmp, mode="clip")
+            tmp *= r
+            out -= tmp
+            np.multiply(_TWO_SIDED[variant], r, out=tmp)
+            out *= tmp
     np.clip(values, 0.0, 1.0, out=values)
     return SuccessCurve(variant, model, r_max, values, truncation_terms_used=len(mom.ks))
 
@@ -268,19 +305,12 @@ def poisson_smoothing_coefficients(
         S2 = 1 - e^lam + 2lam + (gamma - E(lam) + ln(lam))(1 - lam),
 
     so that the smoothed cutoff curve is f*(r) = 2r e^-lam S1 - 2r^2 e^-lam S2.
-    The closed forms cancel catastrophically for large lam; beyond lam = 30
-    the two factors are summed directly as the equivalent pmf series
-    sum_{k>=2} pmf(k)/(k-1) and sum_{k>=2} pmf(k)/(k(k-1)).
+    Those closed forms cancel (1 - e^lam + ..., and gamma + ln(lam) inside
+    E(lam)), so the two factors are summed as the equivalent pmf series
+    sum_{k>=2} pmf(k)/(k-1) and sum_{k>=2} pmf(k)/(k(k-1)) at every rate.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    if lam <= 30.0:
-        e_lam = math.exp(lam)
-        ein = ein_integral(lam, tp)
-        log_lam = math.log(lam)
-        s1 = 1.0 - e_lam + lam - EULER_GAMMA * lam + lam * ein - lam * log_lam
-        s2 = 1.0 - e_lam + 2.0 * lam + (EULER_GAMMA - ein + log_lam) * (1.0 - lam)
-        return s1 / e_lam, s2 / e_lam
     k_max = poisson_k_max(lam, tp=tp)
     p = poisson_pmf_array(lam, k_max)[2:]
     k = np.arange(2, k_max + 1, dtype=float)

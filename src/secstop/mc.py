@@ -204,6 +204,13 @@ def simulate(config: SimConfig) -> SimReport:
     return _report(config, successes, zeros)
 
 
+def trial_steps(config: SimConfig) -> float:
+    """trials * E[(X - r)+]: the steps past the cutoff that `simulate` walks
+    when no trial leaves early, the bound on its work."""
+    ks, ps = support(config.model)
+    return config.trials * float(np.dot(np.maximum(ks - config.policy.cutoff, 0), ps))
+
+
 def _report(config: SimConfig, successes: int, zeros: int) -> SimReport:
     p_hat = successes / config.trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)

@@ -5,7 +5,9 @@ Poisson tail, I(lam), the sinh integral and the conditional expectations of
 `exact`) goes through one kernel, `series`: a Kahan-compensated sum of
 positive terms t_{k+1} = t_k * ratio(k), truncated under an explicit
 TruncationPolicy so callers control the tail bound instead of inheriting a
-hidden one.
+hidden one.  Two tables grow once per process and are sliced by every later
+call: the compensated harmonic numbers H_0..H_10^4 and ln k! = lgamma(k + 1),
+which `poisson_pmf_array` reads instead of rebuilding it per call.
 """
 
 from __future__ import annotations
@@ -170,13 +172,31 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(poisson_log_pmf(k, lam))
 
 
+# Growing cache of ln k! = lgamma(k + 1.0) for k = 0, 1, ...; each value is
+# math.lgamma's own, so slicing it gives the bits of a per-call table.
+_LN_FACT = np.zeros(1)
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """[ln 0!, ..., ln k_max!], a view into the process-wide cache."""
+    global _LN_FACT
+    table = _LN_FACT  # sliced below even if another thread swaps the cache
+    have = len(table)
+    if k_max >= have:
+        more = np.fromiter(map(math.lgamma, range(have + 1, k_max + 2)), float, k_max + 1 - have)
+        table = _LN_FACT = np.concatenate([table, more])
+    return table[: k_max + 1]
+
+
 def poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
-    """[pmf(0), ..., pmf(k_max)] in one log-space vector evaluation."""
+    """[pmf(0), ..., pmf(k_max)] in one log-space vector evaluation,
+    k ln(lam) - lam - ln k!, with ln k! sliced from the cache."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    k = np.arange(k_max + 1)
-    logs = k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
-    return np.exp(logs)
+    logs = np.arange(k_max + 1) * math.log(lam)
+    logs -= lam
+    logs -= _log_factorials(k_max)
+    return np.exp(logs, out=logs)
 
 
 def series(

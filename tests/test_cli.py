@@ -9,10 +9,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import secstop
 from secstop import cli
 from secstop.core_model import Poisson, Uniform, Variant
 from secstop.exact import best_cutoff
@@ -221,6 +226,27 @@ def test_simulate_seed_changes_draws(capsys):
     assert parse_csv(out0)[0]["successes"] != parse_csv(out1)[0]["successes"]
 
 
+def test_simulate_refuses_runs_past_the_trial_step_cap(capsys):
+    # 10^6 trials * E[X] = 5e10 trial-steps, about 11 minutes of step loop
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "simulate", "--variant", "bw", "--model", "uniform:n=100000",
+        "--cutoff", "0", "--trials", "1000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "trial-steps" in err
+
+
+def test_simulate_cap_counts_steps_past_the_cutoff(capsys, monkeypatch):
+    # Known(20) at cutoff 7: 13 steps a trial, 65,000 for 5,000 trials
+    argv = ("simulate", "--variant", "classic", "--model", "known:n=20", "--cutoff", "7", "--trials", "5000")
+    monkeypatch.setattr(cli, "_MAX_TRIAL_STEPS", 65_000)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_MAX_TRIAL_STEPS", 64_999)
+    assert run(capsys, *argv)[0] == 2
+
+
 # --------------------------------------------------------------------- dp
 
 def test_dp_two_point_counterexample(capsys, tmp_path):
@@ -378,6 +404,29 @@ def test_exit_numeric_failure(capsys):
         "--max-terms", "64",
     )
     assert code == 3 and "numeric failure" in err
+
+
+def test_exit_out_of_memory(capsys, monkeypatch):
+    def no_memory(*_):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,)")
+
+    monkeypatch.setattr(cli, "best_cutoff", no_memory)
+    code, out, err = run(capsys, "cutoff", "--variant", "bw", "--model", "uniform:n=10000000000")
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: out of memory") and err.count("\n") == 1
+
+
+def test_cli_loads_no_test_only_package():
+    # runtime dependencies are numpy only; scipy and mpmath are test oracles
+    probe = (
+        "import sys, secstop.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & "
+        "{'scipy', 'mpmath', 'hypothesis', 'pytest', '_pytest'}))"
+    )
+    src = str(Path(secstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_help_exits_zero(capsys):

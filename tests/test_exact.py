@@ -4,8 +4,9 @@ Oracle routes: direct per-k weighted sums (plain Python loops, scipy pmfs),
 exact rationals for the uniform family, 50-digit mpmath sums, and frozen
 literals derived from those routes.  The same-algorithm comparisons are
 the bit-identity checks against the curve's earlier per-curve suffix sums,
-kept below as a reference for the shared SuffixMoments table, and against
-the Poisson conditional series loop that the specfun kernel replaced.
+kept below as a reference for the shared SuffixMoments table, against the
+searched, whole-array forms of that table and of the curve arithmetic, and
+against the Poisson conditional series loop that the specfun kernel replaced.
 """
 
 import math
@@ -37,6 +38,7 @@ from secstop.exact import (
     best_cutoff,
     closed_form_uniform,
     poisson_fstar_and_f,
+    poisson_smoothing_coefficients,
     step_accept_prob,
     step_reject_prob,
     success_curve,
@@ -496,13 +498,25 @@ def test_poisson_fstar_identity():
 
 
 def test_poisson_fstar_series_fallback_consistent():
-    # above the closed-form window the two paths must agree through the
-    # identity F = f* - f evaluated from the curve
+    # past lam = 30, where the closed forms used to end, the series factors
+    # must still agree through the identity F = f* - f evaluated from the curve
     for lam in (31.0, 35.0):
         c = success_curve(V.BEST_OR_WORST, Poisson(lam), 20)
         for r in (5, 12, 20):
             fstar, head = poisson_fstar_and_f(r, lam)
             assert fstar - head == pytest.approx(c.value(r), abs=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.1, 2.0, 20.0, 29.9, 30.0, 30.1, 50.0])
+def test_poisson_smoothing_coefficients_against_mpmath(lam):
+    with mpmath.workdps(40):
+        x = mpmath.mpf(lam)
+        pmf = lambda k: mpmath.exp(-x) * x**k / mpmath.factorial(k)
+        s1 = mpmath.nsum(lambda k: pmf(k) / (k - 1), [2, mpmath.inf])
+        s2 = mpmath.nsum(lambda k: pmf(k) / (k * (k - 1)), [2, mpmath.inf])
+    got1, got2 = poisson_smoothing_coefficients(lam)
+    assert abs(got1 - s1) <= 1e-14 * s1, lam
+    assert abs(got2 - s2) <= 1e-14 * s2, lam
 
 
 # -------------------------------------------------------------- best_cutoff
@@ -649,3 +663,92 @@ def test_uniform_optimum_strictly_decreasing():
     probs = [best_cutoff(V.BEST_OR_WORST, Uniform(n)).prob for n in range(2, 301)]
     assert all(a > b for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.32380511
+
+
+# ------------------------------------ SuffixMoments and the curve, bit for bit
+
+# SuffixMoments and the curve arithmetic as they were before the contiguous
+# slot map, the written-in-place suffix and weights, kept verbatim: the
+# binary-search at, the concatenate suffix, the np.where weights and the
+# whole-array curve expressions.
+
+
+class _SearchedMoments:
+    def __init__(self, model, min_k=0):
+        self.ks, self.ps = support(model, min_k)
+        self._k = self.ks.astype(float)
+
+    def at(self, t):
+        return np.searchsorted(self.ks, t, side="left")
+
+    @staticmethod
+    def _suffix(w):
+        return np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
+
+    @property
+    def S(self):
+        return self._suffix(self.ps)
+
+    @property
+    def U1(self):
+        return self._suffix(np.where(self._k >= 1, self.ps / np.maximum(self._k, 1.0), 0.0))
+
+    @property
+    def U2(self):
+        k = self._k
+        return self._suffix(np.where(k >= 2, self.ps / np.maximum(k * (k - 1.0), 1.0), 0.0))
+
+    @property
+    def V(self):
+        return self._suffix(np.where(self._k >= 2, self.ps / np.maximum(self._k - 1.0, 1.0), 0.0))
+
+    @property
+    def W(self):
+        h = harmonic_numbers(int(self.ks.max(initial=0)))[np.maximum(self.ks - 1, 0)]
+        return self._suffix(np.where(self._k >= 1, h * self.ps / np.maximum(self._k, 1.0), 0.0))
+
+
+def _whole_array_curve(variant, model, r_max=None):
+    mom = _SearchedMoments(model, min_k=r_max or 0)
+    if r_max is None:
+        r_max = int(mom.ks[-1])
+    values = np.zeros(r_max + 1)
+    if r_max >= 1:
+        i = mom.at(np.arange(2, r_max + 2))
+        r = np.arange(1, r_max + 1, dtype=float)
+        if variant is Variant.CLASSIC:
+            h = harmonic_numbers(r_max)[:-1]
+            values[1:] = r * (mom.W[i] - h * mom.U1[i])
+        else:
+            values[1:] = (2 if variant is Variant.BEST_OR_WORST else 1) * r * (mom.V[i] - r * mom.U2[i])
+    np.clip(values, 0.0, 1.0, out=values)
+    return values[1:]
+
+
+_SLOT_MODELS = [Known(1), Known(2), Known(57), Known(1000)] + [Uniform(n) for n in range(1, 301)]
+_SLOT_MODELS += _MIXED_MODELS + [
+    explicit_from_dict({0: 0.3, 1: 0.3, 2: 0.4}),  # contiguous, with mass at 0
+    explicit_from_dict({2: 0.25, 5: 0.25, 6: 0.25, 11: 0.25}),  # gaps, none at 0
+    explicit_from_dict({1: 1.0}),
+] + [Poisson(lam) for lam in (0.01, 0.5, 5.0, 30.0, 1e3)]
+
+
+def test_suffix_moments_bit_equal_to_the_searched_tables():
+    for model in _SLOT_MODELS:
+        new, old = SuffixMoments(model), _SearchedMoments(model)
+        for name in ("S", "U1", "U2", "V", "W"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), (model, name)
+        top = int(new.ks[-1])
+        t = np.arange(0, top + 4)
+        assert new.at(t).tobytes() == old.at(t).tobytes(), model
+        for scalar in (0, 1, 2, top, top + 1, top + 50):
+            got, want = new.at(scalar), old.at(scalar)
+            assert got.dtype == want.dtype and got == want, (model, scalar)
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_curve_bit_equal_to_the_whole_array_form(variant):
+    for model in _SLOT_MODELS + [Uniform(10**5), Poisson(1e5)]:
+        for r_max in (None, 0, 1, 7):
+            got = success_curve(variant, model, r_max).values[1:]
+            assert got.tobytes() == _whole_array_curve(variant, model, r_max).tobytes(), (model, r_max)

@@ -3,8 +3,9 @@
 Every value here is pinned against an independent route: scipy's
 implementations, adaptive quadrature of the defining integrals, or direct
 partial sums — never against the module under test.  The one
-same-algorithm comparison is the bit-identity check of the series kernel
-against the loops it replaced, kept below as references.
+same-algorithm comparisons are the bit-identity checks of the series kernel
+against the loops it replaced, and of the cached ln k! table against the
+per-call one, kept below as references.
 """
 
 import math
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
+from secstop import specfun
+from secstop.core_model import poisson_k_max
 from secstop.specfun import (
     DEFAULT_POLICY,
     EULER_GAMMA,
@@ -149,6 +152,27 @@ def test_poisson_pmf_array_normalizes():
         p = poisson_pmf_array(lam, k_max)
         assert abs(p.sum() - 1.0) < 1e-12
         assert abs(p[3] - stats.poisson.pmf(3, lam)) < 1e-15
+
+
+def _listcomp_poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
+    """poisson_pmf_array as it was before the ln k! cache, kept verbatim."""
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    k = np.arange(k_max + 1)
+    logs = k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
+    return np.exp(logs)
+
+
+def test_poisson_pmf_array_bit_equal_to_the_per_call_table(monkeypatch):
+    # a fresh cache, grown upward by rising rates, read downward by smaller
+    # ones, then grown again past a gap
+    monkeypatch.setattr(specfun, "_LN_FACT", np.zeros(1))
+    rates = [0.01, 0.1, 2.0, 30.0, 1e3, 1e4, 0.5, 5.0, 3000.0, 1e5, 0.01, 700.0]
+    sizes = [(lam, poisson_k_max(lam)) for lam in rates] + [(1.0, 0), (1.0, 1), (2.5, 150_000)]
+    for lam, k_max in sizes:
+        got = poisson_pmf_array(lam, k_max)
+        assert got.tobytes() == _listcomp_poisson_pmf_array(lam, k_max).tobytes(), (lam, k_max)
+    assert len(specfun._LN_FACT) == 150_001
 
 
 def test_poisson_tail_values():
