@@ -13,9 +13,10 @@ printed_recursion_gap).  The overall optimal success probability is C(0),
 where q_0 = p(X >= 1) absorbs any mass at X = 0.
 
 The suffix moments (p(X >= t), sum p/k, sum p/(k(k-1))) and A(t) come from
-`exact.SuffixMoments`.  They, q_t, nu_t, the accept mask and the scan for
-the reachable accept pattern are whole-array numpy expressions; the
-recursion for C is the only sequential pass over the horizon.
+`exact.SuffixMoments`, read at the steps 0..T.  They, q_t, nu_t, the accept
+mask and the scan for the reachable accept pattern are whole-array numpy
+expressions; the recursion for C is the only sequential pass over the
+horizon, and it walks memoryviews of those arrays (`_continue_values`).
 """
 
 from __future__ import annotations
@@ -59,23 +60,25 @@ def _moments(model: CountModel) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
     mom = SuffixMoments(model)
-    t = np.arange(int(mom.ks.max()) + 2)
-    return mom, t[:-1], mom.S[mom.at(t)]
+    T = int(mom.ks.max())
+    return mom, np.arange(T + 1), mom.read(mom.S, 0, np.empty(T + 2))
 
 
 def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float]:
     """C(t) for t = 0..T from C(t) = q_t [nu_{t+1} max(A, C) + (1 - nu_{t+1}) C]
     at t + 1, with C(T) = 0 and q_t = S[t+1]/S[t] (0 where S[t] = 0).
 
-    The max makes this the one pass that must run step by step; it runs on
-    plain floats, which index and multiply far faster than numpy scalars.
+    The max makes this the one pass that must run step by step.  It iterates
+    over memoryviews of the reversed arrays, which hand out plain floats one
+    at a time: they index and multiply far faster than numpy scalars, and no
+    list of the whole horizon is built for them.
     """
     T = len(A) - 1
     q = np.divide(S[1 : T + 1], S[:T], out=np.zeros(T), where=S[:T] > 0.0)
     nu_rev = nu[:0:-1]
     c = 0.0
     C = [c]
-    for qt, a, v, w in zip(q[::-1].tolist(), A[:0:-1].tolist(), nu_rev.tolist(), (1.0 - nu_rev).tolist()):
+    for qt, a, v, w in zip(*map(memoryview, (q[::-1], A[:0:-1], nu_rev, 1.0 - nu_rev))):
         c = qt * (v * (a if a > c else c) + w * c)
         C.append(c)
     C.reverse()
@@ -87,7 +90,7 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     T = len(t) - 1
     nu = nice_probabilities(variant, t)
 
-    A = mom.accept_values(variant, t)
+    A = mom.accept_values(variant, t, S[:-1])
     if variant is Variant.BEST_OR_WORST and S[1] > 0.0:
         # k = 1: the object is both best and worst, value 1; else 2/k
         i = mom.at(1)
@@ -163,7 +166,7 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     mom, t, S = _moments(model)
     # definition-style accept values (single-identity convention throughout);
     # the classic nice chances are exactly the printed weights 1/(t+1)
-    A = mom.accept_values(variant, t)
+    A = mom.accept_values(variant, t, S[:-1])
     Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, t))
     return float(np.max(np.abs(np.array(Cp) - np.array(pol.value_reject))))
 

@@ -7,12 +7,14 @@ The central object is the cutoff -> success-probability curve
 evaluated for a whole range of r in O(support) via suffix sums; F(0) is
 sum_k p(k) nu_k, and the two-sided rules share one form times _TWO_SIDED.
 The sums (p(X >= t), sum p/k, sum p/(k(k-1)), ...) live in one place,
-SuffixMoments, which the curve and the backward induction in `dp` read
-through a slot map that needs no search on a contiguous support; the
-step probabilities on finite tables stay direct weighted dots, which do not
-drift with the table size.  On top of the curve sit the conditional step
-probabilities (accept now vs. reject and continue), closed forms for the
-uniform and Poisson families, and the optimal-cutoff search.
+SuffixMoments, which the curve and the backward induction in `dp` read at
+runs of consecutive steps (`SuffixMoments.read`: slice copies on a
+contiguous support, no index arrays); every table builds its weights in the
+instance's one scratch buffer.  The step probabilities on finite tables stay
+direct weighted dots, which do not drift with the table size.  On top of the
+curve sit the conditional step probabilities (accept now vs. reject and
+continue), closed forms for the uniform and Poisson families, and the
+optimal-cutoff search.
 """
 
 from __future__ import annotations
@@ -75,26 +77,59 @@ class SuffixMoments:
         W(t)  = sum p(k) H_{k-1}/k     (classic curves only)
 
     U1 and W leave out k = 0, U2 and V leave out k <= 1.  Each table is a
-    sequential suffix cumsum with a trailing 0, built on first use from one
-    weight buffer; at(t) maps steps to table slots (the first support point
-    >= t), so U1(t) is ``m.U1[m.at(t)]``.  On a contiguous support (Known,
-    Uniform, Poisson, a gapless table) that slot is t - k_0 clipped to the
-    table, the integers a binary search would give; a table with gaps
-    searches.  Gathered at every t = 0..max k the tables equal the sums over
-    a dense pmf bit for bit: the absent points add exact zeros.
+    sequential suffix cumsum with a trailing 0, built on first use.  Its
+    weights p(k)/d(k) go into the instance's one scratch buffer, zeroed only
+    below the table's first point; F(0)'s nu and the curve's temporaries
+    reuse that buffer, which lives and dies with the instance.  The slot of
+    a step t is the first support point >= t.  read(table, t0, out) reads
+    the table at the consecutive steps t0, t0 + 1, ...: on a contiguous
+    support (Known, Uniform, Poisson, a gapless table) the slots are t - k_0
+    clipped to the table, so that is a head fill, a slice copy and a tail
+    fill; a table with gaps gathers at searched slots.  at(t) gives single
+    slots.  Read at every t = 0..max k the tables equal the sums over a
+    dense pmf bit for bit: the absent points add exact zeros.
     """
 
     def __init__(self, model: CountModel, min_k: int = 0) -> None:
         self.ks, self.ps = support(model, min_k)
-        self._k = self.ks.astype(float)
         n = len(self.ks)
         self._k0 = int(self.ks[0]) if n and self.ks[-1] - self.ks[0] == n - 1 else None
+        self._buf = np.empty(0)
+        self._h = np.empty(0)
 
     def at(self, t) -> np.ndarray:
         if self._k0 is None:
             return np.searchsorted(self.ks, t, side="left")
         i = np.subtract(t, self._k0)
         return np.clip(i, 0, len(self.ks), out=i if i.ndim else None)
+
+    def read(self, table: np.ndarray, t0: int, out: np.ndarray) -> np.ndarray:
+        """out[j] = table[slot of t0 + j] for every j of out."""
+        m = len(out)
+        if self._k0 is None:
+            return np.take(table, self.at(np.arange(t0, t0 + m)), out=out)
+        d = t0 - self._k0  # slot of t0 before clipping; slot len(ks) is the trailing 0
+        lo = min(max(-d, 0), m)
+        hi = min(max(len(self.ks) + 1 - d, lo), m)
+        out[:lo] = table[0]
+        out[lo:hi] = table[d + lo : d + hi]
+        out[hi:] = table[-1]
+        return out
+
+    def scratch(self, n: int) -> np.ndarray:
+        """The first n slots of the instance's scratch buffer, grown if short.
+        Its contents are whatever the last user left; building a table
+        overwrites it."""
+        if len(self._buf) < n:
+            self._buf = np.empty(max(n, len(self.ks)))
+        return self._buf[:n]
+
+    def harmonic(self, m: int) -> np.ndarray:
+        """[H_0, ..., H_m], sliced from one table per instance that reaches at
+        least the top of the support, so W and the curve share it."""
+        if len(self._h) <= m:
+            self._h = harmonic_numbers(max(m, int(self.ks[-1])))
+        return self._h[: m + 1]
 
     @staticmethod
     def _suffix(w: np.ndarray) -> np.ndarray:
@@ -104,9 +139,13 @@ class SuffixMoments:
         return out
 
     def _weights(self, k_min: int) -> tuple[np.ndarray, slice]:
-        """(w, s): a zeroed weight buffer over the support and the slice of
-        its points k >= k_min, where each table writes its p(k)/d(k)."""
-        return np.zeros(len(self.ks)), slice(int(self.at(k_min)), None)
+        """(w, s): the scratch buffer over the support, zeroed below k_min,
+        and the slice of its points k >= k_min, where each table writes its
+        p(k)/d(k)."""
+        w = self.scratch(len(self.ks))
+        i = int(self.at(k_min))
+        w[:i] = 0.0
+        return w, slice(i, None)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -115,13 +154,13 @@ class SuffixMoments:
     @cached_property
     def U1(self) -> np.ndarray:
         w, s = self._weights(1)
-        np.divide(self.ps[s], self._k[s], out=w[s])
+        np.divide(self.ps[s], self.ks[s], out=w[s])
         return self._suffix(w)
 
     @cached_property
     def U2(self) -> np.ndarray:
         w, s = self._weights(2)
-        k, d = self._k[s], w[s]
+        k, d = self.ks[s], w[s]
         np.subtract(k, 1.0, out=d)
         np.multiply(k, d, out=d)
         np.divide(self.ps[s], d, out=d)
@@ -130,29 +169,30 @@ class SuffixMoments:
     @cached_property
     def V(self) -> np.ndarray:
         w, s = self._weights(2)
-        np.subtract(self._k[s], 1.0, out=w[s])
+        np.subtract(self.ks[s], 1.0, out=w[s])
         np.divide(self.ps[s], w[s], out=w[s])
         return self._suffix(w)
 
     @cached_property
     def W(self) -> np.ndarray:
         w, s = self._weights(1)
-        h = harmonic_numbers(int(self.ks[-1]))[self.ks[s] - 1]  # H_{k-1}
+        h = self.harmonic(int(self.ks[-1]))[self.ks[s] - 1]  # H_{k-1}
         np.multiply(h, self.ps[s], out=w[s])
-        np.divide(w[s], self._k[s], out=w[s])
+        np.divide(w[s], self.ks[s], out=w[s])
         return self._suffix(w)
 
-    def accept_values(self, variant: Variant, t: np.ndarray) -> np.ndarray:
-        """A(t): success of accepting a nice t-th object given X >= t, in the
-        single-identity convention: t U1(t)/S(t), or t(t-1) U2(t)/S(t) for
-        postdoc; 0 where p(X >= t) = 0."""
-        i = self.at(t)
+    def accept_values(self, variant: Variant, t: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """A(t) at the consecutive steps t, with S = S(t) there: success of
+        accepting a nice t-th object given X >= t, in the single-identity
+        convention: t U1(t)/S(t), or t(t-1) U2(t)/S(t) for postdoc; 0 where
+        p(X >= t) = 0, since both U tables are 0 there."""
         if variant is Variant.POSTDOC:
-            num = (t * (t - 1)).astype(float) * self.U2[i]
+            table, weight = self.U2, t * (t - 1)
         else:
-            num = t.astype(float) * self.U1[i]
-        s = self.S[i]
-        return np.divide(num, s, out=np.zeros(len(t)), where=s > 0.0)
+            table, weight = self.U1, t
+        num = self.read(table, int(t[0]), np.empty(len(t)))
+        num *= weight
+        return np.divide(num, S, out=num, where=S > 0.0)
 
 
 def _reject_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
@@ -262,22 +302,25 @@ def success_curve(variant: Variant, model: CountModel, r_max: int | None = None)
     if r_max is None:
         r_max = int(mom.ks[-1])
     values = np.zeros(r_max + 1)
-    values[0] = float(np.dot(nice_probabilities(variant, mom.ks), mom.ps))
+    nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
+    values[0] = float(np.dot(nu, mom.ps))
     if r_max >= 1:
-        # in place, in the order of r (W - H_{r-1} U1) and (c r)(V - r U2);
-        # every slot of i is in range, so mode="clip" only skips a buffered copy
-        i = mom.at(np.arange(2, r_max + 2))  # the support past each r
+        # in place, in the order of r (W - H_{r-1} U1) and (c r)(V - r U2),
+        # with the tables read past each r, at steps 2..r_max + 1; the second
+        # table is built (it is the earlier argument) before the scratch
+        # buffer becomes tmp
         r = np.arange(1, r_max + 1, dtype=float)
-        out, tmp = values[1:], np.empty(r_max)
+        out = values[1:]
         if variant is Variant.CLASSIC:
-            np.take(mom.W, i, out=out, mode="clip")
-            np.take(mom.U1, i, out=tmp, mode="clip")
-            tmp *= harmonic_numbers(r_max)[:-1]  # H_{r-1}
+            h = mom.harmonic(r_max - 1)  # H_{r-1}, in the table W reads too
+            mom.read(mom.W, 2, out)
+            tmp = mom.read(mom.U1, 2, mom.scratch(r_max))
+            tmp *= h
             out -= tmp
             out *= r
         else:
-            np.take(mom.V, i, out=out, mode="clip")
-            np.take(mom.U2, i, out=tmp, mode="clip")
+            mom.read(mom.V, 2, out)
+            tmp = mom.read(mom.U2, 2, mom.scratch(r_max))
             tmp *= r
             out -= tmp
             np.multiply(_TWO_SIDED[variant], r, out=tmp)

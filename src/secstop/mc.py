@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import CountModel, ThresholdPolicy, Variant, support
+from .core_model import CountModel, ThresholdPolicy, Uniform, Variant, support
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -206,9 +206,15 @@ def simulate(config: SimConfig) -> SimReport:
 
 def trial_steps(config: SimConfig) -> float:
     """trials * E[(X - r)+]: the steps past the cutoff that `simulate` walks
-    when no trial leaves early, the bound on its work."""
-    ks, ps = support(config.model)
-    return config.trials * float(np.dot(np.maximum(ks - config.policy.cutoff, 0), ps))
+    when no trial leaves early, the bound on its work.  Uniform takes the
+    closed form (n - r)(n - r + 1)/(2n), so a model too large to simulate is
+    refused before its support is built."""
+    model, r = config.model, config.policy.cutoff
+    if isinstance(model, Uniform):
+        d = max(model.n - r, 0)
+        return config.trials * d * (d + 1) / (2 * model.n)
+    ks, ps = support(model)
+    return config.trials * float(np.dot(np.maximum(ks - r, 0), ps))
 
 
 def _report(config: SimConfig, successes: int, zeros: int) -> SimReport:

@@ -81,20 +81,33 @@ def harmonic(m: int) -> float:
 
 def harmonic_numbers(limit: int) -> np.ndarray:
     """Array [H_0, H_1, ..., H_limit]: the compensated cache up to 10^4, the
-    expansion of `harmonic` past it."""
+    expansion of `harmonic` past it, written in place into the result in the
+    order of operations of `_psi_asymptotic`."""
     head = min(limit, _HARMONIC_EXACT_LIMIT)
     if head >= len(_H):
         _grow_harmonic(head)
-    m1 = np.arange(head + 2, limit + 2, dtype=float)  # m + 1 for m past the cache
-    return np.concatenate([_H[: head + 1], _psi_asymptotic(m1, np.log) + EULER_GAMMA])
+    out = np.empty(limit + 1)
+    out[: head + 1] = _H[: head + 1]
+    tail = out[head + 1 :]
+    inv = np.arange(head + 2, limit + 2, dtype=float)  # m + 1 for m past the cache
+    np.log(inv, out=tail)
+    np.divide(1.0, inv, out=inv)
+    tmp = np.multiply(0.5, inv)
+    tail -= tmp
+    inv2 = np.multiply(inv, inv, out=inv)
+    tail -= np.divide(inv2, 12.0, out=tmp)
+    inv2 *= inv2
+    inv2 /= 120.0
+    tail += inv2
+    tail += EULER_GAMMA
+    return out
 
 
-def _psi_asymptotic(m, log=math.log):
-    """ln m - 1/(2m) - 1/(12m^2) + 1/(120m^4): psi(m) for m > 10^4, on a
-    number, or on a float array with log=np.log."""
+def _psi_asymptotic(m: int) -> float:
+    """ln m - 1/(2m) - 1/(12m^2) + 1/(120m^4): psi(m) for m > 10^4."""
     inv = 1.0 / m
     inv2 = inv * inv
-    return log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
+    return math.log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
 
 
 def digamma(m: int) -> float:
@@ -265,12 +278,6 @@ def ein_series(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     return series(lam, lambda k: lam * k / ((k + 1.0) * (k + 1.0)), 1, tp)
-
-
-def ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """E(lam) = gamma + ln(lam) + I(lam), I the series of `ein_series`."""
-    i = ein_series(lam, tp)  # rejects lam <= 0
-    return EULER_GAMMA + math.log(lam) + i
 
 
 def sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:

@@ -247,6 +247,24 @@ def test_simulate_cap_counts_steps_past_the_cutoff(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 2
 
 
+def test_simulate_refuses_a_huge_uniform_before_building_its_support():
+    # Uniform(10^10) at cutoff 0 is about 5e9 trial-steps, past the cap; its
+    # support alone would be 160 GB, so under a 2 GB address-space limit a
+    # guard that built it would end in "out of memory" (exit 3) instead
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from secstop.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    argv = ["simulate", "--variant", "bw", "--model", "uniform:n=10000000000", "--cutoff", "0", "--trials", "1"]
+    src = str(Path(secstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and "5e+09 trial-steps" in done.stderr
+
+
 # --------------------------------------------------------------------- dp
 
 def test_dp_two_point_counterexample(capsys, tmp_path):

@@ -752,3 +752,38 @@ def test_curve_bit_equal_to_the_whole_array_form(variant):
         for r_max in (None, 0, 1, 7):
             got = success_curve(variant, model, r_max).values[1:]
             assert got.tobytes() == _whole_array_curve(variant, model, r_max).tobytes(), (model, r_max)
+
+
+_READ_MODELS = [Known(1), Known(57)] + [Uniform(n) for n in range(1, 301)]
+_READ_MODELS += [Poisson(lam) for lam in (0.01, 5.0, 1e5)] + [
+    explicit_from_dict({2: 0.25, 5: 0.25, 6: 0.25, 11: 0.25}),  # gaps
+    explicit_from_dict({0: 0.2, 3: 0.3, 7: 0.5}),  # gaps, mass at 0
+    explicit_from_dict({0: 0.3, 1: 0.3, 2: 0.4}),  # contiguous, mass at 0
+    explicit_from_dict({0: 1.0}),  # every table but S is zero
+    explicit_from_dict({3: 0.0, 4: 1.0, 5: 0.0}),  # zero masses at both ends
+    explicit_from_dict({1: 0.0, 4: 0.0, 9: 1.0}),  # zero masses and gaps
+]
+
+
+def test_read_bit_equal_to_the_gather():
+    for model in _READ_MODELS:
+        mom = SuffixMoments(model)
+        k0, top, n = int(mom.ks[0]), int(mom.ks[-1]), len(mom.ks)
+        starts = sorted({k0 - 3, k0 - 1, 0, k0, (k0 + top) // 2, top, top + 1, top + 5})
+        for name in ("S", "U1", "U2", "V", "W"):
+            tab = getattr(mom, name)
+            for t0 in starts:
+                for m in (0, 1, 2, n, n + 1, top + 2 - t0, n + 7):
+                    if m < 0:
+                        continue
+                    want = tab[mom.at(np.arange(t0, t0 + m))]
+                    got = mom.read(tab, t0, np.full(m, np.nan))
+                    assert got.tobytes() == want.tobytes(), (model, name, t0, m)
+
+
+@pytest.mark.parametrize("model, r_maxes", [(Uniform(10**6), (None,)), (Known(20_000), (None, 7, 20_002))])
+def test_classic_curve_on_one_harmonic_table_bit_equal_to_two(model, r_maxes):
+    # the whole-array form builds H for W and again for H_{r-1}
+    for r_max in r_maxes:
+        got = success_curve(V.CLASSIC, model, r_max).values[1:]
+        assert got.tobytes() == _whole_array_curve(V.CLASSIC, model, r_max).tobytes(), r_max

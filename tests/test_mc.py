@@ -30,6 +30,7 @@ from secstop.mc import (
     run_episode,
     simulate,
     trial_base,
+    trial_steps,
 )
 
 Z999 = 3.2905  # two-sided 99.9%
@@ -312,3 +313,16 @@ def test_report_fields_consistent():
         np.sqrt(rep.p_hat * (1 - rep.p_hat) / 10_000), abs=1e-15
     )
     assert rep.draws_of_zero == 0
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_uniform_trial_steps_closed_form_matches_support_dot(n):
+    # trials * E[(X - r)+] from the closed form against the dot over the support
+    ks, ps = support(Uniform(n))
+    for r in range(n + 3):
+        steps = trial_steps(_config(Variant.CLASSIC, Uniform(n), r, 3))
+        dot = 3 * float(np.dot(np.maximum(ks - r, 0), ps))
+        assert steps == pytest.approx(dot, rel=1e-14, abs=0.0)
+        if r >= n:
+            assert steps == 0.0
+    assert trial_steps(_config(Variant.CLASSIC, Uniform(n), n - 1, 1)) == 1.0 / n

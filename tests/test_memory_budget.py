@@ -1,0 +1,51 @@
+"""Allocation budgets of the large exact paths.
+
+tracemalloc sees numpy's array buffers as well as Python objects, so the
+peak it reports during one call counts every temporary.  The budgets are in
+units of one float array of the horizon, 8n bytes at n = 10^5, and sit just
+above what the code needs: a change that brings back full-size temporaries
+fails here rather than only in a timing.  The small objects of a call (the
+result record, the model, array headers) take a few kB whatever n is; they
+are allowed for by _FIXED_BYTES, a sixteenth of one array here.
+"""
+
+import tracemalloc
+
+import pytest
+
+from secstop.core_model import Known, Uniform, Variant
+from secstop.dp import backward_induction
+from secstop.exact import success_curve
+
+N = 10**5
+_FIXED_BYTES = 2**16
+
+
+def _peak_units(fn) -> float:
+    fn()  # warm: imports and process-wide caches are not the call's own
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - _FIXED_BYTES) / (8 * N)
+
+
+@pytest.mark.parametrize(
+    "model, budget",
+    [
+        # ks, ps, the V and U2 tables, the scratch buffer, the values and r
+        (Uniform(N), 8),
+        # the values, r and the scratch buffer as tmp
+        (Known(N), 3),
+    ],
+)
+def test_full_support_curve_budget(model, budget):
+    assert _peak_units(lambda: success_curve(Variant.BEST_OR_WORST, model)) <= budget
+
+
+def test_backward_induction_budget():
+    # the DPPolicy alone holds three tuples of the horizon, two of them of
+    # fresh floats: about 9 units
+    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 24

@@ -4,8 +4,9 @@ Every value here is pinned against an independent route: scipy's
 implementations, adaptive quadrature of the defining integrals, or direct
 partial sums — never against the module under test.  The one
 same-algorithm comparisons are the bit-identity checks of the series kernel
-against the loops it replaced, and of the cached ln k! table against the
-per-call one, kept below as references.
+against the loops it replaced, of the cached ln k! table against the
+per-call one, and of the in-place harmonic table against the concatenated
+one, kept below as references.
 """
 
 import math
@@ -24,7 +25,7 @@ from secstop.specfun import (
     TruncationError,
     TruncationPolicy,
     digamma,
-    ein_integral,
+    ein_series,
     harmonic,
     harmonic_numbers,
     lambert_w0,
@@ -68,6 +69,22 @@ def test_harmonic_past_the_cache_against_mpmath(m):
         ref = mpmath.harmonic(m)
     assert abs(harmonic(m) - ref) < 1e-15 * ref
     assert abs(harmonic_numbers(m)[m] - ref) < 1e-15 * ref
+
+
+def _concatenated_harmonic_numbers(limit: int) -> np.ndarray:
+    """harmonic_numbers as it was before it wrote in place, kept verbatim:
+    the expansion on whole arrays, one fresh array per operation."""
+    head = min(limit, 10_000)
+    m = np.arange(head + 2, limit + 2, dtype=float)
+    inv = 1.0 / m
+    inv2 = inv * inv
+    psi = np.log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
+    return np.concatenate([harmonic_numbers(head), psi + EULER_GAMMA])
+
+
+@pytest.mark.parametrize("limit", [0, 1, 10_000, 10_001, 10_017, 20_000, 10**6])
+def test_harmonic_numbers_bit_equal_to_the_concatenated_form(limit):
+    assert harmonic_numbers(limit).tobytes() == _concatenated_harmonic_numbers(limit).tobytes()
 
 
 def test_harmonic_numbers_past_the_cache_match_scalar():
@@ -217,22 +234,27 @@ def test_poisson_tail_truncation_error():
         poisson_tail(120, 100.0, TruncationPolicy(rel_tol=1e-15, max_terms=64))
 
 
+def _ein(lam: float) -> float:
+    """E(lam) = gamma + ln(lam) + I(lam), with I from `ein_series`."""
+    return EULER_GAMMA + math.log(lam) + ein_series(lam)
+
+
 def test_ein_frozen_values():
     # E(1) = gamma + sum 1/(k*k!)
     s = sum(1.0 / (k * math.factorial(k)) for k in range(1, 40))
-    assert abs(ein_integral(1.0) - (EULER_GAMMA + s)) < 1e-14
-    assert abs(ein_integral(1.0) - 1.8951178163559368) < 1e-13
-    assert abs(ein_integral(10.0) - 2492.228976241877) < 1e-9 * 2492.0
+    assert abs(_ein(1.0) - (EULER_GAMMA + s)) < 1e-14
+    assert abs(_ein(1.0) - 1.8951178163559368) < 1e-13
+    assert abs(_ein(10.0) - 2492.228976241877) < 1e-9 * 2492.0
     # scipy's expi equals gamma + ln x + integral of (e^t - 1)/t on (0, x)
     for lam in (0.25, 1.0, 3.0, 10.0, 30.0):
-        assert abs(ein_integral(lam) - special.expi(lam)) < 1e-12 * max(1.0, abs(special.expi(lam)))
+        assert abs(_ein(lam) - special.expi(lam)) < 1e-12 * max(1.0, abs(special.expi(lam)))
 
 
 def test_ein_against_quadrature():
     for lam in (0.5, 2.0, 7.5, 30.0):
         integral, _ = integrate.quad(lambda x: math.expm1(x) / x, 0.0, lam)
         ref = EULER_GAMMA + math.log(lam) + integral
-        assert abs(ein_integral(lam) - ref) < 1e-9 * max(1.0, abs(ref))
+        assert abs(_ein(lam) - ref) < 1e-9 * max(1.0, abs(ref))
 
 
 def test_sinh_integral_values():
@@ -247,7 +269,7 @@ def test_sinh_integral_values():
 def test_series_respect_max_terms():
     tight = TruncationPolicy(rel_tol=1e-15, max_terms=64)
     with pytest.raises(TruncationError):
-        ein_integral(250.0, tight)
+        ein_series(250.0, tight)
     with pytest.raises(TruncationError):
         sinh_integral(500.0, tight)
     with pytest.raises(TruncationError):
@@ -368,7 +390,7 @@ def kernel_cutoffs(lam: float) -> list[int]:
 
 def test_series_match_the_loops_bit_for_bit():
     for lam in KERNEL_RATES:
-        assert ein_integral(lam) == _loop_ein_integral(lam)
+        assert _ein(lam) == _loop_ein_integral(lam)
         assert sinh_integral(lam) == _loop_sinh_integral(lam)
         for r in kernel_cutoffs(lam):
             assert poisson_tail(r, lam) == _loop_poisson_tail(r, lam), (r, lam)
