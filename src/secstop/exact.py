@@ -14,20 +14,29 @@ instance's one scratch buffer.  The step probabilities on finite tables stay
 direct weighted dots, which do not drift with the table size.  On top of the
 curve sit the conditional step probabilities (accept now vs. reject and
 continue), closed forms for the uniform and Poisson families, and the
-optimal-cutoff search.
+optimal-cutoff search, which has two routes.  On Known(n), and on
+Uniform(n) for the two-sided rules, ΔF(r) = F(r + 1) - F(r) has a closed
+form that changes sign once, so the best positive cutoff is a bisection on
+its sign: O(log n) scalar evaluations, each decided in floats only where
+|ΔF| exceeds the explicit error bound of `specfun.harmonic_form_sign` and
+exactly otherwise.  Every other model takes the argmax of the whole curve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .core_model import (
+    _NICE_FIRST,
+    _NICE_NUMERATOR,
     _TWO_SIDED,
     CountModel,
     CutoffReport,
+    Known,
     Poisson,
     Uniform,
     Variant,
@@ -41,13 +50,17 @@ from .specfun import (
     DEFAULT_POLICY,
     TruncationPolicy,
     digamma,
+    harmonic,
+    harmonic_form_sign,
+    harmonic_gap_ratio,
     harmonic_numbers,
     poisson_pmf,
     poisson_pmf_array,
     series,
 )
 
-# relative slack for treating two curve values as tied (see best_cutoff)
+# relative slack for treating two curve values as tied, and the float error
+# bound of the closed-form F values compared at r = 0 and M (see best_cutoff)
 _TIE_REL = 1e-12
 
 
@@ -378,16 +391,107 @@ def poisson_fstar_and_f(
     return fstar, head
 
 
+def _closed_form_search(variant: Variant, model: CountModel) -> bool:
+    """Whether ΔF has a closed form whose sign is unimodal: every variant on
+    Known(n), the two-sided rules on Uniform(n)."""
+    return isinstance(model, Known) or (isinstance(model, Uniform) and variant is not Variant.CLASSIC)
+
+
+def _delta_sign(variant: Variant, model: Known | Uniform, r: int) -> int:
+    """The sign of ΔF(r) = F(r + 1) - F(r) for 1 <= r < n, from
+
+        Known, two-sided   F(r) = c r(n - r)/(n(n - 1)):       n - 2r - 1
+        Known, classic     F(r) = (r/n)(H_{n-1} - H_{r-1}):    H_{n-1} - H_r - 1
+        Uniform, two-sided n^2 F(r)/c = r(n(H_{n-1} - H_{r-1}) - n + r):
+                                                n(H_{n-1} - H_r) - 2n + 2r + 1
+
+    each ΔF over a positive factor.  All three change sign once, from + to -:
+    the first two decrease in r, the third is convex and -1 at r = n - 1."""
+    n = model.n
+    if isinstance(model, Uniform):
+        return harmonic_form_sign(n, n - 1, r, 2 * n - 2 * r - 1)
+    if variant is Variant.CLASSIC:
+        return harmonic_form_sign(1, n - 1, r, 1)
+    g = n - 2 * r - 1
+    return (g > 0) - (g < 0)
+
+
+def positive_cutoff(variant: Variant, model: CountModel) -> int:
+    """M, the best cutoff r >= 1: the first r in [1, n - 1] with ΔF(r) <= 0
+    (n when there is none, at n = 1), by bisection on the certified sign of
+    `_delta_sign`, for every variant on Known(n) and the two-sided rules on
+    Uniform(n).  O(log n) sign evaluations and no arrays."""
+    if not _closed_form_search(variant, model):
+        raise ValueError("the closed-form search covers Known, and Uniform for bw and pd")
+    lo, hi = 1, model.n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _delta_sign(variant, model, mid) > 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _closed_value(variant: Variant, model: Known | Uniform, r: int) -> float:
+    """F(r) in floats: threshold_success_known on Known; on Uniform F(0) =
+    (c H_n - 1)/n and closed_form_uniform, halved for postdoc."""
+    n = model.n
+    if isinstance(model, Known):
+        return threshold_success_known(variant, n, r)
+    if r == 0:
+        return (_TWO_SIDED[variant] * harmonic(n) - 1.0) / n
+    return 0.5 * _TWO_SIDED[variant] * closed_form_uniform(r, n)
+
+
+def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
+    """F(r) as an exact fraction, from the same closed forms."""
+    n = model.n
+
+    def gap(a: int, b: int) -> Fraction:
+        return Fraction(*harmonic_gap_ratio(a, b))
+
+    if isinstance(model, Known):
+        if r == 0:
+            return Fraction(_NICE_FIRST[variant]) if n == 1 else Fraction(_NICE_NUMERATOR[variant]) / n
+        if r >= n:
+            return Fraction(0)
+        if variant is Variant.CLASSIC:
+            return Fraction(r, n) * gap(n - 1, r - 1)
+        return Fraction(_TWO_SIDED[variant]) * r * (n - r) / (n * (n - 1))
+    c = Fraction(_TWO_SIDED[variant])
+    if r == 0:
+        return (c * gap(n, 0) - 1) / n
+    return c * r * (n * gap(n - 1, r - 1) - n + r) / (n * n)
+
+
 def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     """Argmax of the cutoff curve over r from 0 to the top of the support,
     ties to the smallest r.
 
     r = 0 means "accept the first nice candidate immediately"; for small or
     front-loaded models that genuinely dominates every positive cutoff.
-    Values within a 1e-12 relative band of the maximum count as tied, so
-    analytically equal policies (e.g. cutoffs 0 and 1 for the postdoc rule,
-    whose first step is never nice) resolve deterministically.
+
+    Two routes.  On Known(n), and on Uniform(n) for the two-sided rules, the
+    best positive cutoff M is `positive_cutoff`'s bisection on the sign of
+    ΔF, each sign decided in floats only outside an explicit error bound
+    and exactly inside it, so no curve is built and no tie band is used.
+    F(0) and F(M) come from closed forms, and where they lie within 1e-12
+    relative of each other (those forms are within 2e-15 of mpmath at every
+    n <= 3000 measured) they are compared as exact fractions, so the
+    analytic ties (postdoc cutoffs 0 and 1, Known(2) and Known(3)) resolve
+    to 0.  Classic on Uniform, Poisson and
+    explicit tables take the argmax of `success_curve`, where values within
+    a 1e-12 relative band of the maximum count as tied.
     """
+    if _closed_form_search(variant, model):
+        m = positive_cutoff(variant, model)
+        f0, fm = _closed_value(variant, model, 0), _closed_value(variant, model, m)
+        if abs(f0 - fm) <= _TIE_REL * max(f0, fm):
+            zero = _exact_value(variant, model, 0) >= _exact_value(variant, model, m)
+        else:
+            zero = f0 > fm
+        return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=f0 if zero else fm)
     curve = success_curve(variant, model)
     vmax = float(curve.values.max())
     tol = _TIE_REL * abs(vmax)

@@ -6,7 +6,9 @@ of theta coincide with exact cutoff fractions M(q)/q, and how fast the
 success probabilities approach their limits.
 
 Scan convention: the uniform-model scans and the convergent checks compare
-against the best POSITIVE cutoff (argmax over r in [1, n]).  For small n the
+against the best POSITIVE cutoff M(n), the argmax over r in [1, n], which
+`exact.positive_cutoff` finds from the sign of the curve's first difference
+(classic against Known(n), best-or-worst against Uniform(n)).  For small n the
 unrestricted optimum is r = 0 (accept the first nice candidate outright),
 which no n-proportional estimator can express; the published failure lists
 only make sense against the positive-cutoff optimum.  The Poisson conjecture
@@ -20,11 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
-
-from .core_model import Poisson, Uniform, Variant, pbw_known
+from .core_model import Known, Poisson, Uniform, Variant, pbw_known
 from .estimate import (
     EstimatorId,
     integer_estimate,
@@ -32,11 +31,10 @@ from .estimate import (
     theta,
     uniform_cutoff_estimates,
 )
-from .exact import best_cutoff, poisson_fstar_and_f
+from .exact import best_cutoff, poisson_fstar_and_f, positive_cutoff
 from .specfun import (
     DEFAULT_POLICY,
     TruncationPolicy,
-    harmonic_numbers,
     poisson_pmf_array,
     sinh_integral,
 )
@@ -100,34 +98,7 @@ def cf_convergents(x: float, count: int) -> list[Convergent]:
     return out
 
 
-# --------------------------------------------------- exact restricted argmax
-
-def _positive_cutoff_at(variant: Variant, n: int, H: np.ndarray) -> int:
-    """argmax over r in [1, n] of the variant's cutoff curve at horizon n
-    (classic against known-n, two-sided against the uniform model), from a
-    harmonic table H = [H_0, H_1, ...] reaching at least H_{n-1}.
-
-    The two-sided curve is 2r(r - n + n(psi(n) - psi(r)))/n^2 with its
-    n-constant scale dropped, which cannot move the argmax.
-    """
-    r = np.arange(1, n + 1, dtype=np.float64)
-    hr = H[:n]
-    if variant is Variant.CLASSIC:
-        vals = r * (H[n - 1] - hr)
-    elif variant is Variant.BEST_OR_WORST:
-        vals = r * (r - n) + n * r * (H[n - 1] - hr)
-    else:
-        raise ValueError("convergent coincidences exist for classic and bw only")
-    return int(np.argmax(vals)) + 1
-
-
-@lru_cache(maxsize=4)
-def _uniform_positive_cutoffs(n_max: int) -> tuple[int, ...]:
-    """M(n) of the two-sided rule for n = 0..n_max (slot 0 unused), from one
-    harmonic table; cached, since the failures suite scans 2..3000 twice."""
-    H = harmonic_numbers(n_max + 1)
-    return (0, *(_positive_cutoff_at(Variant.BEST_OR_WORST, n, H) for n in range(1, n_max + 1)))
-
+# ------------------------------------------------------ convergent cutoffs
 
 def verify_convergent_cutoffs(
     variant: Variant, convergents: list[Convergent]
@@ -137,11 +108,17 @@ def verify_convergent_cutoffs(
     known-n curve, the two-sided rule against the uniform-model curve.
     Index-0 convergents (p = 0) are skipped — a cutoff at horizon 1 is
     vacuous."""
+    if variant is Variant.CLASSIC:
+        model = Known
+    elif variant is Variant.BEST_OR_WORST:
+        model = Uniform
+    else:
+        raise ValueError("convergent coincidences exist for classic and bw only")
     return [
         (c.p, c.q, m, m == c.p)
         for c in convergents
         if c.p > 0
-        for m in (_positive_cutoff_at(variant, c.q, harmonic_numbers(c.q + 1)),)
+        for m in (positive_cutoff(variant, model(c.q)),)
     ]
 
 
@@ -179,11 +156,10 @@ def scan_estimator_failures(
     details: list[tuple[int, int, int]] = []
     max_dev = 0
     if estimator in _UNIFORM_ESTIMATORS:
-        exact = _uniform_positive_cutoffs(n_max)
         for n in range(n_min, n_max + 1):
             est = dict(uniform_cutoff_estimates(n))[estimator]
             rounded = integer_estimate(estimator, est)
-            m = exact[n]
+            m = positive_cutoff(Variant.BEST_OR_WORST, Uniform(n))
             if rounded != m:
                 failures.append(n)
                 details.append((n, rounded, m))

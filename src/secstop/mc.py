@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core_model import CountModel, ThresholdPolicy, Uniform, Variant, support
+from .core_model import CountModel, Poisson, ThresholdPolicy, Uniform, Variant, support
+from .specfun import poisson_tail
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -207,12 +208,16 @@ def simulate(config: SimConfig) -> SimReport:
 def trial_steps(config: SimConfig) -> float:
     """trials * E[(X - r)+]: the steps past the cutoff that `simulate` walks
     when no trial leaves early, the bound on its work.  Uniform takes the
-    closed form (n - r)(n - r + 1)/(2n), so a model too large to simulate is
-    refused before its support is built."""
+    closed form (n - r)(n - r + 1)/(2n) and Poisson lam Psi(r) - r Psi(r + 1)
+    from its tail, so a model too large to simulate is refused before its
+    support is built."""
     model, r = config.model, config.policy.cutoff
     if isinstance(model, Uniform):
         d = max(model.n - r, 0)
         return config.trials * d * (d + 1) / (2 * model.n)
+    if isinstance(model, Poisson):
+        lam, tp = model.lam, model.tp
+        return config.trials * max(lam * poisson_tail(r, lam, tp) - r * poisson_tail(r + 1, lam, tp), 0.0)
     ks, ps = support(model)
     return config.trials * float(np.dot(np.maximum(ks - r, 0), ps))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -101,6 +102,103 @@ def harmonic_numbers(limit: int) -> np.ndarray:
     tail += inv2
     tail += EULER_GAMMA
     return out
+
+
+# 2^-52: |x - fl(x)| <= eps |x| / 2 for every rounding of a double
+_EPS = 2.0**-52
+
+
+def harmonic_gap(a: int, b: int) -> tuple[float, float]:
+    """(d, e): d = H_a - H_b for a >= b >= 0 in floats, and a bound e on its
+    error, |d - (H_a - H_b)| <= e.
+
+    With b past the cache limit, d is log1p((a - b)/b) plus the differences
+    of the expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one
+    correctly rounded integer quotient, so nothing cancels: e = 4 eps (1 + d)
+    covers the rounded quotient, two ulps of log1p, the sum and the omitted
+    1/(252 b^6) < 4e-27.  Otherwise d is H_a - H_b from the compensated
+    cache (each value within 0.53 eps H of exact up to 10^4) or, past it,
+    from the expansion of `harmonic` (within 4 eps H): e = 8 eps H_a.
+    """
+    if not 0 <= b <= a:
+        raise ValueError("need 0 <= b <= a")
+    if b > _HARMONIC_EXACT_LIMIT:
+        a2, b2 = a * a, b * b
+        d = math.log1p((a - b) / b) + (
+            (b - a) / (2 * a * b) + (a2 - b2) / (12 * a2 * b2) + (b2 * b2 - a2 * a2) / (120 * a2 * a2 * b2 * b2)
+        )
+        return d, 4.0 * _EPS * (1.0 + d)
+    ha = harmonic(a)
+    return ha - harmonic(b), 8.0 * _EPS * ha
+
+
+def harmonic_gap_ratio(a: int, b: int) -> tuple[int, int]:
+    """(p, q) with p/q = H_a - H_b exactly, for a >= b >= 0: the sum of 1/k
+    over b < k <= a by binary splitting, not reduced (q = a!/b!)."""
+    if not 0 <= b <= a:
+        raise ValueError("need 0 <= b <= a")
+
+    def split(lo: int, hi: int) -> tuple[int, int]:  # sum of 1/k, lo <= k < hi
+        if hi - lo == 1:
+            return 1, lo
+        mid = (lo + hi) // 2
+        p1, q1 = split(lo, mid)
+        p2, q2 = split(mid, hi)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return split(b + 1, a + 1) if a > b else (0, 1)
+
+
+# 40-digit decimal harmonic numbers: gamma to 50 digits, and the expansion
+# H_m = ln m + gamma + 1/(2m) - sum_k B_2k/(2k m^2k) through k = 7, whose
+# remainder |B_16|/(16 m^16) is below 5e-49 from m = 1000 on; below that the
+# sum is taken term by term
+_DEC_PREC = 40
+_DEC_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+_DEC_BERNOULLI = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760), (1, 12))
+_DEC_DIRECT = 1000
+# longest sum of 1/k that harmonic_form_sign takes as an exact ratio before
+# trying 40 digits: about 0.05 s of integer products
+_RATIO_TERMS = 20_000
+
+
+def _harmonic_decimal(m: int) -> Decimal:
+    """H_m in the current decimal context."""
+    if m < _DEC_DIRECT:
+        return sum((1 / Decimal(k) for k in range(1, m + 1)), Decimal(0))
+    x = Decimal(m)
+    inv2 = 1 / (x * x)
+    h = x.ln() + _DEC_GAMMA + 1 / (2 * x)
+    power = inv2
+    for num, den in _DEC_BERNOULLI:
+        h -= num * power / den
+        power *= inv2
+    return h
+
+
+def harmonic_form_sign(A: int, a: int, b: int, B: int) -> int:
+    """The sign (-1, 0 or 1) of g = A (H_a - H_b) - B for integers A >= 0
+    and a >= b >= 0, certified.
+
+    Floats decide when |g| exceeds A e + eps (A d + |B|), the error bound of
+    `harmonic_gap` carried through the product and the difference.  Inside
+    that bound, a range of more than 2*10^4 terms is taken at 40 digits,
+    which decide when |g| exceeds (A + |B| + 1) 1e-34 (the decimal gap is
+    within 1e-35); whatever is left is decided by the exact ratio of
+    `harmonic_gap_ratio`, in integers.
+    """
+    d, e = harmonic_gap(a, b)
+    g = A * d - B
+    if abs(g) > A * e + _EPS * (A * d + abs(B)):
+        return 1 if g > 0 else -1
+    if a - b > _RATIO_TERMS:
+        with localcontext(Context(prec=_DEC_PREC)):
+            gd = A * (_harmonic_decimal(a) - _harmonic_decimal(b)) - B
+        if abs(gd) > (A + abs(B) + 1) * Decimal("1e-34"):
+            return 1 if gd > 0 else -1
+    p, q = harmonic_gap_ratio(a, b)
+    v = A * p - B * q
+    return (v > 0) - (v < 0)
 
 
 def _psi_asymptotic(m: int) -> float:

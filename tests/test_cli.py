@@ -114,6 +114,35 @@ def test_cutoff_uniform_estimator_columns(capsys):
         assert rec[f"est_{name}_agrees"] == "true"
 
 
+def test_cutoff_uniform_past_any_support_array():
+    # M from the sign of the first difference and P from the closed form: no
+    # curve over the support, which at n = 10^9 would need 8 GB an array
+    done = _run_limited(["cutoff", "--variant", "bw", "--model", "uniform:n=1000000000", "--format", "json"])
+    assert done.returncode == 0, done.stderr
+    (rec,) = json.loads(done.stdout)
+    assert rec["M"] == "203187870"
+
+
+@pytest.mark.parametrize(
+    "n, m, p",
+    [
+        # the curve argmax's 1e-12 tie band reported 9794 and 204615 here,
+        # with every estimator disagreeing; the sign of the first difference
+        # (exact rationals and 50-digit mpmath) gives these
+        (48205, "9795", "0.323821648664"),
+        (1007027, "204616", "0.323805910198"),
+    ],
+)
+def test_cutoff_uniform_knife_edges(capsys, n, m, p):
+    code, out, _ = run(capsys, "cutoff", "--variant", "bw", "--model", f"uniform:n={n}", "--format", "json")
+    assert code == 0
+    (rec,) = json.loads(out)
+    assert (rec["M"], rec["P"]) == (m, p)
+    for name in ("RoundNTheta", "AffineTheta", "LambertUniform"):
+        assert rec[f"est_{name}_rounded"] == m
+        assert rec[f"est_{name}_agrees"] == "true"
+
+
 def test_cutoff_pd_is_half_of_bw(capsys):
     _, out_bw, _ = run(
         capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10",
@@ -247,22 +276,38 @@ def test_simulate_cap_counts_steps_past_the_cutoff(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 2
 
 
-def test_simulate_refuses_a_huge_uniform_before_building_its_support():
-    # Uniform(10^10) at cutoff 0 is about 5e9 trial-steps, past the cap; its
-    # support alone would be 160 GB, so under a 2 GB address-space limit a
-    # guard that built it would end in "out of memory" (exit 3) instead
+def _run_limited(argv):
+    """The CLI in a child process under a 2 GB address-space limit, so that
+    a command that allocates a huge support fails fast (exit 3, out of
+    memory) instead of swapping."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from secstop.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    argv = ["simulate", "--variant", "bw", "--model", "uniform:n=10000000000", "--cutoff", "0", "--trials", "1"]
     src = str(Path(secstop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_simulate_refuses_a_huge_uniform_before_building_its_support():
+    # Uniform(10^10) at cutoff 0 is about 5e9 trial-steps, past the cap; its
+    # support alone would be 160 GB, so under a 2 GB address-space limit a
+    # guard that built it would end in "out of memory" (exit 3) instead
+    argv = ["simulate", "--variant", "bw", "--model", "uniform:n=10000000000", "--cutoff", "0", "--trials", "1"]
+    done = _run_limited(argv)
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and "5e+09 trial-steps" in done.stderr
+
+
+def test_simulate_refuses_a_huge_poisson_before_building_its_support():
+    # Poisson(10^12) at cutoff 0 is 10^12 trial-steps, lam Psi(0) from the
+    # tail; building its support first ran out of series terms (exit 3)
+    argv = ["simulate", "--variant", "bw", "--model", "poisson:lambda=1e12", "--cutoff", "0", "--trials", "1"]
+    done = _run_limited(argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == "" and "1e+12 trial-steps" in done.stderr
 
 
 # --------------------------------------------------------------------- dp

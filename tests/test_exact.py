@@ -35,10 +35,12 @@ from secstop.dp import backward_induction
 from secstop.exact import (
     ConditioningError,
     SuffixMoments,
+    _exact_value,
     best_cutoff,
     closed_form_uniform,
     poisson_fstar_and_f,
     poisson_smoothing_coefficients,
+    positive_cutoff,
     step_accept_prob,
     step_reject_prob,
     success_curve,
@@ -578,6 +580,8 @@ def test_best_cutoff_poisson():
 # The cutoff-0 value and the default horizon as they were before F(0) became
 # sum_k p(k) nu_k and the horizon the top of the support, kept verbatim: the
 # per-variant `first` array, and best_cutoff's r_max dispatch by model type.
+# Its argmax of the whole curve in the 1e-12 relative band is also the
+# reference for the sign-of-ΔF search on Known and Uniform.
 
 
 def _first_array_f0(variant, model, r_max):
@@ -614,7 +618,117 @@ def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(varia
         for r_max in (0, 5):
             assert success_curve(variant, model, r_max).value(0) == _first_array_f0(variant, model, r_max)
         rep = best_cutoff(variant, model)
-        assert (rep.cutoff, rep.prob) == _dispatched_best_cutoff(variant, model), model
+        m, p = _dispatched_best_cutoff(variant, model)
+        if isinstance(model, Known) or (isinstance(model, Uniform) and variant is not V.CLASSIC):
+            # these take M from the sign of ΔF and P from a closed form, not
+            # from the curve: the same cutoff, and P within 2e-14 of it
+            # (test_best_cutoff_closed_form_prob_against_mpmath)
+            assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-14, abs=0.0), model
+        else:
+            assert (rep.cutoff, rep.prob) == (m, p), model
+
+
+# ------------------------------------- the cutoff from the sign of ΔF
+
+
+@pytest.mark.parametrize(
+    "variant, family",
+    [(V.CLASSIC, Known), (V.BEST_OR_WORST, Known), (V.POSTDOC, Known), (V.BEST_OR_WORST, Uniform), (V.POSTDOC, Uniform)],
+)
+def test_sign_search_equals_the_curve_argmax(variant, family):
+    for n in range(1, 3001):
+        model = family(n)
+        m, p = _dispatched_best_cutoff(variant, model)
+        rep = best_cutoff(variant, model)
+        assert rep.cutoff == m, n
+        assert rep.prob == pytest.approx(p, rel=2e-14, abs=0.0), n
+
+
+def _mp_value(variant, model, r):
+    """F(r) at the working mpmath precision, from the harmonic closed forms."""
+    n = model.n
+    c = 2 if variant is V.BEST_OR_WORST else 1
+    if isinstance(model, Known):
+        if r == 0:
+            return mpmath.mpf(0 if variant is V.POSTDOC else 1) if n == 1 else mpmath.mpf(c) / n
+        if variant is V.CLASSIC:
+            return mpmath.mpf(r) / n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1))
+        return mpmath.mpf(c * r * (n - r)) / (n * (n - 1))
+    if r == 0:
+        return (c * mpmath.harmonic(n) - 1) / n
+    return c * r * (n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1)) - n + r) / mpmath.mpf(n * n)
+
+
+def _mp_delta_sign(variant, model, r):
+    """The sign of ΔF(r) from 50-digit mpmath, for the two harmonic rules."""
+    n = model.n
+    with mpmath.workdps(50):
+        gap = mpmath.harmonic(n - 1) - mpmath.harmonic(r)
+        g = gap - 1 if variant is V.CLASSIC else n * gap - 2 * n + 2 * r + 1
+    return int(mpmath.sign(g))
+
+
+@pytest.mark.parametrize("n", [10, 2971, 10**4, 10**6, 10**7])
+def test_best_cutoff_closed_form_prob_against_mpmath(n):
+    cases = [(v, Known(n)) for v in V] + [(V.BEST_OR_WORST, Uniform(n)), (V.POSTDOC, Uniform(n))]
+    for variant, model in cases:
+        rep = best_cutoff(variant, model)
+        with mpmath.workdps(50):
+            want = _mp_value(variant, model, rep.cutoff)
+            assert abs(rep.prob - want) <= 1e-13 * want, (variant, model)
+        if rep.cutoff > 1 and (isinstance(model, Uniform) or variant is V.CLASSIC):
+            assert _mp_delta_sign(variant, model, rep.cutoff - 1) > 0
+            assert _mp_delta_sign(variant, model, rep.cutoff) <= 0
+
+
+def test_corrected_uniform_cutoffs():
+    # F(9795) - F(9794) = 3.15e-13 (9.7e-13 relative) under Uniform(48205),
+    # inside the curve argmax's tie band, which reported 9794; the induction
+    # agrees with the sign of ΔF
+    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+        assert best_cutoff(variant, Uniform(48205)).cutoff == 9795
+        assert best_cutoff(variant, Uniform(1_007_027)).cutoff == 204616
+        assert positive_cutoff(variant, Uniform(1_007_027)) == 204616
+    assert backward_induction(V.BEST_OR_WORST, Uniform(48205)).threshold == 9795
+    assert _dispatched_best_cutoff(V.BEST_OR_WORST, Uniform(48205))[0] == 9794
+    with mpmath.workdps(50):
+        dF = _mp_value(V.BEST_OR_WORST, Uniform(48205), 9795) - _mp_value(V.BEST_OR_WORST, Uniform(48205), 9794)
+        assert 3.1e-13 < dF < 3.2e-13
+
+
+def test_sign_of_delta_f_at_m_against_mpmath():
+    # M is the first r with ΔF(r) <= 0: 50-digit ΔF is > 0 at M - 1 and <= 0
+    # at M on a seeded sample of n in [10^4, 10^7] with the two knife edges
+    rng = np.random.default_rng(20260)
+    ns = [48205, 1_007_027, *(int(n) for n in rng.integers(10**4, 10**7, size=198))]
+    for n in ns:
+        m = positive_cutoff(V.BEST_OR_WORST, Uniform(n))
+        assert _mp_delta_sign(V.BEST_OR_WORST, Uniform(n), m - 1) > 0, n
+        assert _mp_delta_sign(V.BEST_OR_WORST, Uniform(n), m) <= 0, n
+        assert best_cutoff(V.BEST_OR_WORST, Uniform(n)).cutoff == m
+
+
+def test_positive_cutoff_covers_the_closed_form_models_only():
+    assert positive_cutoff(V.CLASSIC, Known(1)) == 1
+    assert positive_cutoff(V.POSTDOC, Known(7)) == 3
+    for variant, model in [(V.CLASSIC, Uniform(10)), (V.BEST_OR_WORST, Poisson(5.0)), (V.POSTDOC, _MIXED_MODELS[0])]:
+        with pytest.raises(ValueError):
+            positive_cutoff(variant, model)
+
+
+def test_analytic_ties_resolve_to_zero_exactly():
+    # F(0) = F(1) for postdoc wherever M = 1, and F(0) = F(M) on Known(2)
+    # and Known(3) for best-or-worst: exact ties, settled as fractions
+    ties = [(V.BEST_OR_WORST, Known(2)), (V.BEST_OR_WORST, Known(3))]
+    for n in range(2, 41):
+        for model in (Known(n), Uniform(n)):
+            if positive_cutoff(V.POSTDOC, model) == 1:
+                ties.append((V.POSTDOC, model))
+    assert len(ties) > 10
+    for variant, model in ties:
+        m = positive_cutoff(variant, model)
+        assert _exact_value(variant, model, 0) == _exact_value(variant, model, m), model
+        assert best_cutoff(variant, model).cutoff == 0, model
 
 
 # ---------------------------------------------------- structural invariants

@@ -1,6 +1,7 @@
 """Failure scans, convergent coincidences, and limit probes."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -115,6 +116,24 @@ def test_positive_cutoff_matches_curve_argmax():
         m = rows[0][2]
         vals = [closed_form_uniform(r, n) for r in range(1, n + 1)]
         assert m == 1 + int(np.argmax(vals))
+
+
+def _bw_uniform_delta_sign(n, r):
+    """The sign of ΔF(r) for bw under Uniform(n) in fractions: of
+    n(H_{n-1} - H_r) - 2n + 2r + 1, which is n^2 ΔF(r)/2."""
+    gap = sum((Fraction(1, k) for k in range(r + 1, n)), Fraction(0))
+    g = n * gap - 2 * n + 2 * r + 1
+    return (g > 0) - (g < 0)
+
+
+@pytest.mark.parametrize("n, m", [(23, 4), (2971, 603)])
+def test_criterion_05_cutoffs_pinned_by_the_sign_of_the_difference(n, m):
+    # the knife edges where the affine and Lambert estimates round to m + 1
+    assert _bw_uniform_delta_sign(n, m - 1) > 0
+    assert _bw_uniform_delta_sign(n, m) < 0
+    rows = verify_convergent_cutoffs(Variant.BEST_OR_WORST, [Convergent(1, n, 1)])
+    assert rows[0][2] == m
+    assert scan_estimator_failures(EstimatorId.AFFINE_THETA, n, n).details == ((n, m + 1, m),)
 
 
 # ------------------------------------------------------------ failure scans

@@ -326,3 +326,16 @@ def test_uniform_trial_steps_closed_form_matches_support_dot(n):
         if r >= n:
             assert steps == 0.0
     assert trial_steps(_config(Variant.CLASSIC, Uniform(n), n - 1, 1)) == 1.0 / n
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 2.5, 7.0, 20.0, 33.3, 50.0])
+def test_poisson_trial_steps_from_the_tail_matches_support_dot(lam):
+    # lam Psi(r) - r Psi(r + 1) against the dot over the support; for r well
+    # above lam the two tail terms nearly cancel, which costs up to about
+    # 1.5e-11 relative at r = 3 lam (the dot is within 1e-13 of mpmath there)
+    ks, ps = support(Poisson(lam))
+    for r in range(int(3 * lam) + 1):
+        steps = trial_steps(_config(Variant.BEST_OR_WORST, Poisson(lam), r, 3))
+        dot = 3 * float(np.dot(np.maximum(ks - r, 0), ps))
+        assert steps == pytest.approx(dot, rel=1e-9, abs=0.0), r
+    assert trial_steps(_config(Variant.BEST_OR_WORST, Poisson(lam), 0, 1)) == lam

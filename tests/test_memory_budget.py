@@ -9,13 +9,15 @@ result record, the model, array headers) take a few kB whatever n is; they
 are allowed for by _FIXED_BYTES, a sixteenth of one array here.
 """
 
+import statistics
+import time
 import tracemalloc
 
 import pytest
 
 from secstop.core_model import Known, Uniform, Variant
 from secstop.dp import backward_induction
-from secstop.exact import success_curve
+from secstop.exact import best_cutoff, success_curve
 
 N = 10**5
 _FIXED_BYTES = 2**16
@@ -49,3 +51,24 @@ def test_backward_induction_budget():
     # the DPPolicy alone holds three tuples of the horizon, two of them of
     # fresh floats: about 9 units
     assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 24
+
+
+@pytest.mark.parametrize(
+    "variant, model",
+    [(v, Known(10 * N)) for v in Variant] + [(v, Uniform(10 * N)) for v in (Variant.BEST_OR_WORST, Variant.POSTDOC)],
+)
+def test_best_cutoff_by_the_sign_of_the_difference_allocates_no_array(variant, model):
+    # O(log n) scalar sign evaluations and closed forms: a peak within the
+    # small-object allowance _FIXED_BYTES
+    assert _peak_units(lambda: best_cutoff(variant, model)) <= 0
+
+
+def test_best_cutoff_at_a_trillion_in_under_a_millisecond():
+    model = Uniform(10**12)
+    best_cutoff(Variant.BEST_OR_WORST, model)
+    times = []
+    for _ in range(20):
+        start = time.perf_counter()
+        best_cutoff(Variant.BEST_OR_WORST, model)
+        times.append(time.perf_counter() - start)
+    assert statistics.median(times) < 1e-3

@@ -10,6 +10,8 @@ one, kept below as references.
 """
 
 import math
+from decimal import Context, localcontext
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,6 +29,9 @@ from secstop.specfun import (
     digamma,
     ein_series,
     harmonic,
+    harmonic_form_sign,
+    harmonic_gap,
+    harmonic_gap_ratio,
     harmonic_numbers,
     lambert_w0,
     log_factorial,
@@ -94,6 +99,88 @@ def test_harmonic_numbers_past_the_cache_match_scalar():
     for m in (10_001, 10_002, 12_345, 33_333, 59_999, 60_000):
         h = harmonic(m)
         assert abs(hs[m] - h) <= math.ulp(h)
+
+
+def _gap_pairs(seed, count):
+    """(a, b) with a >= b >= 0 in the three regimes of harmonic_gap: both in
+    the cache, a past it, both past it."""
+    rng = np.random.default_rng(seed)
+    pairs = [(0, 0), (1, 0), (10_000, 0), (10_001, 10_000), (10_002, 10_001), (10**15, 10**15 - 1)]
+    for _ in range(count):
+        a = int(rng.integers(1, 10_001))
+        pairs.append((a, int(rng.integers(0, a + 1))))
+        a = int(10 ** rng.uniform(4.01, 15))
+        pairs.append((a, int(rng.integers(0, 10_001))))
+        pairs.append((a, int(rng.integers(10_001, a + 1))))
+    return pairs
+
+
+def test_harmonic_gap_within_its_error_bound():
+    with mpmath.workdps(50):
+        for a, b in _gap_pairs(3, 300):
+            d, e = harmonic_gap(a, b)
+            ref = mpmath.harmonic(a) - mpmath.harmonic(b)
+            assert abs(d - ref) <= e, (a, b)
+            assert e <= 1e-13 * max(1.0, ref)
+
+
+def test_harmonic_gap_ratio_is_exact():
+    for a, b in [(0, 0), (1, 0), (7, 3), (100, 99), (300, 17)]:
+        p, q = harmonic_gap_ratio(a, b)
+        assert Fraction(p, q) == sum((Fraction(1, k) for k in range(b + 1, a + 1)), Fraction(0))
+    with pytest.raises(ValueError):
+        harmonic_gap(3, 4)
+
+
+def test_decimal_harmonic_within_1e_35():
+    with mpmath.workdps(60), localcontext(Context(prec=40)):
+        for m in (0, 1, 999, 1000, 1001, 54_321, 10**9, 10**15):
+            ref = mpmath.harmonic(m)
+            assert abs(mpmath.mpf(str(specfun._harmonic_decimal(m))) - ref) <= 1e-35 * max(1, ref), m
+
+
+def _mp_form_sign(A, a, b, B):
+    with mpmath.workdps(80):
+        return int(mpmath.sign(A * (mpmath.harmonic(a) - mpmath.harmonic(b)) - B))
+
+
+def test_harmonic_form_sign_decides_exact_ties_in_integers():
+    # with A(H_a - H_b) = B exactly (H_3 - H_1 = 5/6, H_2000 - H_1999 =
+    # 1/2000), g = 0 sits inside every float bound and the ratio decides it
+    for a, b in [(3, 1), (10, 4), (30, 20), (2000, 1999)]:
+        f = Fraction(*harmonic_gap_ratio(a, b))
+        A, B = f.denominator, f.numerator
+        assert harmonic_form_sign(A, a, b, B) == 0
+        assert harmonic_form_sign(A, a, b, B - 1) == 1
+        assert harmonic_form_sign(A, a, b, B + 1) == -1
+
+
+def test_harmonic_form_sign_at_40_digits_where_floats_cannot_decide(monkeypatch):
+    # |g| < 1 at A = 10^15 is far inside the float bound (about A eps); the
+    # ranges are longer than the exact ratio takes, so 40 digits decide
+    def no_ratio(a, b):
+        raise AssertionError("the exact ratio was not needed")
+
+    monkeypatch.setattr(specfun, "harmonic_gap_ratio", no_ratio)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        a = int(10 ** rng.uniform(5, 12))
+        b = int(rng.integers(0, a - 20_001))
+        A = 10**15
+        with mpmath.workdps(60):
+            B = int(mpmath.nint(A * (mpmath.harmonic(a) - mpmath.harmonic(b))))
+        d, e = harmonic_gap(a, b)
+        assert abs(A * d - B) <= A * e + 2.0**-52 * (A * d + B)
+        assert harmonic_form_sign(A, a, b, B) == _mp_form_sign(A, a, b, B), (a, b)
+
+
+def test_harmonic_form_sign_against_mpmath():
+    rng = np.random.default_rng(7)
+    for a, b in _gap_pairs(5, 100):
+        A = int(rng.integers(1, 10**6))
+        with mpmath.workdps(40):
+            B = int(mpmath.nint(A * (mpmath.harmonic(a) - mpmath.harmonic(b)))) + int(rng.integers(-2, 3))
+        assert harmonic_form_sign(A, a, b, B) == _mp_form_sign(A, a, b, B), (A, a, b, B)
 
 
 def test_digamma_frozen_values():
