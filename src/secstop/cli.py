@@ -323,15 +323,13 @@ def cmd_table(args) -> int:
 
 _CONSTANTS = {"einv": lambda: math.exp(-1.0), "theta": theta}
 _CONSTANT_VARIANT = {"einv": Variant.CLASSIC, "theta": Variant.BEST_OR_WORST}
-_COINCIDENCE_HORIZON = 9_999  # exact harmonic range
 
 
 def cmd_convergents(args) -> int:
     x = _CONSTANTS[args.constant]()
     convs = cf_convergents(x, args.count)
     variant = _CONSTANT_VARIANT[args.constant]
-    checkable = [c for c in convs if 0 < c.p and c.q <= _COINCIDENCE_HORIZON]
-    rows = verify_convergent_cutoffs(variant, checkable)
+    rows = verify_convergent_cutoffs(variant, convs)
     verdicts = {(p, q): (m, match) for p, q, m, match in rows}
     records = []
     for c in convs:
@@ -461,21 +459,14 @@ def _suite_failures() -> list[tuple[str, bool, str]]:
 
 def _suite_convergents() -> list[tuple[str, bool, str]]:
     out = []
-    rows = verify_convergent_cutoffs(
-        Variant.CLASSIC, cf_convergents(math.exp(-1.0), 12)
-    )
-    out.append((
-        "1/e convergents coincide with classic cutoffs",
-        all(match for *_, match in rows),
-        f"{len(rows)} fractions through 1001/2721",
-    ))
-    convs = [c for c in cf_convergents(theta(), 12) if 0 < c.q <= _COINCIDENCE_HORIZON]
-    rows = verify_convergent_cutoffs(Variant.BEST_OR_WORST, convs)
-    out.append((
-        "theta convergents coincide with uniform-model cutoffs",
-        all(match for *_, match in rows),
-        f"{len(rows)} fractions through 1313/6462",
-    ))
+    for key, name, cutoffs in (("einv", "1/e", "classic"), ("theta", "theta", "uniform-model")):
+        rows = verify_convergent_cutoffs(_CONSTANT_VARIANT[key], cf_convergents(_CONSTANTS[key](), 12))
+        p, q = rows[-1][:2]
+        out.append((
+            f"{name} convergents coincide with {cutoffs} cutoffs",
+            all(match for *_, match in rows),
+            f"{len(rows)} fractions through {p}/{q}",
+        ))
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .specfun import (
     DEFAULT_POLICY,
     TruncationPolicy,
-    digamma,
+    harmonic_gap,
     poisson_pmf_array,
     poisson_tail,
 )
@@ -211,7 +211,8 @@ def accept_success_known(variant: Variant, n: int, r: int) -> float:
 def threshold_success_known(variant: Variant, n: int, r: int) -> float:
     """Success chance of 'reject the first r, then take the first nice
     candidate' when exactly n objects arrive; nu_n at r = 0, so that
-    F(0) = sum_k p(k) nu_k."""
+    F(0) = sum_k p(k) nu_k.  The classic H_{n-1} - H_{r-1} is
+    `harmonic_gap`'s, which does not cancel as r nears n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
@@ -221,7 +222,7 @@ def threshold_success_known(variant: Variant, n: int, r: int) -> float:
     if r >= n:
         return 0.0
     if variant is Variant.CLASSIC:
-        return (r / n) * (digamma(n) - digamma(r))
+        return (r / n) * harmonic_gap(n - 1, r - 1)[0]
     return _TWO_SIDED[variant] * r * (n - r) / (n * (n - 1))
 
 

@@ -12,11 +12,15 @@ worst-so-far, which the single-identity step definitions undercount — see
 printed_recursion_gap).  The overall optimal success probability is C(0),
 where q_0 = p(X >= 1) absorbs any mass at X = 0.
 
-The suffix moments (p(X >= t), sum p/k, sum p/(k(k-1))) and A(t) come from
-`exact.SuffixMoments`, read at the steps 0..T.  They, q_t, nu_t, the accept
-mask and the scan for the reachable accept pattern are whole-array numpy
-expressions; the recursion for C is the only sequential pass over the
-horizon, and it walks memoryviews of those arrays (`_continue_values`).
+S(t) = p(X >= t) and B(t) = S(t) A(t) = t U1(t) (t(t-1) U2(t) for postdoc)
+are read from the compensated tables of `exact.SuffixMoments` at the steps
+0..T.  The recursion runs on D(t) = S(t) C(t) (`_continue_mass`), the only
+sequential pass over the horizon; A = B/S and C = D/S are within 1e-13 of
+exact fractions or 50-digit mpmath on Known and Uniform up to 10^6.  B,
+nu_t, the accept mask and the scan for the reachable accept pattern are
+whole-array numpy expressions.  On a threshold model C(t) is the best curve
+value past t over S(t), max_{r >= t} F(r)/S(t).  The policy holds A, C and
+the accept mask as read-only arrays.
 """
 
 from __future__ import annotations
@@ -39,15 +43,16 @@ from .core_model import (
 from .exact import _TIE_REL, SuffixMoments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DPPolicy:
     variant: Variant
     model: CountModel
     horizon: int
-    # step-indexed arrays; slot 0 is a placeholder so accept_at[t] is step t
-    accept_at: tuple[bool, ...]
-    value_accept: tuple[float, ...]
-    value_reject: tuple[float, ...]  # C(t), indexed 0..T
+    # read-only step-indexed arrays; slot 0 is a placeholder so accept_at[t]
+    # is step t
+    accept_at: np.ndarray  # bool
+    value_accept: np.ndarray  # A(t)
+    value_reject: np.ndarray  # C(t), indexed 0..T
     value: float
     is_threshold: bool
     threshold: int | None
@@ -55,34 +60,44 @@ class DPPolicy:
 
 
 def _moments(model: CountModel) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
-    """(moments, steps t = 0..T, S(t) for t = 0..T+1) with T the top of the
-    support; slot T+1 of S is 0."""
+    """(moments, steps t = 0..T, S(t) at those steps) with T the top of the
+    support."""
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
     mom = SuffixMoments(model)
     T = int(mom.ks.max())
-    return mom, np.arange(T + 1), mom.read(mom.S, 0, np.empty(T + 2))
+    return mom, np.arange(T + 1), mom.read(mom.S, 0, np.empty(T + 1))
 
 
-def _continue_values(S: np.ndarray, A: np.ndarray, nu: np.ndarray) -> list[float]:
-    """C(t) for t = 0..T from C(t) = q_t [nu_{t+1} max(A, C) + (1 - nu_{t+1}) C]
-    at t + 1, with C(T) = 0 and q_t = S[t+1]/S[t] (0 where S[t] = 0).
+def _continue_mass(B: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """D(t) = S(t) C(t) for t = 0..T, with B(t) = S(t) A(t): D(T) = 0 and
 
-    The max makes this the one pass that must run step by step.  It iterates
-    over memoryviews of the reversed arrays, which hand out plain floats one
-    at a time: they index and multiply far faster than numpy scalars, and no
-    list of the whole horizon is built for them.
+        D(t) = D(t+1) + nu_{t+1} max(B(t+1) - D(t+1), 0),
+
+    the recursion for C times S(t).  A reject step copies D exactly and any
+    other adds a nonnegative amount, carried with a Kahan term, so C = D/S
+    stays within about 1e-14 of exact at 10^6 steps, where the products of
+    q_t = S(t+1)/S(t) in the recursion for C drifted by up to 1.7e-11.  The
+    max makes this the one pass that must run step by step, over memoryviews
+    of the reversed arrays: their plain floats index and multiply far faster
+    than numpy scalars, and no list of the whole horizon is built for them.
     """
-    T = len(A) - 1
-    q = np.divide(S[1 : T + 1], S[:T], out=np.zeros(T), where=S[:T] > 0.0)
-    nu_rev = nu[:0:-1]
-    c = 0.0
-    C = [c]
-    for qt, a, v, w in zip(*map(memoryview, (q[::-1], A[:0:-1], nu_rev, 1.0 - nu_rev))):
-        c = qt * (v * (a if a > c else c) + w * c)
-        C.append(c)
-    C.reverse()
-    return C
+    d = carry = 0.0
+    D = [d]
+    for b, v in zip(memoryview(B[:0:-1]), memoryview(nu[:0:-1])):
+        if b > d:
+            y = v * (b - d) - carry
+            s = d + y
+            carry = (s - d) - y
+            d = s
+        D.append(d)
+    D.reverse()
+    return np.array(D)
+
+
+def _conditional(x: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """x/S in place, where S > 0; x is 0 where S is."""
+    return np.divide(x, S, out=x, where=S > 0.0)
 
 
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
@@ -90,19 +105,18 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     T = len(t) - 1
     nu = nice_probabilities(variant, t)
 
-    A = mom.accept_values(variant, t, S[:-1])
-    if variant is Variant.BEST_OR_WORST and S[1] > 0.0:
+    B = mom.accept_mass(variant, t)
+    if variant is Variant.BEST_OR_WORST and T >= 1:
         # k = 1: the object is both best and worst, value 1; else 2/k
         i = mom.at(1)
-        A[1] = (2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)) / S[1]
-
-    C = _continue_values(S, A, nu)
-    Cv = np.array(C)
+        B[1] = 2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)
+    C = _conditional(_continue_mass(B, nu), S)
+    A = _conditional(B, S)
 
     # ties resolve to accept; the band absorbs float noise in exact ties
     # (odd-n Known models tie A and C exactly at step (n+1)/2)
-    live = S[: T + 1] > 0.0
-    accept = live & (A >= Cv - _TIE_REL * np.maximum(1.0, Cv))
+    live = S > 0.0
+    accept = live & (A >= C - _TIE_REL * np.maximum(1.0, C))
     accept[0] = False
 
     # Classify the policy by its reachable decisions only.  An accepting
@@ -132,14 +146,16 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
             r -= 1
         threshold = r
 
+    for array in (accept, A, C):
+        array.flags.writeable = False
     return DPPolicy(
         variant=variant,
         model=model,
         horizon=T,
-        accept_at=tuple(accept.tolist()),
-        value_accept=tuple(A.tolist()),
-        value_reject=tuple(C),
-        value=C[0],
+        accept_at=accept,
+        value_accept=A,
+        value_reject=C,
+        value=float(C[0]),
         is_threshold=witness is None,
         threshold=threshold,
         witness=witness,
@@ -166,9 +182,8 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     mom, t, S = _moments(model)
     # definition-style accept values (single-identity convention throughout);
     # the classic nice chances are exactly the printed weights 1/(t+1)
-    A = mom.accept_values(variant, t, S[:-1])
-    Cp = _continue_values(S, A, nice_probabilities(Variant.CLASSIC, t))
-    return float(np.max(np.abs(np.array(Cp) - np.array(pol.value_reject))))
+    D = _continue_mass(mom.accept_mass(variant, t), nice_probabilities(Variant.CLASSIC, t))
+    return float(np.max(np.abs(_conditional(D, S) - pol.value_reject)))
 
 
 _ORACLE_MAX_K = 9

@@ -106,23 +106,26 @@ def harmonic_numbers(limit: int) -> np.ndarray:
 
 # 2^-52: |x - fl(x)| <= eps |x| / 2 for every rounding of a double
 _EPS = 2.0**-52
+# harmonic_gap takes H_a - H_b from the expansion from this b on: two cached
+# H differ by eps H absolute, 2.4e-12 relative at (2999, 2998)
+_GAP_EXPANSION_FROM = 1000
 
 
 def harmonic_gap(a: int, b: int) -> tuple[float, float]:
     """(d, e): d = H_a - H_b for a >= b >= 0 in floats, and a bound e on its
     error, |d - (H_a - H_b)| <= e.
 
-    With b past the cache limit, d is log1p((a - b)/b) plus the differences
-    of the expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one
-    correctly rounded integer quotient, so nothing cancels: e = 4 eps (1 + d)
-    covers the rounded quotient, two ulps of log1p, the sum and the omitted
-    1/(252 b^6) < 4e-27.  Otherwise d is H_a - H_b from the compensated
+    With b >= 1000, d is log1p((a - b)/b) plus the differences of the
+    expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one correctly
+    rounded integer quotient, so nothing cancels: e = 4 eps (1 + d) covers
+    the rounded quotient, two ulps of log1p, the sum and the omitted
+    1/(252 b^6) < 4e-21.  Otherwise d is H_a - H_b from the compensated
     cache (each value within 0.53 eps H of exact up to 10^4) or, past it,
     from the expansion of `harmonic` (within 4 eps H): e = 8 eps H_a.
     """
     if not 0 <= b <= a:
         raise ValueError("need 0 <= b <= a")
-    if b > _HARMONIC_EXACT_LIMIT:
+    if b >= _GAP_EXPANSION_FROM:
         a2, b2 = a * a, b * b
         d = math.log1p((a - b) / b) + (
             (b - a) / (2 * a * b) + (a2 - b2) / (12 * a2 * b2) + (b2 * b2 - a2 * a2) / (120 * a2 * a2 * b2 * b2)

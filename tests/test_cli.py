@@ -371,18 +371,18 @@ def test_convergents_einv_all_coincide(capsys):
     assert (rows[-1]["p"], rows[-1]["q"]) == ("1001", "2721")
 
 
-def test_convergents_theta_marks_unverifiable_tail(capsys):
+def test_convergents_theta_verifies_every_row(capsys):
+    # positive_cutoff answers any q, so the rows past q = 9999 are checked
+    # too: M(57907) = 11766, M(64369) = 13079, M(315383) = 64082
     code, out, _ = run(
         capsys, "convergents", "--constant", "theta", "--format", "csv",
     )
     assert code == 0
     rows = parse_csv(out)
     assert len(rows) == 12
-    verified = [r for r in rows if r["match"]]
-    assert [r["q"] for r in verified][-1] == "6462"
-    assert all(r["match"] == "true" for r in verified)
-    deep = [r for r in rows if not r["match"] and r["p"] != "0"]
-    assert [r["q"] for r in deep] == ["57907", "64369", "315383"]
+    assert rows[0]["match"] == ""
+    assert all(r["match"] == "true" and r["M"] == r["p"] for r in rows[1:])
+    assert [r["q"] for r in rows[-3:]] == ["57907", "64369", "315383"]
 
 
 # ----------------------------------------------------------- scan-failures

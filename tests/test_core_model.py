@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,9 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
-from secstop.specfun import digamma
+from secstop.specfun import digamma, harmonic_gap, harmonic_gap_ratio
+
+_EPS = 2.0**-52
 
 V = Variant
 
@@ -171,10 +174,28 @@ def _branched_threshold_success_known(variant: Variant, n: int, r: int) -> float
 
 @pytest.mark.parametrize("variant", list(V))
 def test_threshold_success_bit_equal_to_the_branched_form(variant):
+    # the two-sided rows bit for bit; the classic rows, whose harmonic
+    # difference is now harmonic_gap's and not psi(n) - psi(r), within
+    # (r/n) e + eps F of the exact fraction, e harmonic_gap's own error bound
     for n in range(1, 301):
         for r in range(0, n + 3):
-            want = _branched_threshold_success_known(variant, n, r)
-            assert threshold_success_known(variant, n, r) == want, (n, r)
+            got = threshold_success_known(variant, n, r)
+            if variant is V.CLASSIC and 1 <= r < n:
+                exact = Fraction(r, n) * Fraction(*harmonic_gap_ratio(n - 1, r - 1))
+                bound = r / n * harmonic_gap(n - 1, r - 1)[1] + _EPS * got
+                assert abs(Fraction(got) - exact) <= bound, (n, r)
+            else:
+                assert got == _branched_threshold_success_known(variant, n, r), (n, r)
+
+
+@pytest.mark.parametrize("n", [20001, 10**6, 10**7])
+def test_classic_threshold_success_against_mpmath(n):
+    # psi(n) - psi(r) from two expansions was off by 6.6e-10 at (10^6, n - 1)
+    for r in (1, 2, int(n / math.e), n - 10, n - 1):
+        with mpmath.workdps(50):
+            want = mpmath.mpf(r) / n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1))
+        got = threshold_success_known(V.CLASSIC, n, r)
+        assert abs(got - want) <= 1e-15 * want, (r, got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])

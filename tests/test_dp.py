@@ -121,11 +121,21 @@ def _loop_induction(variant, model):
 
 
 def _assert_same_policy(got, want):
-    assert got == want
-    for field in ("value_accept", "value_reject", "value"):
-        assert np.array(getattr(got, field)).tobytes() == np.array(getattr(want, field)).tobytes()
-    for field in ("is_threshold", "threshold", "witness"):
-        assert type(getattr(got, field)) is type(getattr(want, field))
+    """The accept pattern, threshold and witness equal the loop's; the values
+    lie within the loop's own drift, (T + 1) eps relative, the first-order
+    bound of its sequential suffix sums over T + 1 points (measured: at most
+    0.006 of that on these models).  The induction itself is within 1e-13
+    of exact fractions (tests/test_exact_references.py)."""
+    for field in ("variant", "model", "horizon", "is_threshold", "threshold", "witness"):
+        assert getattr(got, field) == getattr(want, field), field
+        assert type(getattr(got, field)) is type(getattr(want, field)), field
+    assert np.array_equal(got.accept_at, np.array(want.accept_at))
+    tol = (want.horizon + 1) * np.finfo(float).eps
+    for field in ("value_accept", "value_reject"):
+        g, w = getattr(got, field), np.array(getattr(want, field))
+        assert np.all(np.abs(g - w) <= tol * np.abs(w)), field
+    assert abs(got.value - want.value) <= tol * want.value
+    assert type(got.value) is float
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -136,17 +146,20 @@ def test_induction_matches_loop_reference_known_and_uniform(variant):
         _assert_same_policy(backward_induction(variant, Uniform(n)), _loop_induction(variant, Uniform(n)))
 
 
+_EXPLICIT_MODELS = [
+    Explicit(((0, 1.0),)),
+    Explicit(((0, 0.5), (3, 0.5))),
+    Explicit(((0, 0.2), (1, 0.3), (4, 0.5))),
+    Explicit(((100, 0.99), (1000, 0.01))),
+    *(truncate_to_explicit(Poisson(lam)) for lam in (2.0, 5.0, 8.0, 1000.0)),
+]
+# every model the induction runs on in this module
+_MODELS = [Known(n) for n in range(1, 61)] + [Uniform(n) for n in range(1, 301)] + _EXPLICIT_MODELS
+_MODELS += [truncate_to_explicit(Poisson(lam)) for lam in (10.0, 20.0)] + [Explicit(((2, 0.25), (5, 0.5), (8, 0.25)))]
+
+
 @pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize(
-    "model",
-    [
-        Explicit(((0, 1.0),)),
-        Explicit(((0, 0.5), (3, 0.5))),
-        Explicit(((0, 0.2), (1, 0.3), (4, 0.5))),
-        Explicit(((100, 0.99), (1000, 0.01))),
-        *(truncate_to_explicit(Poisson(lam)) for lam in (2.0, 5.0, 8.0, 1000.0)),
-    ],
-)
+@pytest.mark.parametrize("model", _EXPLICIT_MODELS)
 def test_induction_matches_loop_reference_explicit(variant, model):
     _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
 

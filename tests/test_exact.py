@@ -3,10 +3,13 @@
 Oracle routes: direct per-k weighted sums (plain Python loops, scipy pmfs),
 exact rationals for the uniform family, 50-digit mpmath sums, and frozen
 literals derived from those routes.  The same-algorithm comparisons are
-the bit-identity checks against the curve's earlier per-curve suffix sums,
-kept below as a reference for the shared SuffixMoments table, against the
-searched, whole-array forms of that table and of the curve arithmetic, and
-against the Poisson conditional series loop that the specfun kernel replaced.
+the checks against the curve's earlier cancelling forms (the per-curve
+A/B/C/D suffix sums and the searched, whole-array tables), within those
+forms' own error bounds, the bit-identity of the slots and of the table
+reads, and the Poisson conditional series loop that the specfun kernel
+replaced, bit for bit.  tests/test_exact_references.py holds the exact
+`Fraction` and mpmath references for every curve, step probability and
+induction value.
 """
 
 import math
@@ -320,8 +323,8 @@ def test_curve_matches_weighted_sums_on_explicit_models(weights, variant):
 #
 # The form success_curve had before SuffixMoments, kept verbatim: each curve
 # built its own weight arrays and suffix sums, and F(0) is a dot product of
-# per-k first-step values.  For r >= 1 the shared moments add the same terms
-# in the same order, and F(0) is the same dot, so the values agree bit for bit.
+# per-k first-step values.  F(0) is still the same dot, bit for bit; past it
+# the form subtracts, and the curve lies within its error bound.
 
 
 def _first_step_values(variant: Variant, ks: np.ndarray) -> np.ndarray:
@@ -404,6 +407,8 @@ def _top(model):
 
 @pytest.mark.parametrize("variant", list(V))
 def test_curve_matches_abcd_reference(variant):
+    # F(0) is the same dot; past it the A/B/C/D form subtracts two sums, so
+    # the curve must lie within that form's own error bound of it
     models = [Known(n) for n in range(1, 61)] + [Uniform(n) for n in range(1, 301)]
     models += _MIXED_MODELS + [Poisson(lam) for lam in (2.0, 5.0, 8.0)]
     for model in models:
@@ -411,13 +416,17 @@ def test_curve_matches_abcd_reference(variant):
         c = success_curve(variant, model, r_max)
         want, terms = _abcd_success_curve(variant, model, r_max)
         assert c.truncation_terms_used == terms
-        assert np.array_equal(c.values, want), model
+        assert c.values[0] == want[0], model
+        assert np.all(np.abs(c.values[1:] - want[1:]) <= _cancellation_bound(variant, model, r_max)), model
 
 
 # the weighted dot is within about 2e-16 of the exact rational value on
-# these models; a ratio of sequential suffix sums, r U1(r)/S(r), drifts by
-# about n eps on a flat table of n points (7.9e-15 at 295 points)
-_ACCEPT_REL = 1e-15
+# these models; B(r)/S(r) is a ratio of suffix sums, sequential within
+# blocks of 512 points, so each drifts by up to (m - 1) eps relative on a
+# table of m points (7.9e-15 measured at 295 points): the bound is 2 m eps
+# plus 4 eps for the roundings of B, S, the dot and the quotients.  Both are
+# within 1e-13 of exact fractions (tests/test_exact_references.py).
+_EPS = np.finfo(float).eps
 
 
 @pytest.mark.parametrize("variant", list(V))
@@ -426,19 +435,15 @@ def test_step_accept_matches_weighted_dot(variant):
     # it as explicit tables
     models = [Known(n) for n in range(1, 61)]
     models += [truncate_to_explicit(Uniform(n)) for n in range(1, 301, 7)] + _MIXED_MODELS
-    worst = 0.0
     for model in models:
         top = _top(model)
+        bound = (2 * len(support(model)[0]) + 4) * _EPS
         for r in range(1, top + 1):
             if r > 64 and r % 37 and r < top - 2:
                 continue  # every r on small supports, a spread on large ones
             got = step_accept_prob(variant, model, r)
             want = _dot_step_accept(variant, model, r)
-            if want:
-                worst = max(worst, abs(got - want) / want)
-            else:
-                assert got == 0.0
-    assert worst <= _ACCEPT_REL, worst
+            assert abs(got - want) <= bound * want, (model, r)
 
 
 @pytest.mark.parametrize("variant", list(V))
@@ -779,12 +784,12 @@ def test_uniform_optimum_strictly_decreasing():
     assert probs[-1] > 0.32380511
 
 
-# ------------------------------------ SuffixMoments and the curve, bit for bit
+# ------------------------ SuffixMoments and the curve against the old forms
 
 # SuffixMoments and the curve arithmetic as they were before the contiguous
 # slot map, the written-in-place suffix and weights, kept verbatim: the
 # binary-search at, the concatenate suffix, the np.where weights and the
-# whole-array curve expressions.
+# whole-array curve expressions, whose V and W tables subtract.
 
 
 class _SearchedMoments:
@@ -839,6 +844,25 @@ def _whole_array_curve(variant, model, r_max=None):
     return values[1:]
 
 
+def _cancellation_bound(variant, model, r_max):
+    """Per r = 1..r_max, how far the curve may lie from the cancelling forms
+    r (W - H_{r-1} U1) and c r (V - r U2), read at r + 1: their first-order
+    error bound, eps (m + 4) times the sum of the two terms (m the support
+    size, since their suffix sums run sequentially over m points and H, V
+    and U2 carry a few roundings more), plus 1e-13 of the value, the
+    curve's own bound against exact fractions and 50-digit mpmath
+    (tests/test_exact_references.py)."""
+    mom = _SearchedMoments(model, min_k=r_max)
+    i = mom.at(np.arange(2, r_max + 2))
+    r = np.arange(1, r_max + 1, dtype=float)
+    if variant is Variant.CLASSIC:
+        terms = r * mom.W[i], r * harmonic_numbers(r_max)[:-1] * mom.U1[i]
+    else:
+        c = 2 if variant is Variant.BEST_OR_WORST else 1
+        terms = c * r * mom.V[i], c * r * r * mom.U2[i]
+    return (len(mom.ks) + 4) * np.finfo(float).eps * (terms[0] + terms[1]) + 1e-13 * np.abs(terms[0] - terms[1])
+
+
 _SLOT_MODELS = [Known(1), Known(2), Known(57), Known(1000)] + [Uniform(n) for n in range(1, 301)]
 _SLOT_MODELS += _MIXED_MODELS + [
     explicit_from_dict({0: 0.3, 1: 0.3, 2: 0.4}),  # contiguous, with mass at 0
@@ -848,10 +872,17 @@ _SLOT_MODELS += _MIXED_MODELS + [
 
 
 def test_suffix_moments_bit_equal_to_the_searched_tables():
+    # the slots bit for bit; the tables within 2 m eps relative of the plain
+    # cumsum on m points, the first-order drift bound of both sums (equal
+    # bits up to one block of 512 points)
     for model in _SLOT_MODELS:
         new, old = SuffixMoments(model), _SearchedMoments(model)
-        for name in ("S", "U1", "U2", "V", "W"):
-            assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), (model, name)
+        m = len(new.ks)
+        for name in ("S", "U1", "U2"):
+            got, want = getattr(new, name), getattr(old, name)
+            if m <= 512:
+                assert got.tobytes() == want.tobytes(), (model, name)
+            assert np.all(np.abs(got - want) <= 2 * m * _EPS * want), (model, name)
         top = int(new.ks[-1])
         t = np.arange(0, top + 4)
         assert new.at(t).tobytes() == old.at(t).tobytes(), model
@@ -862,10 +893,13 @@ def test_suffix_moments_bit_equal_to_the_searched_tables():
 
 @pytest.mark.parametrize("variant", list(V))
 def test_curve_bit_equal_to_the_whole_array_form(variant):
+    # within the whole-array form's own error bound, as for the A/B/C/D form
     for model in _SLOT_MODELS + [Uniform(10**5), Poisson(1e5)]:
         for r_max in (None, 0, 1, 7):
             got = success_curve(variant, model, r_max).values[1:]
-            assert got.tobytes() == _whole_array_curve(variant, model, r_max).tobytes(), (model, r_max)
+            want = _whole_array_curve(variant, model, r_max)
+            top = len(want)
+            assert np.all(np.abs(got - want) <= _cancellation_bound(variant, model, top)), (model, r_max)
 
 
 _READ_MODELS = [Known(1), Known(57)] + [Uniform(n) for n in range(1, 301)]
@@ -884,7 +918,7 @@ def test_read_bit_equal_to_the_gather():
         mom = SuffixMoments(model)
         k0, top, n = int(mom.ks[0]), int(mom.ks[-1]), len(mom.ks)
         starts = sorted({k0 - 3, k0 - 1, 0, k0, (k0 + top) // 2, top, top + 1, top + 5})
-        for name in ("S", "U1", "U2", "V", "W"):
+        for name in ("S", "U1", "U2"):
             tab = getattr(mom, name)
             for t0 in starts:
                 for m in (0, 1, 2, n, n + 1, top + 2 - t0, n + 7):
@@ -897,7 +931,9 @@ def test_read_bit_equal_to_the_gather():
 
 @pytest.mark.parametrize("model, r_maxes", [(Uniform(10**6), (None,)), (Known(20_000), (None, 7, 20_002))])
 def test_classic_curve_on_one_harmonic_table_bit_equal_to_two(model, r_maxes):
-    # the whole-array form builds H for W and again for H_{r-1}
+    # the whole-array form builds H for W and again for H_{r-1}; the curve
+    # lies within that form's error bound of it
     for r_max in r_maxes:
         got = success_curve(V.CLASSIC, model, r_max).values[1:]
-        assert got.tobytes() == _whole_array_curve(V.CLASSIC, model, r_max).tobytes(), r_max
+        want = _whole_array_curve(V.CLASSIC, model, r_max)
+        assert np.all(np.abs(got - want) <= _cancellation_bound(V.CLASSIC, model, len(want))), r_max

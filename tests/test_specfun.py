@@ -102,8 +102,9 @@ def test_harmonic_numbers_past_the_cache_match_scalar():
 
 
 def _gap_pairs(seed, count):
-    """(a, b) with a >= b >= 0 in the three regimes of harmonic_gap: both in
-    the cache, a past it, both past it."""
+    """(a, b) with a >= b >= 0 in the regimes of harmonic_gap: both in the
+    cache, a past it, both past it, with b below or above 1000, where the
+    differences come from the expansion."""
     rng = np.random.default_rng(seed)
     pairs = [(0, 0), (1, 0), (10_000, 0), (10_001, 10_000), (10_002, 10_001), (10**15, 10**15 - 1)]
     for _ in range(count):
