@@ -5,7 +5,8 @@ Every command renders flat key -> value records in one of three formats
 digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
-error; 3 numeric failure (series truncation, lost bracket) or out of memory.
+error; 3 numeric failure (a series past its cap of 10^6 terms, a lost
+bracket) or out of memory.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .lab import (
     verify_convergent_cutoffs,
 )
 from .mc import SimConfig, simulate, trial_steps
-from .specfun import DEFAULT_POLICY, TruncationError, TruncationPolicy
+from .specfun import TruncationError
 
 
 # cap on the points swept by `curve --sweep lambda` (rates) and by
@@ -68,7 +69,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def parse_model(spec: str, tp: TruncationPolicy = DEFAULT_POLICY) -> CountModel:
+def parse_model(spec: str) -> CountModel:
     """`known:n=10 | uniform:n=100 | poisson:lambda=2.5 | table:<csv path>`."""
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -84,7 +85,7 @@ def parse_model(spec: str, tp: TruncationPolicy = DEFAULT_POLICY) -> CountModel:
         if kind == "uniform" and key == "n":
             return Uniform(int(val))
         if kind == "poisson" and key == "lambda":
-            return Poisson(float(val), tp)
+            return Poisson(float(val))
     except ValueError as exc:
         raise ModelSpecError(f"bad value in {spec!r}: {exc}") from exc
     raise ModelSpecError(
@@ -93,24 +94,35 @@ def parse_model(spec: str, tp: TruncationPolicy = DEFAULT_POLICY) -> CountModel:
 
 
 def _read_pmf_table(path: str) -> Explicit:
+    """The pmf in a CSV file with the header `k,p` and one row per k (blank
+    lines skipped); `Explicit` checks the masses."""
+    lineno = 1
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != ["k", "p"]:
-                raise ModelSpecError(f"{path}: pmf table needs header 'k,p'")
+                raise ValueError("pmf table needs header 'k,p'")
             pmf: dict[int, float] = {}
+            line_of: dict[int, int] = {}
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != 2:
-                    raise ModelSpecError(f"{path}:{lineno}: expected two fields")
-                pmf[int(row[0])] = float(row[1])
+                    raise ValueError("expected two fields")
+                k = int(row[0])
+                if k in line_of:
+                    raise ValueError(f"k = {k} repeats line {line_of[k]}")
+                line_of[k] = lineno
+                pmf[k] = float(row[1])
     except OSError as exc:
         raise ModelSpecError(f"cannot read pmf table: {exc}") from exc
     except ValueError as exc:
+        raise ModelSpecError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        return explicit_from_dict(pmf)
+    except ValueError as exc:
         raise ModelSpecError(f"{path}: {exc}") from exc
-    return explicit_from_dict(pmf)
 
 
 # ---------------------------------------------------------------- rendering
@@ -156,10 +168,6 @@ def _emit(records: list[dict], fmt: str) -> None:
 
 # ----------------------------------------------------------------- commands
 
-def _tp_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
-
-
 def _default_rmax(model: CountModel) -> int | None:
     """Past lam + 8 sqrt(lam) a Poisson curve only decays, so it is complete
     there; None is the top of the support, for every other model."""
@@ -169,7 +177,7 @@ def _default_rmax(model: CountModel) -> int | None:
 
 
 def cmd_cutoff(args) -> int:
-    model = parse_model(args.model, _tp_from_args(args))
+    model = parse_model(args.model)
     variant = Variant(args.variant)
     rep = with_estimates(best_cutoff(variant, model))
     rec = {
@@ -189,7 +197,6 @@ def cmd_cutoff(args) -> int:
 
 def cmd_curve(args) -> int:
     variant = Variant(args.variant)
-    tp = _tp_from_args(args)
     if args.sweep == "lambda":
         if args.from_ is None or args.to is None or args.step is None:
             raise ModelSpecError("--sweep lambda needs --from, --to, --step")
@@ -204,13 +211,13 @@ def cmd_curve(args) -> int:
         records = []
         for i in range(count):
             lam = args.from_ + i * args.step
-            rep = best_cutoff(variant, Poisson(lam, tp))
+            rep = best_cutoff(variant, Poisson(lam))
             records.append({"lambda": lam, "M": rep.cutoff, "P": rep.prob})
         _emit(records, args.format)
         return 0
     if args.model is None:
         raise ModelSpecError("curve needs --model (or --sweep lambda)")
-    model = parse_model(args.model, tp)
+    model = parse_model(args.model)
     rmax = args.rmax if args.rmax is not None else _default_rmax(model)
     curve = success_curve(variant, model, rmax)
     records = [{"r": r, "F": curve.value(r)} for r in range(curve.r_max + 1)]
@@ -219,7 +226,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = parse_model(args.model, _tp_from_args(args))
+    model = parse_model(args.model)
     variant = Variant(args.variant)
     config = SimConfig(
         variant=variant,
@@ -259,7 +266,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dp(args) -> int:
-    model = parse_model(args.model, _tp_from_args(args))
+    model = parse_model(args.model)
     if isinstance(model, Poisson):
         model = truncate_to_explicit(model)
     variant = Variant(args.variant)
@@ -301,7 +308,7 @@ def cmd_table(args) -> int:
         elif family == "uniform":
             model = Uniform(n)
         else:
-            model = Poisson(lam, _tp_from_args(args))
+            model = Poisson(lam)
         rep = best_cutoff(Variant(var), model)
         records.append(
             {
@@ -538,8 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _shared(p):
         p.add_argument("--format", choices=["human", "csv", "json"], default="human")
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol)
-        p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms)
 
     p = sub.add_parser("cutoff", help="exact optimal cutoff and estimators")
     common(p)

@@ -23,13 +23,8 @@ from typing import Union
 
 import numpy as np
 
-from .specfun import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
-    harmonic_gap,
-    poisson_pmf_array,
-    poisson_tail,
-)
+from . import specfun
+from .specfun import harmonic_gap, poisson_pmf_array, poisson_tail
 
 
 class Variant(str, Enum):
@@ -65,7 +60,6 @@ class Poisson:
     """X ~ Poisson(lam).  X = 0 means no object ever arrives (automatic loss)."""
 
     lam: float
-    tp: TruncationPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0) or not math.isfinite(self.lam):
@@ -78,7 +72,7 @@ class Explicit:
 
     k = 0 is allowed (certain failure mass) so that truncated models keep
     their unconditional normalization.  Keys must be distinct and the masses
-    must sum to 1 within 1e-12.
+    finite, >= 0 and summing to 1 within 1e-12.
     """
 
     items: tuple[tuple[int, float], ...]
@@ -90,8 +84,8 @@ class Explicit:
             raise ValueError("Explicit pmf has duplicate support points")
         if any(k < 0 for k in ks):
             raise ValueError("support points must be >= 0")
-        if any(p < 0.0 for p in ps):
-            raise ValueError("probabilities must be >= 0")
+        if not all(math.isfinite(p) and p >= 0.0 for p in ps):
+            raise ValueError("probabilities must be finite and >= 0")
         if abs(sum(ps) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "items", tuple(sorted(self.items)))
@@ -104,11 +98,12 @@ def explicit_from_dict(pmf: dict[int, float]) -> Explicit:
     return Explicit(tuple(sorted(pmf.items())))
 
 
-def poisson_k_max(lam: float, min_k: int = 0, tp: TruncationPolicy = DEFAULT_POLICY) -> int:
-    """Support horizon leaving out mass < rel_tol (checked, then extended)."""
+def poisson_k_max(lam: float, min_k: int = 0) -> int:
+    """Support horizon leaving out mass below the series tail bound, 1e-15
+    (checked, then extended)."""
     k = max(min_k + 2, int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0)))
     for _ in range(64):
-        if poisson_tail(k + 1, lam, tp) < tp.rel_tol:
+        if poisson_tail(k + 1, lam) < specfun._REL_TOL:
             return k
         k = int(k * 1.5) + 10
     raise RuntimeError("could not bound the Poisson support")
@@ -123,7 +118,7 @@ def support(model: CountModel, min_k: int = 0) -> tuple[np.ndarray, np.ndarray]:
         ks = np.arange(1, model.n + 1)
         return ks, np.full(model.n, 1.0 / model.n)
     if isinstance(model, Poisson):
-        k_max = poisson_k_max(model.lam, min_k, model.tp)
+        k_max = poisson_k_max(model.lam, min_k)
         ks = np.arange(0, k_max + 1)
         return ks, poisson_pmf_array(model.lam, k_max)
     ks = np.array([k for k, _ in model.items], dtype=int)
@@ -142,7 +137,7 @@ def tail_prob(model: CountModel, r: int) -> float:
             return 0.0
         return (model.n - r + 1) / model.n
     if isinstance(model, Poisson):
-        return poisson_tail(r, model.lam, model.tp)
+        return poisson_tail(r, model.lam)
     return float(sum(p for k, p in model.items if k >= r))
 
 

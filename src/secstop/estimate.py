@@ -24,7 +24,7 @@ from .core_model import (
     Variant,
 )
 from .exact import best_cutoff, poisson_smoothing_coefficients
-from .specfun import DEFAULT_POLICY, TruncationPolicy, digamma, ein_series, lambert_w0
+from .specfun import digamma, ein_series, lambert_w0
 
 
 class EstimatorId(str, Enum):
@@ -98,15 +98,13 @@ def uniform_cutoff_estimates(n: int) -> list[tuple[EstimatorId, float]]:
     ]
 
 
-def poisson_cutoff_estimates(
-    lam: float, tp: TruncationPolicy = DEFAULT_POLICY
-) -> list[tuple[EstimatorId, float]]:
+def poisson_cutoff_estimates(lam: float) -> list[tuple[EstimatorId, float]]:
     """Two estimates for X ~ Poisson(lam): the exact maximizer r_lam of the
     smoothed curve 2r(eS1 - r eS2), namely eS1/(2 eS2), and the asymptote
     lam/2 - 1 that r_lam drifts toward."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam, tp)
+    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam)
     return [
         (EstimatorId.R_STAR_LAMBDA, exp_s1 / (2.0 * exp_s2)),
         (EstimatorId.HALF_LAMBDA_MINUS_ONE, lam / 2.0 - 1.0),
@@ -156,7 +154,7 @@ def with_estimates(report: CutoffReport) -> CutoffReport:
     if isinstance(model, Uniform):
         pairs = uniform_cutoff_estimates(model.n)
     elif isinstance(model, Poisson):
-        pairs = poisson_cutoff_estimates(model.lam, model.tp)
+        pairs = poisson_cutoff_estimates(model.lam)
     else:
         return report
     checks = tuple(

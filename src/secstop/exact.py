@@ -48,11 +48,10 @@ from .core_model import (
     threshold_success_known,
 )
 from .specfun import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
     digamma,
     harmonic,
     harmonic_form_sign,
+    harmonic_gap,
     harmonic_gap_ratio,
     poisson_pmf,
     poisson_pmf_array,
@@ -201,24 +200,31 @@ class SuffixMoments:
 
         T = U2 and c = 2 (bw) or 1 (pd); T(s) = U1(s)/(s - 1) and c = 1 for
         classic, since sum_{s=r+1..k} 1/(s - 1) = H_{k-1} - H_{r-1}.  K is
-        summed by `_suffix` over the steps a..top, gaps included.  classic
-        starts at a = r + 1; for the two-sided rules T is constant below the
-        first support point k_0, so a = max(r + 1, k_0) and K(t) = K(a) +
-        (a - t) U2(a) below it: Known(n) costs O(r_max), not O(n)."""
+        summed by `_suffix` over the steps a..top, gaps included, from a =
+        max(r + 1, k_0), k_0 the first support point.  Below k_0 both U
+        tables are constant, so K(t) = K(a) + (a - t) U2(a) for the two-sided
+        rules and K(a) + U1(a) (H_{a-2} - H_{t-2}) for classic, that gap
+        taken from `harmonic_gap` at the last step below a and lifted by a
+        `_suffix` of 1/(s - 1) under it: Known(n) costs O(r_max), not O(n)."""
         t0, top = int(r[0]) + 1, int(self.ks[-1])
         classic = variant is Variant.CLASSIC
         table = self.U1 if classic else self.U2  # built before the scratch holds T
-        a = t0 if classic else max(t0, int(self.ks[0]))
+        a = max(t0, int(self.ks[0]))
         T = self.read(table, a, self.scratch(max(top - a + 1, 0)))
+        below = out[: min(a - t0, len(out))]  # steps t = r + 1 < a
+        if len(below):
+            if classic:
+                t1 = t0 + len(below) - 1
+                below[:] = self._suffix(1.0 / np.arange(t0 - 1, t1 - 1, dtype=float))
+                below += harmonic_gap(a - 2, t1 - 2)[0]
+            else:
+                np.subtract(a - 1, r[: len(below)], out=below)
+            below *= T[0]
         if classic:
             T /= np.arange(a - 1, top, dtype=float)
         K = self._suffix(T)  # K(a), ..., K(top), K(top + 1) = 0
-        _shifted_read(K, t0 - a, out)
-        below = out[: min(a - t0, len(out))]  # steps t = r + 1 < a
-        if len(below):
-            np.subtract(a - 1, r[: len(below)], out=below)
-            below *= T[0]
-            below += K[0]
+        _shifted_read(K, t0 + len(below) - a, out[len(below) :])
+        below += K[0]
         out *= r
         if not classic:
             out *= _TWO_SIDED[variant]
@@ -237,13 +243,13 @@ def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy) -> float:
+def _poisson_conditional(weights, lam: float, r: int) -> float:
     """E[w(X) | X >= r] for Poisson X via the pmf-ratio series from k = r.
 
     Terms are normalized by pmf(r), so the conditioning survives r far above
     lam where pmf and tail both underflow.  Assumes 0 <= w <= 1.
     """
-    return series(1.0, lambda k: lam / (k + 1.0), r, tp, weight=weights)
+    return series(1.0, lambda k: lam / (k + 1.0), r, weight=weights)
 
 
 def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
@@ -290,7 +296,7 @@ def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
         return float(r * _uniform_tail_sums(r, n)[0] / (n + 1 - r))
     if isinstance(model, Poisson):
         return _poisson_conditional(
-            lambda k: accept_success_known(variant, k, r), model.lam, r, model.tp
+            lambda k: accept_success_known(variant, k, r), model.lam, r
         )
     mom, t, S = _table_step(model, r)
     return float(mom.accept_mass(variant, t)[0] / S[0])
@@ -306,7 +312,7 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
         return float(_TWO_SIDED[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
     if isinstance(model, Poisson):
         return _poisson_conditional(
-            lambda k: threshold_success_known(variant, k, r), model.lam, r, model.tp
+            lambda k: threshold_success_known(variant, k, r), model.lam, r
         )
     mom, t, S = _table_step(model, r)
     return float(mom.cutoff_values(variant, t, np.empty(1))[0] / S[0])
@@ -340,9 +346,7 @@ def closed_form_uniform(r: int, n: int) -> float:
     return 2.0 * r * _uniform_tail_sums(r, n)[1] / (n * n)
 
 
-def poisson_smoothing_coefficients(
-    lam: float, tp: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[float, float]:
+def poisson_smoothing_coefficients(lam: float) -> tuple[float, float]:
     """(e^-lam S1, e^-lam S2) with
 
         S1 = 1 - e^lam + lam - gamma*lam + lam*E(lam) - lam*ln(lam),
@@ -355,22 +359,20 @@ def poisson_smoothing_coefficients(
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    k_max = poisson_k_max(lam, tp=tp)
+    k_max = poisson_k_max(lam)
     p = poisson_pmf_array(lam, k_max)[2:]
     k = np.arange(2, k_max + 1, dtype=float)
     return float(np.sum(p / (k - 1.0))), float(np.sum(p / (k * (k - 1.0))))
 
 
-def poisson_fstar_and_f(
-    r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY
-) -> tuple[float, float]:
+def poisson_fstar_and_f(r: int, lam: float) -> tuple[float, float]:
     """The signed full series f*(r, lam) = sum_{k>=2} 2r(k-r)/(k(k-1)) pmf(k)
     and its head f(r, lam) = sum_{k=2..r} (same summand), so that the cutoff
     curve satisfies F(r) = f* - f.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam, tp)
+    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam)
     fstar = 2.0 * r * exp_s1 - 2.0 * r * r * exp_s2
 
     head = 0.0

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_model import Known, Poisson, Uniform, Variant, pbw_known
+from .core_model import Known, Poisson, Uniform, Variant, pbw_known, poisson_k_max
 from .estimate import (
     EstimatorId,
     integer_estimate,
@@ -32,12 +32,7 @@ from .estimate import (
     uniform_cutoff_estimates,
 )
 from .exact import best_cutoff, poisson_fstar_and_f, positive_cutoff
-from .specfun import (
-    DEFAULT_POLICY,
-    TruncationPolicy,
-    poisson_pmf_array,
-    sinh_integral,
-)
+from .specfun import poisson_pmf_array, sinh_integral
 
 
 # ------------------------------------------------------ continued fractions
@@ -197,12 +192,10 @@ class AsymptoteReport:
     poisson_limit: float
 
 
-def _mixture_series(lam: float, tp: TruncationPolicy) -> float:
+def _mixture_series(lam: float) -> float:
     """Sum_k P_bw(k) pmf(k): success when the realized count is revealed and
     each k is played at its own optimum floor(k/2)."""
-    from .core_model import poisson_k_max
-
-    k_max = poisson_k_max(lam, tp=tp)
+    k_max = poisson_k_max(lam)
     p = poisson_pmf_array(lam, k_max)
     total = 0.0
     for k in range(1, k_max + 1):
@@ -210,13 +203,13 @@ def _mixture_series(lam: float, tp: TruncationPolicy) -> float:
     return total
 
 
-def _mixture_closed(lam: float, tp: TruncationPolicy) -> float:
-    s = sinh_integral(lam, tp)
+def _mixture_closed(lam: float) -> float:
+    s = sinh_integral(lam)
     e = math.exp(-lam)
     return 0.5 * lam * e * s + 0.5 * math.sinh(lam) * e + 0.5 * s * e
 
 
-def asymptote_probe(tp: TruncationPolicy = DEFAULT_POLICY) -> AsymptoteReport:
+def asymptote_probe() -> AsymptoteReport:
     th = theta()
     g_th = 2.0 * (th - th * th)
     uniform_rows = []
@@ -225,16 +218,16 @@ def asymptote_probe(tp: TruncationPolicy = DEFAULT_POLICY) -> AsymptoteReport:
         uniform_rows.append((n, p, p - g_th))
     poisson_rows = []
     for lam in (25.0, 50.0, 100.0, 200.0):
-        p = best_cutoff(Variant.BEST_OR_WORST, Poisson(lam, tp)).prob
+        p = best_cutoff(Variant.BEST_OR_WORST, Poisson(lam)).prob
         poisson_rows.append((lam, p, p - 0.5))
     mixture_rows = []
     for lam in (2.0, 5.0, 10.0, 20.0, 25.0, 30.0):
-        series = _mixture_series(lam, tp)
-        closed = _mixture_closed(lam, tp)
+        series = _mixture_series(lam)
+        closed = _mixture_closed(lam)
         mixture_rows.append((lam, series, closed, abs(series - closed)))
     f_half_rows = []
     for lam in (25.0, 50.0, 100.0, 200.0):
-        _, f_head = poisson_fstar_and_f(int(lam) // 2, lam, tp)
+        _, f_head = poisson_fstar_and_f(int(lam) // 2, lam)
         f_half_rows.append((lam, f_head))
     return AsymptoteReport(
         uniform_rows=tuple(uniform_rows),

@@ -216,8 +216,8 @@ def trial_steps(config: SimConfig) -> float:
         d = max(model.n - r, 0)
         return config.trials * d * (d + 1) / (2 * model.n)
     if isinstance(model, Poisson):
-        lam, tp = model.lam, model.tp
-        return config.trials * max(lam * poisson_tail(r, lam, tp) - r * poisson_tail(r + 1, lam, tp), 0.0)
+        lam = model.lam
+        return config.trials * max(lam * poisson_tail(r, lam) - r * poisson_tail(r + 1, lam), 0.0)
     ks, ps = support(model)
     return config.trials * float(np.dot(np.maximum(ks - r, 0), ps))
 

@@ -3,17 +3,18 @@
 All arithmetic is 64-bit float.  Every Poisson-side infinite sum (the upper
 Poisson tail, I(lam), the sinh integral and the conditional expectations of
 `exact`) goes through one kernel, `series`: a Kahan-compensated sum of
-positive terms t_{k+1} = t_k * ratio(k), truncated under an explicit
-TruncationPolicy so callers control the tail bound instead of inheriting a
-hidden one.  Two tables grow once per process and are sliced by every later
-call: the compensated harmonic numbers H_0..H_10^4 and ln k! = lgamma(k + 1),
-which `poisson_pmf_array` reads instead of rebuilding it per call.
+positive terms t_{k+1} = t_k * ratio(k), stopped by one rule, a relative
+tail bound of 1e-15, and capped at 10^6 terms, past which it raises
+TruncationError rather than return a short sum.  Two tables grow once per
+process and are sliced by every later call: the compensated harmonic numbers
+H_0..H_10^4 and ln k! = lgamma(k + 1), which `poisson_pmf_array` reads
+instead of rebuilding it per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
 from decimal import Context, Decimal, localcontext
 
 import numpy as np
@@ -25,47 +26,34 @@ EULER_GAMMA = 0.5772156649015329
 _HARMONIC_EXACT_LIMIT = 10_000
 
 
+# Every infinite series stops once its estimated remainder is below _REL_TOL
+# times the sum (the Poisson support is cut where its tail is), and gives up
+# with TruncationError after _MAX_TERMS terms.  Read at call time.
+_REL_TOL = 1e-15
+_MAX_TERMS = 1_000_000
+
+
 class TruncationError(RuntimeError):
-    """Raised when a series exhausts max_terms before meeting its tail bound."""
+    """Raised when a series reaches its term cap before its tail bound."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How far to push an infinite series.
-
-    rel_tol is a relative tail bound (the estimated remainder must drop below
-    rel_tol times the accumulated sum); max_terms is a hard iteration cap.
-    """
-
-    rel_tol: float = 1e-15
-    max_terms: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError("rel_tol must lie in (0, 1e-6]")
-        if self.max_terms < 64:
-            raise ValueError("max_terms must be >= 64")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-# Growing cache of harmonic numbers H_0, H_1, ... maintained with a Kahan
-# carry so every cached value is correctly rounded for practical purposes.
-_H: list[float] = [0.0]
-_H_carry: float = 0.0
+# Growing cache of harmonic numbers H_0, H_1, ... summed with a Kahan carry,
+# which is kept per entry: _H[m] - _H_CARRY[m] undoes the rounding of the
+# running sum, which `harmonic_gap` needs where two cached values cancel.
+_H = array("d", [0.0])
+_H_CARRY = array("d", [0.0])
 
 
 def _grow_harmonic(limit: int) -> None:
-    global _H_carry
     s = _H[-1]
-    c = _H_carry
+    c = _H_CARRY[-1]
     for k in range(len(_H), limit + 1):
         y = 1.0 / k - c
         t = s + y
         c = (t - s) - y
         s = t
         _H.append(s)
-    _H_carry = c
+        _H_CARRY.append(c)
 
 
 def harmonic(m: int) -> float:
@@ -106,8 +94,7 @@ def harmonic_numbers(limit: int) -> np.ndarray:
 
 # 2^-52: |x - fl(x)| <= eps |x| / 2 for every rounding of a double
 _EPS = 2.0**-52
-# harmonic_gap takes H_a - H_b from the expansion from this b on: two cached
-# H differ by eps H absolute, 2.4e-12 relative at (2999, 2998)
+# harmonic_gap takes H_a - H_b from the expansion from this b on
 _GAP_EXPANSION_FROM = 1000
 
 
@@ -119,9 +106,12 @@ def harmonic_gap(a: int, b: int) -> tuple[float, float]:
     expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one correctly
     rounded integer quotient, so nothing cancels: e = 4 eps (1 + d) covers
     the rounded quotient, two ulps of log1p, the sum and the omitted
-    1/(252 b^6) < 4e-21.  Otherwise d is H_a - H_b from the compensated
-    cache (each value within 0.53 eps H of exact up to 10^4) or, past it,
-    from the expansion of `harmonic` (within 4 eps H): e = 8 eps H_a.
+    1/(252 b^6) < 4e-21.  Otherwise, up to a = 10^4, d is the difference of
+    two cached sums less the difference of their Kahan carries, so the
+    cancelling leading bits drop out; past the cache it is H_a from the
+    expansion of `harmonic` (within 4 eps H) less the cached H_b.  Each
+    cached sum is within 0.53 eps H of exact and each carry below eps H, so
+    e = 8 eps H_a holds in both cases.
     """
     if not 0 <= b <= a:
         raise ValueError("need 0 <= b <= a")
@@ -132,6 +122,8 @@ def harmonic_gap(a: int, b: int) -> tuple[float, float]:
         )
         return d, 4.0 * _EPS * (1.0 + d)
     ha = harmonic(a)
+    if a <= _HARMONIC_EXACT_LIMIT:
+        return (ha - _H[b]) - (_H_CARRY[a] - _H_CARRY[b]), 8.0 * _EPS * ha
     return ha - harmonic(b), 8.0 * _EPS * ha
 
 
@@ -313,21 +305,19 @@ def poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
-def series(
-    term: float, ratio, k: int = 0, tp: TruncationPolicy = DEFAULT_POLICY, weight=None
-) -> float:
+def series(term: float, ratio, k: int = 0, weight=None) -> float:
     """Sum of positive terms t_k, t_{k+1} = t_k * ratio(k), from the given k
     and first term; with weight, the weighted mean sum t_k w(k) / sum t_k.
 
     Both sums are Kahan-compensated.  The series stops once a term is 0, or
     once ratio(k) = q < 1 bounds the remaining tail, term q/(1 - q), below
-    tp.rel_tol times the sum; TruncationError once tp.max_terms are used.
+    1e-15 times the sum; TruncationError after 10^6 terms.
     With weight, a term past 2^900 rescales the term, both sums and their
     carries by the exact 2^-900, so conditional series, whose terms reach
     lam^(k-r) r!/k!, do not overflow; below 2^900 no bit changes.
     """
     s = c = ws = wc = 0.0
-    for _ in range(tp.max_terms):
+    for _ in range(_MAX_TERMS):
         if weight is not None:
             y = term * weight(k) - wc
             t = ws + y
@@ -338,16 +328,16 @@ def series(
         c = (t - s) - y
         s = t
         q = ratio(k)
-        if term == 0.0 or (q < 1.0 and term * q / (1.0 - q) < tp.rel_tol * s):
+        if term == 0.0 or (q < 1.0 and term * q / (1.0 - q) < _REL_TOL * s):
             return s if weight is None else ws / s
         term *= q
         k += 1
         if weight is not None and term > 2.0**900:
             term, s, c, ws, wc = (x * 2.0**-900 for x in (term, s, c, ws, wc))
-    raise TruncationError("series did not converge under the policy")
+    raise TruncationError(f"series did not converge within {_MAX_TERMS} terms")
 
 
-def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def poisson_tail(r: int, lam: float) -> float:
     """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam)."""
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -360,7 +350,7 @@ def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> f
         term = math.exp(-lam)
         if term < np.finfo(float).tiny:
             # exp(-lam) is subnormal or 0 (lam > 708.4): sum down from k = r - 1
-            return max(0.0, 1.0 - series(poisson_pmf(r - 1, lam), lambda j: (r - 1 - j) / lam, 0, tp))
+            return max(0.0, 1.0 - series(poisson_pmf(r - 1, lam), lambda j: (r - 1 - j) / lam))
         acc = 0.0
         c = 0.0
         for k in range(r):
@@ -371,17 +361,17 @@ def poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> f
             term *= lam / (k + 1.0)
         return max(0.0, 1.0 - acc)
     # an underflowed leading term ends the series at 0: the tail is < 1e-300
-    return series(poisson_pmf(r, lam), lambda k: lam / (k + 1.0), r, tp)
+    return series(poisson_pmf(r, lam), lambda k: lam / (k + 1.0), r)
 
 
-def ein_series(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def ein_series(lam: float) -> float:
     """I(lam) = integral_0^lam (e^x - 1)/x dx = sum_{k>=1} lam^k / (k * k!)."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    return series(lam, lambda k: lam * k / ((k + 1.0) * (k + 1.0)), 1, tp)
+    return series(lam, lambda k: lam * k / ((k + 1.0) * (k + 1.0)), 1)
 
 
-def sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def sinh_integral(lam: float) -> float:
     """S(lam) = integral_0^lam sinh(x)/x dx = sum_j lam^(2j+1)/((2j+1)(2j+1)!)."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -390,4 +380,4 @@ def sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
         m = 2 * j + 1
         return lam * lam * m / ((m + 2.0) * (m + 2.0) * (m + 1.0))
 
-    return series(lam, ratio, 0, tp)
+    return series(lam, ratio)

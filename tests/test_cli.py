@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import secstop
-from secstop import cli
+from secstop import cli, specfun
 from secstop.core_model import Poisson, Uniform, Variant
 from secstop.exact import best_cutoff
 
@@ -461,11 +461,9 @@ def test_exit_usage_errors(capsys):
     assert run(capsys, "verify", "sorcery")[0] == 2
 
 
-def test_exit_numeric_failure(capsys):
-    code, _, err = run(
-        capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10000",
-        "--max-terms", "64",
-    )
+def test_exit_numeric_failure(capsys, monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
+    code, _, err = run(capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10000")
     assert code == 3 and "numeric failure" in err
 
 

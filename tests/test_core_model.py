@@ -198,6 +198,16 @@ def test_classic_threshold_success_against_mpmath(n):
         assert abs(got - want) <= 1e-15 * want, (r, got, want)
 
 
+@pytest.mark.parametrize("n, r", [(1001, 1000), (999, 998), (500, 499), (1002, 992)])
+def test_classic_threshold_success_inside_the_cache_against_mpmath(n, r):
+    # with r - 1 < 1000 the gap is two cached sums less their Kahan carries;
+    # without the carries it was 3.3e-13 off at (1001, 1000)
+    with mpmath.workdps(50):
+        want = mpmath.mpf(r) / n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1))
+    got = threshold_success_known(V.CLASSIC, n, r)
+    assert abs(got - want) <= 1e-15 * want, (got, want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_threshold_success_against_enumeration(n):
     for variant in V:
@@ -258,6 +268,11 @@ def test_model_validation():
         Explicit(((1, 0.4), (2, 0.7)))
     with pytest.raises(ValueError):
         Explicit(((-1, 0.5), (2, 0.5)))
+    # every comparison with NaN is false, so a NaN mass passes a >= 0 test
+    # and makes the total NaN, which no tolerance test catches
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Explicit(((1, bad), (2, 1.0)))
     # k = 0 with explicit mass is allowed
     m = Explicit(((0, 0.25), (3, 0.75)))
     assert tail_prob(m, 1) == pytest.approx(0.75)

@@ -48,7 +48,8 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop.specfun import DEFAULT_POLICY, TruncationPolicy, harmonic_numbers
+from secstop import specfun
+from secstop.specfun import harmonic_numbers
 
 V = Variant
 
@@ -193,7 +194,7 @@ def test_poisson_step_probs_at_large_rates_against_mpmath(lam, r):
         assert abs(got - ref) < 1e-14 * ref, (name, got, float(ref))
 
 
-def _loop_poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy) -> float:
+def _loop_poisson_conditional(weights, lam: float, r: int) -> float:
     """E[w(X) | X >= r] for Poisson X via pmf-ratio series from k = r.
 
     Terms are normalized by pmf(r), so the conditioning survives r far above
@@ -202,7 +203,7 @@ def _loop_poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy)
     num = den = cn = cd = 0.0
     t = 1.0
     k = r
-    for _ in range(tp.max_terms):
+    for _ in range(specfun._MAX_TERMS):
         w = float(weights(k))
         y = t * w - cn
         s = num + y
@@ -213,7 +214,7 @@ def _loop_poisson_conditional(weights, lam: float, r: int, tp: TruncationPolicy)
         cd = (s - den) - y
         den = s
         ratio = lam / (k + 1.0)
-        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= tp.rel_tol * den:
+        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= specfun._REL_TOL * den:
             return num / den
         t *= ratio
         k += 1
@@ -233,7 +234,7 @@ def test_poisson_step_probs_match_the_loop_bit_for_bit():
                     (step_accept_prob(v, model, r), lambda k: accept_success_known(v, k, r)),
                     (step_reject_prob(v, model, r), lambda k: threshold_success_known(v, k, r)),
                 ):
-                    ref = _loop_poisson_conditional(weight, lam, r, DEFAULT_POLICY)
+                    ref = _loop_poisson_conditional(weight, lam, r)
                     assert got == ref, (v, lam, r, got, ref)
 
 
@@ -603,7 +604,7 @@ def _dispatched_best_cutoff(variant, model, r_max=None):
         if isinstance(model, (Known, Uniform)):
             r_max = model.n
         elif isinstance(model, Poisson):
-            r_max = poisson_k_max(model.lam, tp=model.tp)
+            r_max = poisson_k_max(model.lam)
         else:
             r_max = max(k for k, _ in model.items)
     curve = success_curve(variant, model, r_max)
@@ -937,3 +938,15 @@ def test_classic_curve_on_one_harmonic_table_bit_equal_to_two(model, r_maxes):
         got = success_curve(V.CLASSIC, model, r_max).values[1:]
         want = _whole_array_curve(V.CLASSIC, model, r_max)
         assert np.all(np.abs(got - want) <= _cancellation_bound(V.CLASSIC, model, len(want))), r_max
+
+
+@pytest.mark.parametrize("n, r_max", [(10**7, 3), (10**10, 3), (2000, None)])
+def test_classic_curve_below_the_first_support_point_against_mpmath(n, r_max):
+    # every step of these curves lies below the one support point n, where
+    # K comes from harmonic_gap and a suffix sum of 1/(s - 1), not a sum
+    # over n steps
+    c = success_curve(V.CLASSIC, Known(n), r_max)
+    with mpmath.workdps(50):
+        for r in range(1, min(c.r_max, n - 1) + 1):
+            want = mpmath.mpf(r) / n * (mpmath.harmonic(n - 1) - mpmath.harmonic(r - 1))
+            assert abs(c.values[r] - want) <= 1e-15 * want, r

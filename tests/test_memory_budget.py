@@ -48,6 +48,21 @@ def test_full_support_curve_budget(model, budget):
     assert _peak_units(lambda: success_curve(Variant.BEST_OR_WORST, model)) <= budget
 
 
+def test_classic_curve_below_the_support_allocates_no_array():
+    # Known(10^7) at r_max = 3: three steps below the one support point, from
+    # harmonic_gap and a two-point suffix sum, in well under 5 ms
+    def curve():
+        return success_curve(Variant.CLASSIC, Known(100 * N), 3)
+
+    assert _peak_units(curve) <= 0
+    times = []
+    for _ in range(20):
+        start = time.perf_counter()
+        curve()
+        times.append(time.perf_counter() - start)
+    assert statistics.median(times) < 5e-3
+
+
 def test_backward_induction_budget():
     # the DPPolicy holds A, C and the accept mask as arrays of the horizon;
     # the recursion's list of fresh floats, about 4 units, is its largest

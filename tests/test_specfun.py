@@ -22,10 +22,8 @@ from scipy import integrate, special, stats
 from secstop import specfun
 from secstop.core_model import poisson_k_max
 from secstop.specfun import (
-    DEFAULT_POLICY,
     EULER_GAMMA,
     TruncationError,
-    TruncationPolicy,
     digamma,
     ein_series,
     harmonic,
@@ -41,16 +39,6 @@ from secstop.specfun import (
     series,
     sinh_integral,
 )
-
-
-def test_truncation_policy_validation():
-    TruncationPolicy(rel_tol=1e-12, max_terms=100)
-    with pytest.raises(ValueError):
-        TruncationPolicy(rel_tol=1e-3)
-    with pytest.raises(ValueError):
-        TruncationPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_terms=10)
 
 
 def test_harmonic_small_values():
@@ -123,6 +111,22 @@ def test_harmonic_gap_within_its_error_bound():
             ref = mpmath.harmonic(a) - mpmath.harmonic(b)
             assert abs(d - ref) <= e, (a, b)
             assert e <= 1e-13 * max(1.0, ref)
+
+
+def test_harmonic_gap_inside_the_cache_against_mpmath():
+    # b < 1000 <= a <= 10^4 and short ranges below 1000: the cached sums
+    # cancel in their leading bits, and the carries give back the rest
+    rng = np.random.default_rng(13)
+    pairs = [(1001, 1000), (999, 998), (500, 499), (1002, 992), (2, 1), (10_000, 999)]
+    for _ in range(300):
+        a = int(rng.integers(1, 1050))
+        pairs.append((a, int(rng.integers(max(0, a - 50), min(a, 999) + 1))))
+        a = int(rng.integers(1, 10_001))
+        pairs.append((a, int(rng.integers(0, min(a, 999) + 1))))
+    with mpmath.workdps(50):
+        for a, b in pairs:
+            ref = mpmath.harmonic(a) - mpmath.harmonic(b)
+            assert abs(harmonic_gap(a, b)[0] - ref) <= 1e-15 * ref, (a, b)
 
 
 def test_harmonic_gap_ratio_is_exact():
@@ -317,9 +321,10 @@ def test_poisson_tail_head_at_large_rates_against_mpmath(lam):
         assert abs(poisson_tail(r, lam) - ref) <= 5e-11 * ref, (r, lam)
 
 
-def test_poisson_tail_truncation_error():
+def test_poisson_tail_truncation_error(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
     with pytest.raises(TruncationError):
-        poisson_tail(120, 100.0, TruncationPolicy(rel_tol=1e-15, max_terms=64))
+        poisson_tail(120, 100.0)
 
 
 def _ein(lam: float) -> float:
@@ -354,14 +359,14 @@ def test_sinh_integral_values():
         assert abs(sinh_integral(lam) - integral) < 1e-9 * max(1.0, integral)
 
 
-def test_series_respect_max_terms():
-    tight = TruncationPolicy(rel_tol=1e-15, max_terms=64)
+def test_series_respect_max_terms(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
     with pytest.raises(TruncationError):
-        ein_series(250.0, tight)
+        ein_series(250.0)
     with pytest.raises(TruncationError):
-        sinh_integral(500.0, tight)
+        sinh_integral(500.0)
     with pytest.raises(TruncationError):
-        series(1.0, lambda k: 250.0 / (k + 1.0), 1, tight, weight=lambda k: 0.5)
+        series(1.0, lambda k: 250.0 / (k + 1.0), 1, weight=lambda k: 0.5)
 
 
 def test_series_kernel():
@@ -379,7 +384,7 @@ def test_series_kernel():
 # the same bits wherever they return a value.
 
 
-def _loop_poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def _loop_poisson_tail(r: int, lam: float) -> float:
     """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam)."""
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -405,20 +410,20 @@ def _loop_poisson_tail(r: int, lam: float, tp: TruncationPolicy = DEFAULT_POLICY
     if term == 0.0:
         return 0.0  # leading term underflowed: the whole tail is < 1e-300
     k = r
-    for _ in range(tp.max_terms):
+    for _ in range(specfun._MAX_TERMS):
         y = term - c
         t = acc + y
         c = (t - acc) - y
         acc = t
         ratio = lam / (k + 1.0)
-        if term == 0.0 or (ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc):
+        if term == 0.0 or (ratio < 1.0 and term * ratio / (1.0 - ratio) < specfun._REL_TOL * acc):
             return acc
         term *= ratio
         k += 1
     raise TruncationError("poisson_tail did not converge under the policy")
 
 
-def _loop_ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def _loop_ein_integral(lam: float) -> float:
     """E(lam) = gamma + ln(lam) + integral_0^lam (e^x - 1)/x dx.
 
     The integral expands into sum_{k>=1} lam^k / (k * k!), all terms positive.
@@ -429,13 +434,13 @@ def _loop_ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> flo
     c = 0.0
     term = lam  # k = 1 term
     k = 1
-    for _ in range(tp.max_terms):
+    for _ in range(specfun._MAX_TERMS):
         y = term - c
         t = acc + y
         c = (t - acc) - y
         acc = t
         ratio = lam * k / ((k + 1.0) * (k + 1.0))
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < specfun._REL_TOL * acc:
             break
         term *= ratio
         k += 1
@@ -444,7 +449,7 @@ def _loop_ein_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> flo
     return EULER_GAMMA + math.log(lam) + acc
 
 
-def _loop_sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> float:
+def _loop_sinh_integral(lam: float) -> float:
     """S(lam) = integral_0^lam sinh(x)/x dx = sum_j lam^(2j+1)/((2j+1)(2j+1)!)."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -452,14 +457,14 @@ def _loop_sinh_integral(lam: float, tp: TruncationPolicy = DEFAULT_POLICY) -> fl
     c = 0.0
     term = lam  # j = 0
     j = 0
-    for _ in range(tp.max_terms):
+    for _ in range(specfun._MAX_TERMS):
         y = term - c
         t = acc + y
         c = (t - acc) - y
         acc = t
         m = 2 * j + 1
         ratio = lam * lam * m / ((m + 2.0) * (m + 2.0) * (m + 1.0))
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < tp.rel_tol * acc:
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < specfun._REL_TOL * acc:
             return acc
         term *= ratio
         j += 1
