@@ -28,7 +28,8 @@ _HARMONIC_EXACT_LIMIT = 10_000
 
 # Every infinite series stops once its estimated remainder is below _REL_TOL
 # times the sum (the Poisson support is cut where its tail is), and gives up
-# with TruncationError after _MAX_TERMS terms.  Read at call time.
+# with TruncationError after _MAX_TERMS terms.  Both are read at call time,
+# so a test can lower the cap to reach that error.
 _REL_TOL = 1e-15
 _MAX_TERMS = 1_000_000
 
@@ -311,7 +312,8 @@ def series(term: float, ratio, k: int = 0, weight=None) -> float:
 
     Both sums are Kahan-compensated.  The series stops once a term is 0, or
     once ratio(k) = q < 1 bounds the remaining tail, term q/(1 - q), below
-    1e-15 times the sum; TruncationError after 10^6 terms.
+    _REL_TOL = 1e-15 times the sum; TruncationError after _MAX_TERMS = 10^6
+    terms.
     With weight, a term past 2^900 rescales the term, both sums and their
     carries by the exact 2^-900, so conditional series, whose terms reach
     lam^(k-r) r!/k!, do not overflow; below 2^900 no bit changes.

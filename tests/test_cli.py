@@ -71,6 +71,34 @@ def test_pmf_table_needs_exact_header(tmp_path):
         cli.parse_model(f"table:{path}")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # every comparison with NaN is false, so the mass passed as valid
+        ("1,nan\n2,1.0\n", "bad.csv: probabilities must be finite"),
+        # the second row of k = 3 overwrote the first: a mass of 1.5 ran
+        ("3,0.5\n3,0.5\n5,0.5\n", "bad.csv:3: k = 3 repeats line 2"),
+    ],
+)
+def test_pmf_table_rejects_nan_masses_and_repeated_k(tmp_path, capsys, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("k,p\n" + rows)
+    with pytest.raises(cli.ModelSpecError, match=message):
+        cli.parse_model(f"table:{path}")
+    for argv in (("cutoff", "--variant", "bw"), ("dp", "--variant", "classic")):
+        code, out, err = run(capsys, *argv, "--model", f"table:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_pmf_table_errors_name_the_file_once(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("k,p\n1,0.5,7\n")
+    with pytest.raises(cli.ModelSpecError) as info:
+        cli.parse_model(f"table:{path}")
+    assert str(info.value) == f"{path}:2: expected two fields"
+
+
 # ----------------------------------------------------------------- cutoff
 
 def test_cutoff_known_even(capsys):
@@ -459,6 +487,24 @@ def test_exit_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "cutoff", "--variant", "bw")[0] == 2  # missing --model
     assert run(capsys, "verify", "sorcery")[0] == 2
+
+
+@pytest.mark.parametrize("flag", ["--rel-tol", "--max-terms"])
+def test_truncation_flags_are_gone(capsys, flag):
+    # the series tail bound and term cap are constants of specfun
+    for argv in (
+        ("cutoff", "--variant", "bw", "--model", "known:n=5"),
+        ("curve", "--variant", "bw", "--model", "known:n=5"),
+        ("simulate", "--variant", "bw", "--model", "known:n=5", "--cutoff", "1", "--trials", "10"),
+        ("dp", "--variant", "bw", "--model", "known:n=5"),
+        ("verify", "constants"),
+        ("table",),
+        ("convergents", "--constant", "einv"),
+        ("scan-failures", "--estimator", "affinetheta", "--from", "2", "--to", "3"),
+    ):
+        code, out, err = run(capsys, *argv, flag, "64")
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 64" in err, argv
 
 
 def test_exit_numeric_failure(capsys, monkeypatch):

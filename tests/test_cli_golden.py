@@ -1,10 +1,12 @@
-"""Golden stdout of the command-line surface.
+"""Golden stdout, stderr and exit codes of the command-line surface.
 
-Each command runs in process through `cli.main`, from the repository root,
-and its stdout bytes and exit code must equal the files under
-`tests/golden/`.  The commands are the cli-session workload of the
-benchmark at seed 1 (`bench/workloads.py::cli_session_specs`) plus a curve
-on a support of 10^10.  A change that means to alter a printed line
+Each command runs in process through `cli.main`, from the repository root
+with an 80-column terminal, and its stdout bytes, stderr bytes and exit code
+must equal the files under `tests/golden/`.  The commands are the
+cli-session workload of the benchmark at seed 1
+(`bench/workloads.py::cli_session_specs`), curves on a support of 10^10, and
+the error paths of bad input, each of which must exit with its code and one
+message, never a traceback.  A change that means to alter a printed line
 rewrites the files and so shows as a diff of them:
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -14,9 +16,10 @@ import importlib.util
 import json
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -25,28 +28,43 @@ from secstop import cli
 _ROOT = Path(__file__).resolve().parents[1]
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
+_MORE_COMMANDS = [
+    "curve --variant bw --model known:n=10000000000 --rmax 3",
+    # a removed flag: a usage error
+    "cutoff --variant bw --model poisson:lambda=5 --rel-tol 1e-12",
+    # a NaN mass and a repeated k
+    "cutoff --variant bw --model table:tests/data/nan_mass.csv",
+    "dp --variant classic --model table:tests/data/repeated_k.csv",
+    # 10^18 rates, 5*10^10 trial-steps and a negative rate: refused up front
+    "curve --variant bw --sweep lambda --from 1 --to 1e18 --step 1",
+    "simulate --variant bw --model uniform:n=100000 --cutoff 10 --trials 1000000",
+    "cutoff --variant bw --model poisson:lambda=-1",
+    # three steps below the one support point, without a table of 10^10
+    "curve --variant classic --model known:n=10000000000 --rmax 3",
+]
+
 
 def _commands() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location("bench_workloads", _ROOT / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     argvs = [s["argv"] for s in module.cli_session_specs(1)]
-    return argvs + [["curve", "--variant", "bw", "--model", "known:n=10000000000", "--rmax", "3"]]
+    return argvs + [c.split() for c in _MORE_COMMANDS]
 
 
 _COMMANDS = _commands()
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
-    out = StringIO()
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
     cwd = os.getcwd()
     os.chdir(_ROOT)
     try:
-        with redirect_stdout(out):
+        with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _stdout_file(i: int) -> Path:
@@ -57,16 +75,23 @@ def _exit_codes() -> dict:
     return json.loads((_GOLDEN / "exit_codes.json").read_text())
 
 
+def _stderr() -> dict:
+    return json.loads((_GOLDEN / "stderr.json").read_text())
+
+
 @pytest.mark.parametrize("i", range(len(_COMMANDS)), ids=[" ".join(a) for a in _COMMANDS])
 def test_stdout_and_exit_code_equal_the_golden_files(i):
-    code, out = _run(_COMMANDS[i])
-    want = _exit_codes()[" ".join(_COMMANDS[i])]
-    assert code == want
+    # and stderr: the name is kept from before stderr was pinned
+    code, out, err = _run(_COMMANDS[i])
+    key = " ".join(_COMMANDS[i])
+    assert code == _exit_codes()[key]
     assert out.encode() == _stdout_file(i).read_bytes()
+    assert err.encode() == _stderr()[key].encode()
 
 
 def test_every_golden_file_has_a_command():
-    assert set(_exit_codes()) == {" ".join(a) for a in _COMMANDS}
+    keys = {" ".join(a) for a in _COMMANDS}
+    assert set(_exit_codes()) == keys and set(_stderr()) == keys
     assert sorted(p.name for p in _GOLDEN.glob("*.out")) == [_stdout_file(i).name for i in range(len(_COMMANDS))]
 
 
@@ -74,9 +99,11 @@ if __name__ == "__main__":
     _GOLDEN.mkdir(exist_ok=True)
     for stale in _GOLDEN.glob("*.out"):
         stale.unlink()
-    codes = {}
+    codes, errs = {}, {}
     for i, argv in enumerate(_COMMANDS):
-        codes[" ".join(argv)], out = _run(argv)
+        key = " ".join(argv)
+        codes[key], out, errs[key] = _run(argv)
         _stdout_file(i).write_bytes(out.encode())
     (_GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
+    (_GOLDEN / "stderr.json").write_text(json.dumps(errs, indent=1) + "\n")
     sys.exit(0)
