@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from secstop import specfun
 from secstop.core_model import (
     Explicit,
     Known,
@@ -48,7 +49,6 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop import specfun
 from secstop.specfun import harmonic_numbers
 
 V = Variant
