@@ -6,7 +6,8 @@ digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
 error; 3 numeric failure (a series past its cap of 10^6 terms, a lost
-bracket) or out of memory.
+bracket, a pmf whose float masses miss 1 by more than a table allows) or out
+of memory.
 """
 
 from __future__ import annotations

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-import numpy as np
-
 from . import specfun
-from .specfun import harmonic_gap, poisson_pmf_array, poisson_tail
+from .specfun import harmonic_gap, np, poisson_pmf_array, poisson_tail
 
 
 class Variant(str, Enum):
@@ -66,6 +64,16 @@ class Poisson:
             raise ValueError("Poisson model needs lam > 0")
 
 
+# how far the masses of an explicit pmf may sum from 1
+_MASS_TOL = 1e-12
+
+
+class PmfMassError(RuntimeError):
+    """A count model's pmf, evaluated in floats, misses total mass 1 by more
+    than an explicit table may: a numeric limit of the model (the log-space
+    Poisson pmf at rates in the thousands), not bad input."""
+
+
 @dataclass(frozen=True)
 class Explicit:
     """Arbitrary pmf on non-negative integer counts.
@@ -86,8 +94,8 @@ class Explicit:
             raise ValueError("support points must be >= 0")
         if not all(math.isfinite(p) and p >= 0.0 for p in ps):
             raise ValueError("probabilities must be finite and >= 0")
-        if abs(sum(ps) - 1.0) > 1e-12:
-            raise ValueError("probabilities must sum to 1 within 1e-12")
+        if abs(sum(ps) - 1.0) > _MASS_TOL:
+            raise ValueError(f"probabilities must sum to 1 within {_MASS_TOL:g}")
         object.__setattr__(self, "items", tuple(sorted(self.items)))
 
 
@@ -146,13 +154,19 @@ def truncate_to_explicit(model: CountModel) -> Explicit:
 
     Mass-preserving, so unconditional success probabilities computed against
     the result match the original model up to the folded tail's contribution.
+    PmfMassError where the model's masses sum to 1 less closely than
+    `Explicit` allows.
     """
     ks, ps = support(model)
     # fold p(X > top), 0 for finite tables, not 1 - sum(head): for Poisson the
     # head sum's rounding (~1e-15) would dwarf the true tail (~1e-60) and plant
     # a phantom atom that poisons conditional tails
     ps[-1] += tail_prob(model, int(ks[-1]) + 1)
-    return Explicit(tuple((int(k), float(p)) for k, p in zip(ks, ps)))
+    items = tuple((int(k), float(p)) for k, p in zip(ks, ps))
+    err = sum(p for _, p in items) - 1.0
+    if abs(err) > _MASS_TOL:
+        raise PmfMassError(f"the pmf of {model} sums to 1 {err:+.1e} in floats; a table allows {_MASS_TOL:g}")
+    return Explicit(items)
 
 
 # nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST

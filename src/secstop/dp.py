@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
 from .core_model import (
     CountModel,
     Poisson,
@@ -41,6 +39,7 @@ from .core_model import (
     support,
 )
 from .exact import _TIE_REL, SuffixMoments
+from .specfun import np
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,8 @@ The central object is the cutoff -> success-probability curve
 F(0) is sum_k p(k) nu_k.  For r >= 1 all three rules share one shape of
 positive terms, F(r) = c r K(r + 1) with K a suffix sum over the integer
 steps (`SuffixMoments.cutoff_values`), so a curve costs O(support + r_max)
-and nothing is subtracted.  The suffix sums live in one place,
+and nothing is subtracted; a two-sided prefix of a Uniform curve reads its
+T(s) and K in closed form and costs O(r_max).  The suffix sums live in one place,
 SuffixMoments, which the curve, the step probabilities on finite tables and
 the backward induction in `dp` read.  They are compensated, and every curve
 value is within 1e-13 of exact rationals (1.5 ulp at 10^6 points).  On top
@@ -29,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .core_model import (
     _NICE_FIRST,
     _NICE_NUMERATOR,
@@ -48,11 +47,11 @@ from .core_model import (
     threshold_success_known,
 )
 from .specfun import (
-    digamma,
     harmonic,
     harmonic_form_sign,
     harmonic_gap,
     harmonic_gap_ratio,
+    np,
     poisson_pmf,
     poisson_pmf_array,
     series,
@@ -255,15 +254,15 @@ def _poisson_conditional(weights, lam: float, r: int) -> float:
 def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
     """(sum_{k=r..n} 1/k, sum_{k=r..n-1} (n-k)/k) for 1 <= r <= n.
 
-    The digamma forms psi(n+1) - psi(r) and r - n + n(psi(n) - psi(r))
-    cancel as r nears n; the second is off by 1e-12 relative at r = 0.95n
-    and 6.6e-4 at r = n - 1 for n = 10^6, and by up to 2e-13 at r = 7n/8
-    for n in 10^4..10^7.  Within n/8 of n the short sums are added directly.
+    The forms H_n - H_{r-1} and n(H_{n-1} - H_{r-1}) - (n - r) take the
+    harmonic differences from `harmonic_gap`, which does not cancel; the
+    second still cancels as r nears n (by a factor 2n/(n - r)), so within
+    n/8 of n the short sums are added directly.
     """
     if 8 * (n - r) <= n:
         k = np.arange(r, n + 1, dtype=float)
         return float(np.sum(1.0 / k)), float(np.sum((n - k) / k))
-    return digamma(n + 1) - digamma(r), r - n + n * (digamma(n) - digamma(r))
+    return harmonic_gap(n, r - 1)[0], n * harmonic_gap(n - 1, r - 1)[0] - (n - r)
 
 
 def _table_step(model: CountModel, r: int) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
@@ -318,22 +317,47 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
     return float(mom.cutoff_values(variant, t, np.empty(1))[0] / S[0])
 
 
+def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.ndarray:
+    """F(0), ..., F(r_max) for a two-sided rule on Uniform(n), r_max < n,
+    without the support: F(0) from `_closed_value`, and F(r) = c r K(r + 1)
+    with the steps' T(s) = U2(s) = (n - s + 1)/(n^2 (s - 1)) in closed form.
+    K(a) at a = r_max + 2 is sum_{k=a-1..n-1} (n - k)/k / n^2 from
+    `_uniform_tail_sums`, and below a, K is a `_suffix` of T over the steps
+    2..a - 1 lifted by K(a): O(r_max) time and memory."""
+    n = model.n
+    values = np.empty(r_max + 1)
+    values[0] = _closed_value(variant, model, 0)
+    s = np.arange(2.0, r_max + 2.0)
+    T = np.subtract(n + 1, s)
+    T /= np.subtract(s, 1.0, out=s)
+    T /= n * n
+    K = SuffixMoments._suffix(T)[:r_max]  # K(2), ..., K(r_max + 1) less K(a)
+    K += _uniform_tail_sums(r_max + 1, n)[1] / (n * n)
+    np.multiply(K, s, out=values[1:])  # s holds r = 1..r_max
+    values[1:] *= _TWO_SIDED[variant]
+    return values
+
+
 def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:
     """F(r) for r = 0..r_max (default: the top of the support): F(0) =
     sum_k p(k) nu_k, a dot over the support, and F(r) = c r K(r + 1) past
-    it (`SuffixMoments.cutoff_values`)."""
+    it (`SuffixMoments.cutoff_values`).  A two-sided prefix of a Uniform
+    curve, r_max < n, takes `_uniform_prefix_curve` instead."""
     if r_max is not None and r_max < 0:
         raise ValueError("r_max must be >= 0")
-    mom = SuffixMoments(model, min_k=r_max or 0)
-    if r_max is None:
-        r_max = int(mom.ks[-1])
-    values = np.zeros(r_max + 1)
-    nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
-    values[0] = float(np.dot(nu, mom.ps))
-    if r_max >= 1:
-        mom.cutoff_values(variant, np.arange(1, r_max + 1, dtype=float), values[1:])
+    if isinstance(model, Uniform) and variant is not Variant.CLASSIC and r_max is not None and r_max < model.n:
+        values, terms = _uniform_prefix_curve(variant, model, r_max), model.n
+    else:
+        mom = SuffixMoments(model, min_k=r_max or 0)
+        if r_max is None:
+            r_max = int(mom.ks[-1])
+        values, terms = np.zeros(r_max + 1), len(mom.ks)
+        nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
+        values[0] = float(np.dot(nu, mom.ps))
+        if r_max >= 1:
+            mom.cutoff_values(variant, np.arange(1, r_max + 1, dtype=float), values[1:])
     np.clip(values, 0.0, 1.0, out=values)
-    return SuccessCurve(variant, model, r_max, values, truncation_terms_used=len(mom.ks))
+    return SuccessCurve(variant, model, r_max, values, truncation_terms_used=terms)
 
 
 def closed_form_uniform(r: int, n: int) -> float:

@@ -18,10 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core_model import CountModel, Poisson, ThresholdPolicy, Uniform, Variant, support
-from .specfun import poisson_tail
+from .specfun import np, poisson_tail
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

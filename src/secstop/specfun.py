@@ -9,15 +9,35 @@ TruncationError rather than return a short sum.  Two tables grow once per
 process and are sliced by every later call: the compensated harmonic numbers
 H_0..H_10^4 and ln k! = lgamma(k + 1), which `poisson_pmf_array` reads
 instead of rebuilding it per call.
+
+numpy is imported on first use: `np` here is the package's one binding of
+it, and a command that stays on the scalar paths never loads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from array import array
 from decimal import Context, Decimal, localcontext
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy as it is in sys.modules, or a module that imports it on its
+    first attribute access (`importlib.util.LazyLoader`); either way the
+    object that `import numpy` gives from then on."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -279,19 +299,20 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(poisson_log_pmf(k, lam))
 
 
-# Growing cache of ln k! = lgamma(k + 1.0) for k = 0, 1, ...; each value is
-# math.lgamma's own, so slicing it gives the bits of a per-call table.
-_LN_FACT = np.zeros(1)
+# Growing cache of ln k! = lgamma(k + 1.0) for k = 0, 1, ..., built on first
+# use; each value is math.lgamma's own, so slicing it gives the bits of a
+# per-call table.
+_LN_FACT = None
 
 
 def _log_factorials(k_max: int) -> np.ndarray:
     """[ln 0!, ..., ln k_max!], a view into the process-wide cache."""
     global _LN_FACT
     table = _LN_FACT  # sliced below even if another thread swaps the cache
-    have = len(table)
+    have = 0 if table is None else len(table)
     if k_max >= have:
         more = np.fromiter(map(math.lgamma, range(have + 1, k_max + 2)), float, k_max + 1 - have)
-        table = _LN_FACT = np.concatenate([table, more])
+        table = _LN_FACT = more if table is None else np.concatenate([table, more])
     return table[: k_max + 1]
 
 
@@ -350,7 +371,7 @@ def poisson_tail(r: int, lam: float) -> float:
     if r <= lam + 1.0:
         # complement of a short head sum: better conditioned than the tail
         term = math.exp(-lam)
-        if term < np.finfo(float).tiny:
+        if term < sys.float_info.min:
             # exp(-lam) is subnormal or 0 (lam > 708.4): sum down from k = r - 1
             return max(0.0, 1.0 - series(poisson_pmf(r - 1, lam), lambda j: (r - 1 - j) / lam))
         acc = 0.0

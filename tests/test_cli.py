@@ -203,6 +203,18 @@ def test_curve_uniform_csv(capsys):
     assert max(vals) == pytest.approx(rep.prob, abs=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["bw", "pd"])
+def test_curve_uniform_prefix_past_any_support_array(variant):
+    # four cutoffs of Uniform(10^9) from closed forms; building its support
+    # was killed for lack of memory, so it runs under the 2 GB limit only
+    argv = ["curve", "--variant", variant, "--model", "uniform:n=1000000000", "--rmax", "3", "--format", "csv"]
+    done = _run_limited(argv)
+    assert done.returncode == 0, done.stderr
+    rows = parse_csv(done.stdout)
+    assert [r["r"] for r in rows] == ["0", "1", "2", "3"]
+    assert float(rows[1]["F"]) == pytest.approx({"bw": 4.0600963e-08, "pd": 2.0300482e-08}[variant], rel=1e-7)
+
+
 def test_curve_lambda_sweep(capsys):
     code, out, _ = run(
         capsys, "curve", "--variant", "bw", "--sweep", "lambda",
@@ -364,6 +376,15 @@ def test_dp_poisson_truncates_and_matches_curve(capsys):
     assert rec["is_threshold"] == "true" and rec["threshold"] == "2"
     rep = best_cutoff(Variant.BEST_OR_WORST, Poisson(5.0))
     assert float(rec["value"]) == pytest.approx(rep.prob, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam, drift", [("3000", "-2.7e-12"), ("10000", "+8.9e-12"), ("100000", "+1.9e-11")])
+def test_dp_poisson_mass_drift_is_a_numeric_failure(capsys, lam, drift):
+    # the model is valid; its log-space pmf sums to 1 only within the drift
+    # named, past what a table allows: exit 3, where it was "error:" and 2
+    code, out, err = run(capsys, "dp", "--variant", "bw", "--model", f"poisson:lambda={lam}")
+    assert code == 3 and out == ""
+    assert err == f"numeric failure: the pmf of Poisson(lam={float(lam)}) sums to 1 {drift} in floats; a table allows 1e-12\n"
 
 
 # ------------------------------------------------------------------ table
@@ -534,6 +555,65 @@ def test_cli_loads_no_test_only_package():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _fresh(code, *argv):
+    """`python -c code argv...` in a fresh interpreter that imports this
+    secstop."""
+    src = str(Path(secstop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+# runs one command, then writes to stderr the numpy submodules it loaded; a
+# lazy top-level `numpy` entry that was never touched loads none of them
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from secstop.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('numpy.'))))\n"
+)
+
+# the commands of the benchmark's cli-session whose exact answers are
+# closed forms and scalar bisections
+_SCALAR_COMMANDS = [
+    "cutoff --variant bw --model uniform:n=1000000",
+    "cutoff --variant classic --model known:n=237",
+    "convergents --constant einv",
+    "convergents --constant theta",
+    "scan-failures --estimator affinetheta --from 2 --to 3000",
+    "verify failures",
+    "verify convergents",
+]
+
+
+@pytest.mark.parametrize("command", _SCALAR_COMMANDS)
+def test_scalar_commands_load_no_numpy(command):
+    done = _fresh(_NUMPY_PROBE, *command.split())
+    assert done.stdout and done.stderr == "[]", done.stderr[-500:]
+
+
+def test_an_array_command_loads_numpy():
+    done = _fresh(_NUMPY_PROBE, "curve", "--variant", "bw", "--model", "poisson:lambda=5")
+    assert "'numpy._core'" in done.stderr
+
+
+def test_numpy_imported_first_is_the_package_binding():
+    # the binding reuses an imported numpy, and a numpy imported after
+    # secstop is the binding, loaded on first use
+    first = _fresh("import types, numpy, secstop.specfun as s; print(s.np is numpy, type(numpy) is types.ModuleType)")
+    after = _fresh("import secstop.specfun as s, numpy; print(s.np is numpy, int(numpy.arange(4).sum()))")
+    assert first.stdout.split() == ["True", "True"], first.stderr
+    assert after.stdout.split() == ["True", "6"], after.stderr
+
+
+def test_scalar_then_array_command_in_one_process_prints_what_two_print():
+    scalar = ["cutoff", "--variant", "bw", "--model", "uniform:n=1000000"]
+    array = ["curve", "--variant", "bw", "--model", "poisson:lambda=5"]
+    one = "from secstop.cli import main\n" + "".join(f"main({a!r})\n" for a in (scalar, array))
+    apart = [_fresh("import sys\nfrom secstop.cli import main\nmain(sys.argv[1:])\n", *a).stdout for a in (scalar, array)]
+    assert apart[0] and apart[1]
+    assert _fresh(one).stdout == apart[0] + apart[1]
 
 
 def test_help_exits_zero(capsys):

@@ -6,8 +6,10 @@ must equal the files under `tests/golden/`.  The commands are the
 cli-session workload of the benchmark at seed 1
 (`bench/workloads.py::cli_session_specs`), curves on a support of 10^10, and
 the error paths of bad input, each of which must exit with its code and one
-message, never a traceback.  A change that means to alter a printed line
-rewrites the files and so shows as a diff of them:
+message, never a traceback.  A command on a model of n >= 10^9 runs in a
+child process under a 2 GB address-space limit, so that a path that built
+an array of n floats fails fast instead of exhausting the machine's memory.  A change that means to alter a printed line rewrites the files and
+so shows as a diff of them:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -15,6 +17,8 @@ rewrites the files and so shows as a diff of them:
 import importlib.util
 import json
 import os
+import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -41,7 +45,18 @@ _MORE_COMMANDS = [
     "cutoff --variant bw --model poisson:lambda=-1",
     # three steps below the one support point, without a table of 10^10
     "curve --variant classic --model known:n=10000000000 --rmax 3",
+    # a valid rate whose float pmf misses mass 1 by 2.7e-12: a numeric failure
+    "dp --variant bw --model poisson:lambda=3000",
+    # four cutoffs of Uniform(10^9) from closed forms, without its support
+    "curve --variant pd --model uniform:n=1000000000 --rmax 3",
 ]
+
+_LIMITED_CHILD = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    "from secstop.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
 
 
 def _commands() -> list[list[str]]:
@@ -55,7 +70,18 @@ def _commands() -> list[list[str]]:
 _COMMANDS = _commands()
 
 
+def _huge(argv: list[str]) -> bool:
+    """A model of n >= 10^9, ten digits or more."""
+    return any(re.search(r":n=\d{10,}$", a) for a in argv)
+
+
 def _run(argv: list[str]) -> tuple[int, str, str]:
+    if _huge(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), COLUMNS="80",
+                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv], cwd=_ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
     out, err = StringIO(), StringIO()
     cwd = os.getcwd()
     os.chdir(_ROOT)

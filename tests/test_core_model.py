@@ -16,6 +16,7 @@ from secstop.core_model import (
     Explicit,
     Known,
     KnownOptimum,
+    PmfMassError,
     Poisson,
     ThresholdPolicy,
     Uniform,
@@ -303,6 +304,14 @@ def test_truncate_to_explicit_preserves_mass():
     # tail probabilities agree with the live model away from the fold point
     for r in (1, 3, 8):
         assert tail_prob(m, r) == pytest.approx(tail_prob(Poisson(6.0), r), abs=1e-12)
+
+
+def test_truncate_to_explicit_names_a_pmf_that_drifts_from_mass_one():
+    # a numeric limit of a valid model, so a RuntimeError (CLI exit 3), not
+    # the ValueError of a bad table
+    with pytest.raises(PmfMassError, match=r"Poisson\(lam=3000\.0\) sums to 1 -2\.7e-12 in floats") as info:
+        truncate_to_explicit(Poisson(3000.0))
+    assert isinstance(info.value, RuntimeError) and not isinstance(info.value, ValueError)
 
 
 def test_report_types_round_trip():

@@ -1,5 +1,6 @@
 """Backward induction vs. closed forms, curve maxima, and brute force."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,30 @@ def test_poisson_dp_matches_best_cutoff(variant, lam):
     assert pol.is_threshold
     assert pol.threshold == rep.cutoff
     assert pol.value == pytest.approx(rep.prob, abs=1e-12)
+
+
+# n in [10^4, 2*10^5], drawn once, and the first n where the curve argmax's
+# tie band had moved the cutoff
+_AGREEMENT_NS = sorted(random.Random(14).sample(range(10**4, 2 * 10**5 + 1), 11)) + [48_205]
+
+
+@pytest.mark.parametrize("n", _AGREEMENT_NS)
+def test_induction_threshold_equals_the_certified_cutoff(n):
+    # dp's threshold against best_cutoff's M from the sign of the difference
+    cases = [(v, Known(n)) for v in Variant] + [(v, Uniform(n)) for v in (Variant.BEST_OR_WORST, Variant.POSTDOC)]
+    for variant, model in cases:
+        assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff, (variant, model)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="dp accepts where A(t) >= C(t) - 1e-12 C(t), a tie band (ROADMAP item 3); "
+    "it gives 204615, the certified M is 204616",
+)
+@pytest.mark.parametrize("variant", [Variant.BEST_OR_WORST, Variant.POSTDOC])
+def test_induction_threshold_at_the_knife_edge_of_1007027(variant):
+    model = Uniform(1_007_027)
+    assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff
 
 
 def test_poisson_requires_truncation():

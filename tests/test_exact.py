@@ -39,6 +39,7 @@ from secstop.dp import backward_induction
 from secstop.exact import (
     ConditioningError,
     SuffixMoments,
+    _closed_value,
     _exact_value,
     best_cutoff,
     closed_form_uniform,
@@ -89,8 +90,8 @@ def test_step_reject_uniform_values():
 
 @pytest.mark.parametrize("n", [1, 2, 10, 57, 1000, 20000])
 def test_uniform_step_accept_closed_form_matches_direct_sum(n):
-    # r runs across the switch between the digamma form and the short tail
-    # sums at n - r = n/8
+    # r runs across the switch between the harmonic-gap form and the short
+    # tail sums at n - r = n/8
     for r in sorted({1, 2, n // 2, n - n // 8 - 1, n - n // 8, n - 1, n} & set(range(1, n + 1))):
         direct = math.fsum(r / k for k in range(r, n + 1)) / (n + 1 - r)
         for variant in (V.CLASSIC, V.BEST_OR_WORST):
@@ -108,7 +109,7 @@ def _uniform_step_refs(r, n):
 
 @pytest.mark.parametrize("r", [1, 500_000, 950_000, 990_000, 999_999, 1_000_000])
 def test_uniform_step_probs_large_n_against_mpmath(r):
-    # near r = n the digamma differences cancel; the values must hold anyway
+    # near r = n the harmonic differences cancel; the values must hold anyway
     n = 10**6
     accept, reject = _uniform_step_refs(r, n)
     want = {
@@ -622,7 +623,14 @@ def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(varia
     models += _MIXED_MODELS + [Poisson(lam) for lam in _PINNED_RATES]
     for model in models:
         for r_max in (0, 5):
-            assert success_curve(variant, model, r_max).value(0) == _first_array_f0(variant, model, r_max)
+            f0 = success_curve(variant, model, r_max).value(0)
+            if isinstance(model, Uniform) and variant is not V.CLASSIC and r_max < model.n:
+                # a two-sided Uniform prefix reads no support: F(0) is the
+                # closed form of best_cutoff, within 1 eps of the exact value
+                assert f0 == _closed_value(variant, model, 0), model
+                assert abs(Fraction(f0) - _exact_value(variant, model, 0)) <= _EPS * f0, model
+            else:
+                assert f0 == _first_array_f0(variant, model, r_max)
         rep = best_cutoff(variant, model)
         m, p = _dispatched_best_cutoff(variant, model)
         if isinstance(model, Known) or (isinstance(model, Uniform) and variant is not V.CLASSIC):

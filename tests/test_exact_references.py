@@ -191,6 +191,24 @@ def test_curve_against_mpmath(variant, model):
             assert _close(values[r], want), (r, values[r], float(want))
 
 
+# n and r_max of the two-sided Uniform prefixes: K(r_max + 2) comes from
+# the closed form, on either side of its switch to direct sums at n - r = n/8
+_PREFIXES = [(7, 3), (3000, 5), (3000, 2999), (10**6, 4321), (10**6, 865_000), (10**6, 874_997),
+             (10**6, 875_003), (10**9, 3), (10**9, 4321)]
+
+
+@pytest.mark.parametrize("variant", [V.BEST_OR_WORST, V.POSTDOC])
+@pytest.mark.parametrize("n, r_max", _PREFIXES)
+def test_uniform_prefix_curve_against_references(variant, n, r_max):
+    values = success_curve(variant, Uniform(n), r_max).values
+    ref = _Closed(Uniform(n), exact=n <= 3000)
+    with mpmath.workdps(50):
+        assert _close(values[0], (_C[variant] * ref.H(n) - 1) * ref.q(1, n))
+        for r in sorted({1, 2, r_max // 2, r_max - 1, r_max}):
+            want = ref.F(variant, r)
+            assert _close(values[r], want), (r, values[r], float(want))
+
+
 # ------------------------------------------------------ (a) step probabilities
 
 _TABLES = [Known(n) for n in (2, 7, 300, 3000)] + _MIXED_MODELS

@@ -63,6 +63,14 @@ def test_classic_curve_below_the_support_allocates_no_array():
     assert statistics.median(times) < 5e-3
 
 
+def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
+    # a two-sided prefix of Uniform(10^6) at r_max = 10^4 from closed forms:
+    # r, T, its suffix sum and the values peak at about 5.7 arrays of r_max,
+    # 0.57 units; one array of n is 10 units
+    r_max = N // 10
+    assert _peak_units(lambda: success_curve(Variant.POSTDOC, Uniform(10 * N), r_max)) <= 6 * r_max / N
+
+
 def test_backward_induction_budget():
     # the DPPolicy holds A, C and the accept mask as arrays of the horizon;
     # the recursion's list of fresh floats, about 4 units, is its largest
