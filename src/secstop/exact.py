@@ -42,7 +42,6 @@ from .core_model import (
     Variant,
     accept_success_known,
     nice_probabilities,
-    poisson_k_max,
     support,
     threshold_success_known,
 )
@@ -53,7 +52,6 @@ from .specfun import (
     harmonic_gap_ratio,
     np,
     poisson_pmf,
-    poisson_pmf_array,
     series,
 )
 
@@ -204,7 +202,8 @@ class SuffixMoments:
         tables are constant, so K(t) = K(a) + (a - t) U2(a) for the two-sided
         rules and K(a) + U1(a) (H_{a-2} - H_{t-2}) for classic, that gap
         taken from `harmonic_gap` at the last step below a and lifted by a
-        `_suffix` of 1/(s - 1) under it: Known(n) costs O(r_max), not O(n)."""
+        `_suffix` of 1/(s - 1) under it: Known(n) costs O(r_max), not O(n),
+        and Poisson the length of its mass window."""
         t0, top = int(r[0]) + 1, int(self.ks[-1])
         classic = variant is Variant.CLASSIC
         table = self.U1 if classic else self.U2  # built before the scratch holds T
@@ -383,9 +382,8 @@ def poisson_smoothing_coefficients(lam: float) -> tuple[float, float]:
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    k_max = poisson_k_max(lam)
-    p = poisson_pmf_array(lam, k_max)[2:]
-    k = np.arange(2, k_max + 1, dtype=float)
+    ks, p = support(Poisson(lam))
+    k, p = ks[ks >= 2].astype(float), p[ks >= 2]
     return float(np.sum(p / (k - 1.0))), float(np.sum(p / (k * (k - 1.0))))
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_model import Known, Poisson, Uniform, Variant, pbw_known, poisson_k_max
+from .core_model import Known, Poisson, Uniform, Variant, pbw_known, support
 from .estimate import (
     EstimatorId,
     integer_estimate,
@@ -32,7 +32,7 @@ from .estimate import (
     uniform_cutoff_estimates,
 )
 from .exact import best_cutoff, poisson_fstar_and_f, positive_cutoff
-from .specfun import poisson_pmf_array, sinh_integral
+from .specfun import sinh_integral
 
 
 # ------------------------------------------------------ continued fractions
@@ -195,11 +195,11 @@ class AsymptoteReport:
 def _mixture_series(lam: float) -> float:
     """Sum_k P_bw(k) pmf(k): success when the realized count is revealed and
     each k is played at its own optimum floor(k/2)."""
-    k_max = poisson_k_max(lam)
-    p = poisson_pmf_array(lam, k_max)
+    ks, p = support(Poisson(lam))
     total = 0.0
-    for k in range(1, k_max + 1):
-        total += pbw_known(k).p_bw * p[k]
+    for k, pk in zip(ks.tolist(), p.tolist()):
+        if k:
+            total += pbw_known(k).p_bw * pk
     return total
 
 

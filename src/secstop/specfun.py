@@ -5,10 +5,11 @@ Poisson tail, I(lam), the sinh integral and the conditional expectations of
 `exact`) goes through one kernel, `series`: a Kahan-compensated sum of
 positive terms t_{k+1} = t_k * ratio(k), stopped by one rule, a relative
 tail bound of 1e-15, and capped at 10^6 terms, past which it raises
-TruncationError rather than return a short sum.  Two tables grow once per
-process and are sliced by every later call: the compensated harmonic numbers
-H_0..H_10^4 and ln k! = lgamma(k + 1), which `poisson_pmf_array` reads
-instead of rebuilding it per call.
+TruncationError rather than return a short sum.  The compensated harmonic
+numbers H_0..H_10^4 are one table that grows once per process and is sliced
+by every later call.  `poisson_pmf_array` takes ln k! = lgamma(k + 1) over
+the window of k it is asked for, so a Poisson table costs the length of its
+window, not of 0..k_max.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -299,31 +300,15 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(poisson_log_pmf(k, lam))
 
 
-# Growing cache of ln k! = lgamma(k + 1.0) for k = 0, 1, ..., built on first
-# use; each value is math.lgamma's own, so slicing it gives the bits of a
-# per-call table.
-_LN_FACT = None
-
-
-def _log_factorials(k_max: int) -> np.ndarray:
-    """[ln 0!, ..., ln k_max!], a view into the process-wide cache."""
-    global _LN_FACT
-    table = _LN_FACT  # sliced below even if another thread swaps the cache
-    have = 0 if table is None else len(table)
-    if k_max >= have:
-        more = np.fromiter(map(math.lgamma, range(have + 1, k_max + 2)), float, k_max + 1 - have)
-        table = _LN_FACT = more if table is None else np.concatenate([table, more])
-    return table[: k_max + 1]
-
-
-def poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
-    """[pmf(0), ..., pmf(k_max)] in one log-space vector evaluation,
-    k ln(lam) - lam - ln k!, with ln k! sliced from the cache."""
+def poisson_pmf_array(lam: float, k_max: int, k_lo: int = 0) -> np.ndarray:
+    """[pmf(k_lo), ..., pmf(k_max)] in one log-space vector evaluation,
+    k ln(lam) - lam - ln k!, with ln k! = lgamma(k + 1) over the window
+    only; each mass has the bits it has in a table from k = 0."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    logs = np.arange(k_max + 1) * math.log(lam)
+    logs = np.arange(k_lo, k_max + 1) * math.log(lam)
     logs -= lam
-    logs -= _log_factorials(k_max)
+    logs -= np.fromiter(map(math.lgamma, range(k_lo + 1, k_max + 2)), float, k_max + 1 - k_lo)
     return np.exp(logs, out=logs)
 
 

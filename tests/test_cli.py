@@ -387,6 +387,18 @@ def test_dp_poisson_mass_drift_is_a_numeric_failure(capsys, lam, drift):
     assert err == f"numeric failure: the pmf of Poisson(lam={float(lam)}) sums to 1 {drift} in floats; a table allows 1e-12\n"
 
 
+def test_a_long_flat_table_passes_the_mass_check(capsys, tmp_path):
+    # 10^5 masses of 1e-5 sum to 1 - 1.9e-12 one at a time, which the check
+    # refused with exit 2; their exact sum is 1, so the table reads as
+    # Uniform(10^5)
+    path = tmp_path / "flat.csv"
+    path.write_text("k,p\n" + "".join(f"{k},1e-05\n" for k in range(1, 10**5 + 1)))
+    code, out, err = run(capsys, "cutoff", "--variant", "bw", "--model", f"table:{path}", "--format", "json")
+    assert code == 0 and err == ""
+    (rec,) = json.loads(out)
+    assert (rec["M"], rec["P"]) == ("20319", "0.323813087111")
+
+
 # ------------------------------------------------------------------ table
 
 def test_table_pins_asymptotics(capsys):

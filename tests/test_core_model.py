@@ -314,6 +314,29 @@ def test_truncate_to_explicit_names_a_pmf_that_drifts_from_mass_one():
     assert isinstance(info.value, RuntimeError) and not isinstance(info.value, ValueError)
 
 
+def test_mass_check_takes_the_exact_sum_of_a_long_table():
+    # 10^5 masses of 1e-5 sum to 1 - 1.9e-12 one at a time; math.fsum gives
+    # 1, so neither the table nor the truncation of Uniform(10^5) is refused
+    n = 10**5
+    items = tuple((k, 1e-5) for k in range(1, n + 1))
+    assert sum(p for _, p in items) - 1.0 < -1e-12
+    assert Explicit(items).items == items
+    assert truncate_to_explicit(Uniform(n)).items == items
+    # a real miss of 2e-12 is still refused
+    with pytest.raises(ValueError, match="sum to 1 within 1e-12"):
+        Explicit(items[:-1] + ((n, 1e-5 + 2e-12),))
+
+
+def test_truncate_to_explicit_keeps_the_poisson_mass_window():
+    # Poisson(1000) has no float mass below k = 71: the table starts there,
+    # with the masses of support() and the tail folded into its top
+    ks, ps = support(Poisson(1000.0))
+    m = truncate_to_explicit(Poisson(1000.0))
+    assert m.items[0][0] == int(ks[0]) == 71
+    assert [k for k, _ in m.items] == ks.tolist()
+    assert [p for _, p in m.items[:-1]] == ps[:-1].tolist()
+
+
 def test_report_types_round_trip():
     rep = CutoffReport(
         model=Uniform(10),

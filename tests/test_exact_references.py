@@ -18,12 +18,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from secstop.core_model import Known, Uniform, Variant, support
+from secstop.core_model import Known, Poisson, Uniform, Variant, support
 from secstop.dp import backward_induction
 from secstop.exact import positive_cutoff, step_accept_prob, step_reject_prob, success_curve
 
 from test_dp import _MODELS as _DP_MODELS
-from test_exact import _MIXED_MODELS
+from test_exact import _MIXED_MODELS, _POISSON_1000_WINDOW
 
 V = Variant
 REL = 1e-13
@@ -171,7 +171,7 @@ def _cutoffs(model) -> list[int]:
 
 
 @pytest.mark.parametrize("variant", list(V))
-@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS, ids=_model_id)
+@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + [_POISSON_1000_WINDOW], ids=_model_id)
 def test_curve_against_exact_fractions(variant, model):
     values = success_curve(variant, model).values
     closed = _Closed(model, exact=True) if isinstance(model, (Known, Uniform)) else None
@@ -209,9 +209,44 @@ def test_uniform_prefix_curve_against_references(variant, n, r_max):
             assert _close(values[r], want), (r, values[r], float(want))
 
 
+@lru_cache(maxsize=None)
+def _poisson_window_sums(lam: float) -> tuple[int, mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """(k_lo, sum p/k, sum p/(k(k-1)), sum p H_{k-1}/k) over the float masses
+    of support(Poisson(lam)), at 50 digits."""
+    ks, ps = support(Poisson(lam))
+    with mpmath.workdps(50):
+        a = b = w = mpmath.mpf(0)
+        h = mpmath.harmonic(int(ks[0]) - 1)
+        for i, (k, p) in enumerate(zip(ks.tolist(), ps.tolist())):
+            h += mpmath.mpf(1) / (k - 1) if i else 0
+            a += mpmath.mpf(p) / k
+            b += mpmath.mpf(p) / (k * (k - 1))
+            w += mpmath.mpf(p) * h / k
+    return int(ks[0]), a, b, w
+
+
+@pytest.mark.parametrize("variant", list(V))
+def test_poisson_curve_below_the_mass_window_against_mpmath(variant):
+    # Poisson(10^5) has float masses on k >= 88096 only.  Below that every
+    # k of the window exceeds r, so F(r) = c r (sum p/k - (r - 1) sum
+    # p/(k(k-1))) for the two-sided rules and r (sum p H_{k-1}/k - H_{r-1}
+    # sum p/k) for classic; the curve holds each within 4e-15 (bw and pd
+    # were 7.5-8.4e-15 off when K summed the zero masses below the window)
+    k_lo, a, b, w = _poisson_window_sums(1e5)
+    assert k_lo == 88096
+    values = success_curve(variant, Poisson(1e5), 80_000).values
+    with mpmath.workdps(50):
+        for r in (1, 2, 1000, 36787, 50_000, 80_000):
+            if variant is V.CLASSIC:
+                want = r * (w - mpmath.harmonic(r - 1) * a)
+            else:
+                want = _C[variant] * r * (a - (r - 1) * b)
+            assert abs(values[r] - want) <= 4e-15 * want, (r, values[r], float(want))
+
+
 # ------------------------------------------------------ (a) step probabilities
 
-_TABLES = [Known(n) for n in (2, 7, 300, 3000)] + _MIXED_MODELS
+_TABLES = [Known(n) for n in (2, 7, 300, 3000)] + _MIXED_MODELS + [_POISSON_1000_WINDOW]
 
 
 @pytest.mark.parametrize("variant", list(V))
@@ -259,7 +294,7 @@ def test_uniform_classic_reject_against_references(model):
 
 
 @pytest.mark.parametrize("variant", list(V))
-@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS, ids=_model_id)
+@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + [_POISSON_1000_WINDOW], ids=_model_id)
 def test_induction_values_against_exact_fractions(variant, model):
     pol = backward_induction(variant, model)
     A, C = _frac_induction(variant, model)

@@ -2,9 +2,10 @@
 
 tracemalloc sees numpy's array buffers as well as Python objects, so the
 peak it reports during one call counts every temporary.  The budgets are in
-units of one float array of the horizon, 8n bytes at n = 10^5, and sit just
-above what the code needs: a change that brings back full-size temporaries
-fails here rather than only in a timing.  The small objects of a call (the
+units of one float array of the horizon, 8n bytes at n = 10^5 (for
+Poisson(10^6), of its mass window), and sit just above what the code
+needs: a change that brings back full-size temporaries fails here rather
+than only in a timing.  The small objects of a call (the
 result record, the model, array headers) take a few kB whatever n is; they
 are allowed for by _FIXED_BYTES, a sixteenth of one array here.
 """
@@ -15,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from secstop.core_model import Known, Uniform, Variant
+from secstop.core_model import Known, Poisson, Uniform, Variant, support
 from secstop.dp import backward_induction
 from secstop.exact import best_cutoff, success_curve
 
@@ -23,7 +24,8 @@ N = 10**5
 _FIXED_BYTES = 2**16
 
 
-def _peak_units(fn) -> float:
+def _peak_units(fn, n: int = N) -> float:
+    """The peak of one call, in float arrays of n points."""
     fn()  # warm: imports and process-wide caches are not the call's own
     tracemalloc.start()
     try:
@@ -31,7 +33,7 @@ def _peak_units(fn) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - _FIXED_BYTES) / (8 * N)
+    return (peak - _FIXED_BYTES) / (8 * n)
 
 
 @pytest.mark.parametrize(
@@ -97,3 +99,21 @@ def test_best_cutoff_at_a_trillion_in_under_a_millisecond():
         best_cutoff(Variant.BEST_OR_WORST, model)
         times.append(time.perf_counter() - start)
     assert statistics.median(times) < 1e-3
+
+
+# Poisson(10^6) has float masses on 50,205 points of k = 0..1,012,050
+_WINDOW = 50_205
+
+
+def test_poisson_support_is_the_mass_window():
+    # the masses from a guard point a few dozen k below the window, its ln k!
+    # and the values: about 2 arrays of the window, where a table from k = 0
+    # was 20 windows long
+    assert len(support(Poisson(1e6))[0]) == _WINDOW
+    assert _peak_units(lambda: support(Poisson(1e6)), _WINDOW) <= 3
+
+
+def test_poisson_curve_below_the_window_is_linear_in_the_window():
+    # ks, ps, U2, T and K over the window and the 1001 values: about 5.4
+    # arrays of the window
+    assert _peak_units(lambda: success_curve(Variant.BEST_OR_WORST, Poisson(1e6), 1000), _WINDOW) <= 7

@@ -4,9 +4,9 @@ Every value here is pinned against an independent route: scipy's
 implementations, adaptive quadrature of the defining integrals, or direct
 partial sums — never against the module under test.  The one
 same-algorithm comparisons are the bit-identity checks of the series kernel
-against the loops it replaced, of the cached ln k! table against the
-per-call one, and of the in-place harmonic table against the concatenated
-one, kept below as references.
+against the loops it replaced, of the Poisson mass window against the
+table from k = 0, and of the in-place harmonic table against the
+concatenated one, kept below as references.
 """
 
 import math
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from secstop import specfun
-from secstop.core_model import poisson_k_max
+from secstop.core_model import Poisson, support
 from secstop.specfun import (
     EULER_GAMMA,
     TruncationError,
@@ -264,7 +264,8 @@ def test_poisson_pmf_array_normalizes():
 
 
 def _listcomp_poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
-    """poisson_pmf_array as it was before the ln k! cache, kept verbatim."""
+    """poisson_pmf_array over k = 0..k_max as it was before the ln k! cache,
+    kept verbatim."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     k = np.arange(k_max + 1)
@@ -272,16 +273,23 @@ def _listcomp_poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
     return np.exp(logs)
 
 
-def test_poisson_pmf_array_bit_equal_to_the_per_call_table(monkeypatch):
-    # a fresh cache, grown upward by rising rates, read downward by smaller
-    # ones, then grown again past a gap
-    monkeypatch.setattr(specfun, "_LN_FACT", np.zeros(1))
-    rates = [0.01, 0.1, 2.0, 30.0, 1e3, 1e4, 0.5, 5.0, 3000.0, 1e5, 0.01, 700.0]
-    sizes = [(lam, poisson_k_max(lam)) for lam in rates] + [(1.0, 0), (1.0, 1), (2.5, 150_000)]
-    for lam, k_max in sizes:
-        got = poisson_pmf_array(lam, k_max)
-        assert got.tobytes() == _listcomp_poisson_pmf_array(lam, k_max).tobytes(), (lam, k_max)
-    assert len(specfun._LN_FACT) == 150_001
+@pytest.mark.parametrize("lam", [5.0, 708.0, 745.0, 746.0, 1000.0, 1e4, 1e5, 1e6])
+def test_poisson_support_is_the_mass_window_of_the_full_table(lam):
+    # the support drops exactly the 0.0 masses below the first nonzero one,
+    # and every mass it keeps has the bits of the table from k = 0
+    ks, ps = support(Poisson(lam))
+    k_lo, k_max = int(ks[0]), int(ks[-1])
+    full = _listcomp_poisson_pmf_array(lam, k_max)
+    assert ps.tobytes() == full[k_lo:].tobytes()
+    assert np.array_equal(ks, np.arange(k_lo, k_max + 1))
+    assert ps[0] > 0.0 and not np.any(full[:k_lo])
+    assert k_lo == 0 if lam <= 745 else k_lo > 0
+
+
+def test_poisson_pmf_array_window_bit_equal_to_the_full_table():
+    for lam, k_max, k_lo in [(1.0, 0, 0), (1.0, 1, 1), (2.5, 40, 3), (3000.0, 3400, 2500), (0.01, 30, 29)]:
+        got = poisson_pmf_array(lam, k_max, k_lo)
+        assert got.tobytes() == _listcomp_poisson_pmf_array(lam, k_max)[k_lo:].tobytes(), (lam, k_max, k_lo)
 
 
 def test_poisson_tail_values():
