@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Union
 
 from . import specfun
-from .specfun import harmonic_gap, np, poisson_log_pmf, poisson_pmf_array, poisson_tail
+from .specfun import harmonic_gap, np, poisson_pmf_array, poisson_tail
 
 
 class Variant(str, Enum):
@@ -112,37 +112,24 @@ def explicit_from_dict(pmf: dict[int, float]) -> Explicit:
     return Explicit(tuple(sorted(pmf.items())))
 
 
-def poisson_k_max(lam: float, min_k: int = 0) -> int:
-    """Support horizon leaving out mass below the series tail bound, 1e-15
-    (checked, then extended)."""
-    k = max(min_k + 2, int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0)))
-    for _ in range(64):
-        if poisson_tail(k + 1, lam) < specfun._REL_TOL:
-            return k
-        k = int(k * 1.5) + 10
-    raise RuntimeError("could not bound the Poisson support")
+def poisson_k_max(lam: float) -> int:
+    """Top of the Poisson support, ceil(lam + t), t = 12 sqrt(lam) + 50:
+    Bennett's p(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) is below e^-72 at
+    every rate.  The check against the series tail bound, 1e-15, raises
+    TruncationError near lam = 10^12, before any support-sized table."""
+    k = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
+    if not poisson_tail(k + 1, lam) < specfun._REL_TOL:
+        raise RuntimeError("could not bound the Poisson support")
+    return k
 
 
-def _poisson_guard(lam: float) -> int:
-    """The last k <= lam whose log-pmf is below -760, or 0, by bisection:
-    the log-pmf rises up to lam and its float error is far below the 15
-    that separate -760 from -745.14, past which exp gives 0.0, so every
-    mass below the guard is 0.0 in floats."""
-    lo, hi = 0, int(lam)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poisson_log_pmf(mid, lam) < -760.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def support(model: CountModel, min_k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:
     """(values, masses) of X, contiguous for Known, Uniform and Poisson.
-    Poisson's is the mass window [k_lo, k_max]: k_max from `poisson_k_max`,
-    k_lo the first k whose float mass is not 0.0 (0 up to lam = 745), so
-    only exact float zeros are left out.  Never includes k with zero
+    Poisson's is the mass window [k_lo, k_max] of the rate alone: k_max from
+    `poisson_k_max`, k_lo the first k whose float mass is not 0.0 (0 up to
+    lam = 745), found from the Chernoff point g = floor(lam - sqrt(1520 lam)),
+    below which p(k) <= e^-760 is 0.0 in floats (the log-pmf's error is far
+    below the 15 between -760 and -745.13).  Never includes k with zero
     structural mass except explicit zeros the caller put there."""
     if isinstance(model, Known):
         return np.array([model.n]), np.array([1.0])
@@ -150,10 +137,11 @@ def support(model: CountModel, min_k: int = 0) -> tuple[np.ndarray, np.ndarray]:
         ks = np.arange(1, model.n + 1)
         return ks, np.full(model.n, 1.0 / model.n)
     if isinstance(model, Poisson):
-        k_max, guard = poisson_k_max(model.lam, min_k), _poisson_guard(model.lam)
-        ps = poisson_pmf_array(model.lam, k_max, guard)
-        k_lo = guard + int(np.argmax(ps > 0.0))
-        return np.arange(k_lo, k_max + 1), ps[k_lo - guard :]
+        lam = model.lam
+        k_max, g = poisson_k_max(lam), max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
+        ps = poisson_pmf_array(lam, k_max, g)
+        k_lo = g + int(np.argmax(ps > 0.0))
+        return np.arange(k_lo, k_max + 1), ps[k_lo - g :]
     ks = np.array([k for k, _ in model.items], dtype=int)
     ps = np.array([p for _, p in model.items])
     return ks, ps

@@ -51,7 +51,6 @@ from .specfun import (
     harmonic_gap,
     harmonic_gap_ratio,
     np,
-    poisson_pmf,
     series,
 )
 
@@ -81,7 +80,7 @@ class SuccessCurve:
 
 
 class SuffixMoments:
-    """Suffix sums of the count pmf over k >= t, on the sorted support:
+    """Suffix sums of the count pmf over k >= t, on the sorted `support`:
 
         S(t) = p(X >= t),   U1(t) = sum p(k)/k,   U2(t) = sum p(k)/(k(k-1)),
 
@@ -96,8 +95,8 @@ class SuffixMoments:
     gives single slots.
     """
 
-    def __init__(self, model: CountModel, min_k: int = 0) -> None:
-        self.ks, self.ps = support(model, min_k)
+    def __init__(self, model: CountModel) -> None:
+        self.ks, self.ps = support(model)
         n = len(self.ks)
         self._k0 = int(self.ks[0]) if n and self.ks[-1] - self.ks[0] == n - 1 else None
         self._buf = np.empty(0)
@@ -267,7 +266,7 @@ def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
 def _table_step(model: CountModel, r: int) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
     """(moments, [r], [S(r)]) on a finite table; ConditioningError where
     p(X >= r) = 0."""
-    mom = SuffixMoments(model, min_k=r)
+    mom = SuffixMoments(model)
     S = mom.read(mom.S, r, np.empty(1))
     if not S[0] > 0.0:
         raise ConditioningError(f"p(X >= {r}) = 0")
@@ -338,16 +337,16 @@ def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.nd
 
 
 def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:
-    """F(r) for r = 0..r_max (default: the top of the support): F(0) =
-    sum_k p(k) nu_k, a dot over the support, and F(r) = c r K(r + 1) past
-    it (`SuffixMoments.cutoff_values`).  A two-sided prefix of a Uniform
-    curve, r_max < n, takes `_uniform_prefix_curve` instead."""
+    """F(r) for r = 0..r_max (default: the top of the support, past which
+    F(r) is 0.0; r_max never moves a bit): F(0) = sum_k p(k) nu_k, a dot,
+    and F(r) = c r K(r + 1) (`SuffixMoments.cutoff_values`).  A two-sided
+    prefix of a Uniform curve, r_max < n, takes `_uniform_prefix_curve`."""
     if r_max is not None and r_max < 0:
         raise ValueError("r_max must be >= 0")
     if isinstance(model, Uniform) and variant is not Variant.CLASSIC and r_max is not None and r_max < model.n:
         values, terms = _uniform_prefix_curve(variant, model, r_max), model.n
     else:
-        mom = SuffixMoments(model, min_k=r_max or 0)
+        mom = SuffixMoments(model)
         if r_max is None:
             r_max = int(mom.ks[-1])
         values, terms = np.zeros(r_max + 1), len(mom.ks)
@@ -389,18 +388,18 @@ def poisson_smoothing_coefficients(lam: float) -> tuple[float, float]:
 
 def poisson_fstar_and_f(r: int, lam: float) -> tuple[float, float]:
     """The signed full series f*(r, lam) = sum_{k>=2} 2r(k-r)/(k(k-1)) pmf(k)
-    and its head f(r, lam) = sum_{k=2..r} (same summand), so that the cutoff
-    curve satisfies F(r) = f* - f.
+    and its head f(r, lam) = sum_{k=2..r} (same summand), a dot over the
+    Poisson support, so that the cutoff curve satisfies F(r) = f* - f.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     exp_s1, exp_s2 = poisson_smoothing_coefficients(lam)
     fstar = 2.0 * r * exp_s1 - 2.0 * r * r * exp_s2
 
-    head = 0.0
-    for k in range(2, r + 1):
-        head += 2.0 * r * (k - r) / (k * (k - 1.0)) * poisson_pmf(k, lam)
-    return fstar, head
+    ks, p = support(Poisson(lam))
+    keep = (ks >= 2) & (ks <= r)
+    k = ks[keep].astype(float)
+    return fstar, float(np.dot(2.0 * r * (k - r) / (k * (k - 1.0)), p[keep]))
 
 
 def _closed_form_search(variant: Variant, model: CountModel) -> bool:

@@ -147,29 +147,24 @@ def scan_estimator_failures(
     misses the exact optimal cutoff, with the worst absolute miss."""
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
+    if estimator in _UNIFORM_ESTIMATORS:
+        estimates = uniform_cutoff_estimates
+        exact_m = lambda n: positive_cutoff(Variant.BEST_OR_WORST, Uniform(n))
+    elif estimator in _POISSON_ESTIMATORS:
+        estimates = lambda n: poisson_cutoff_estimates(float(n))
+        exact_m = lambda n: best_cutoff(Variant.BEST_OR_WORST, Poisson(float(n))).cutoff
+    else:
+        raise ValueError(f"unknown estimator {estimator}")
     failures: list[int] = []
     details: list[tuple[int, int, int]] = []
     max_dev = 0
-    if estimator in _UNIFORM_ESTIMATORS:
-        for n in range(n_min, n_max + 1):
-            est = dict(uniform_cutoff_estimates(n))[estimator]
-            rounded = integer_estimate(estimator, est)
-            m = positive_cutoff(Variant.BEST_OR_WORST, Uniform(n))
-            if rounded != m:
-                failures.append(n)
-                details.append((n, rounded, m))
-                max_dev = max(max_dev, abs(rounded - m))
-    elif estimator in _POISSON_ESTIMATORS:
-        for lam in range(n_min, n_max + 1):
-            est = dict(poisson_cutoff_estimates(float(lam)))[estimator]
-            rounded = integer_estimate(estimator, est)
-            m = best_cutoff(Variant.BEST_OR_WORST, Poisson(float(lam))).cutoff
-            if rounded != m:
-                failures.append(lam)
-                details.append((lam, rounded, m))
-                max_dev = max(max_dev, abs(rounded - m))
-    else:
-        raise ValueError(f"unknown estimator {estimator}")
+    for n in range(n_min, n_max + 1):
+        rounded = integer_estimate(estimator, dict(estimates(n))[estimator])
+        m = exact_m(n)
+        if rounded != m:
+            failures.append(n)
+            details.append((n, rounded, m))
+            max_dev = max(max_dev, abs(rounded - m))
     return FailureScan(
         estimator=estimator,
         n_min=n_min,

@@ -7,9 +7,11 @@ positive terms t_{k+1} = t_k * ratio(k), stopped by one rule, a relative
 tail bound of 1e-15, and capped at 10^6 terms, past which it raises
 TruncationError rather than return a short sum.  The compensated harmonic
 numbers H_0..H_10^4 are one table that grows once per process and is sliced
-by every later call.  `poisson_pmf_array` takes ln k! = lgamma(k + 1) over
-the window of k it is asked for, so a Poisson table costs the length of its
-window, not of 0..k_max.
+by every later call.  The Poisson pmf, exp(k ln(lam) - lam - lgamma(k + 1)),
+has two forms: the scalar `poisson_pmf`, which starts the series of
+`poisson_tail`, and `poisson_pmf_array`, which takes ln k! over the window
+of k it is asked for, so a Poisson table costs the length of its window,
+not of 0..k_max.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -280,24 +282,14 @@ def lambert_w0(x: float) -> float:
     return w
 
 
-def log_factorial(k: int) -> float:
-    """ln(k!) for k >= 0."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return math.lgamma(k + 1.0)
-
-
-def poisson_log_pmf(k: int, lam: float) -> float:
+def poisson_pmf(k: int, lam: float) -> float:
+    """p(X = k) for X ~ Poisson(lam), evaluated in log space:
+    exp(k ln(lam) - lam - ln k!), ln k! = lgamma(k + 1)."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     if k < 0:
         raise ValueError("k must be >= 0")
-    return k * math.log(lam) - lam - log_factorial(k)
-
-
-def poisson_pmf(k: int, lam: float) -> float:
-    """p(X = k) for X ~ Poisson(lam), evaluated in log space."""
-    return math.exp(poisson_log_pmf(k, lam))
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1.0))
 
 
 def poisson_pmf_array(lam: float, k_max: int, k_lo: int = 0) -> np.ndarray:

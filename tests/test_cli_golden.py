@@ -49,6 +49,8 @@ _MORE_COMMANDS = [
     "dp --variant bw --model poisson:lambda=3000",
     # four cutoffs of Uniform(10^9) from closed forms, without its support
     "curve --variant pd --model uniform:n=1000000000 --rmax 3",
+    # past the top of the Poisson support, k_max = 69: F(69..72) read 0
+    "curve --variant bw --model poisson:lambda=2 --rmax 72",
 ]
 
 _LIMITED_CHILD = (

@@ -292,8 +292,14 @@ def test_support_and_tail():
     assert tail_prob(Poisson(5.0), 1) == pytest.approx(1.0 - math.exp(-5.0), abs=1e-13)
 
 
-def test_poisson_k_max_respects_hint():
-    assert poisson_k_max(2.0, min_k=500) >= 502
+def test_poisson_k_max_is_a_closed_bound_of_the_rate():
+    # ceil(lam + t), t = 12 sqrt(lam) + 50, where Bennett's bound on the
+    # tail, exp(-t^2/(2(lam + t/3))), is below e^-72: t^2 > 144 lam + 48 t
+    for lam in (0.01, 2.0, 100.0, 745.5, 1e5, 1e7):
+        t = 12.0 * math.sqrt(lam) + 50.0
+        assert poisson_k_max(lam) == math.ceil(lam + t)
+        assert t * t > 144.0 * lam + 48.0 * t
+    assert support(Poisson(2.0))[0][-1] == poisson_k_max(2.0) == 69
 
 
 def test_truncate_to_explicit_preserves_mass():

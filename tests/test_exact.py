@@ -350,7 +350,7 @@ def _suffix_sums(ks: np.ndarray, weights: np.ndarray, r_max: int) -> np.ndarray:
 
 def _abcd_success_curve(variant, model, r_max):
     """(values, truncation terms) of the A/B/C/D form."""
-    ks, ps = support(model, min_k=r_max)
+    ks, ps = support(model)
     kf = ks.astype(float)
     top = int(ks.max(initial=0))
 
@@ -390,7 +390,7 @@ def _accept_weight(variant: Variant, r: int, k: np.ndarray) -> np.ndarray:
 def _dot_step_accept(variant, model, r):
     """The finite-support P_A(r) as a weighted dot, the form before
     SuffixMoments."""
-    ks, ps = support(model, min_k=r)
+    ks, ps = support(model)
     mask = ks >= r
     return float(np.dot(_accept_weight(variant, r, ks[mask]), ps[mask]) / ps[mask].sum())
 
@@ -597,8 +597,8 @@ def test_best_cutoff_poisson():
 # reference for the sign-of-ΔF search on Known and Uniform.
 
 
-def _first_array_f0(variant, model, r_max):
-    mom = SuffixMoments(model, min_k=r_max)
+def _first_array_f0(variant, model):
+    mom = SuffixMoments(model)
     k = mom.ks
     first = np.where(k >= (2 if variant is Variant.POSTDOC else 1), 1.0 / np.maximum(k, 1.0), 0.0)
     if variant is Variant.BEST_OR_WORST:
@@ -636,7 +636,7 @@ def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(varia
                 assert f0 == _closed_value(variant, model, 0), model
                 assert abs(Fraction(f0) - _exact_value(variant, model, 0)) <= _EPS * f0, model
             else:
-                assert f0 == _first_array_f0(variant, model, r_max)
+                assert f0 == _first_array_f0(variant, model)
         rep = best_cutoff(variant, model)
         m, p = _dispatched_best_cutoff(variant, model)
         if isinstance(model, Known) or (isinstance(model, Uniform) and variant is not V.CLASSIC):
@@ -644,16 +644,22 @@ def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(varia
             # from the curve: the same cutoff, and P within 2e-14 of it
             # (test_best_cutoff_closed_form_prob_against_mpmath)
             assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-14, abs=0.0), model
-        elif isinstance(model, Poisson) and model.lam > 745:
-            # the two horizons give supports with different tops, and below
-            # the mass window K is the linear closed form from the window's
-            # first point, so P may differ in the last bit: classic
-            # Poisson(10^5) P(36787) is 1.1e-16 and 4.3e-17 relative off a
-            # 50-digit sum over the same float masses
-            # (test_poisson_curve_below_the_mass_window_against_mpmath)
-            assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=_EPS, abs=0.0), model
         else:
             assert (rep.cutoff, rep.prob) == (m, p), model
+
+
+@pytest.mark.parametrize("variant", list(V))
+@pytest.mark.parametrize("lam", [2.0, 100.0, 1e5])
+def test_poisson_curve_has_the_same_bits_at_every_horizon(variant, lam):
+    # the support is a function of the rate alone: at every r_max the curve
+    # has the default curve's bits on 0..k_max and reads 0.0 past k_max
+    k_max = poisson_k_max(lam)
+    default = success_curve(variant, Poisson(lam)).values
+    assert len(default) == k_max + 1
+    for r_max in (None, k_max, k_max + 1, k_max + 500):
+        values = success_curve(variant, Poisson(lam), r_max).values
+        assert values[: k_max + 1].tobytes() == default.tobytes(), r_max
+        assert not np.any(values[k_max + 1 :]), r_max
 
 
 # ------------------------------------- the cutoff from the sign of ΔF
@@ -816,8 +822,8 @@ def test_uniform_optimum_strictly_decreasing():
 
 
 class _SearchedMoments:
-    def __init__(self, model, min_k=0):
-        self.ks, self.ps = support(model, min_k)
+    def __init__(self, model):
+        self.ks, self.ps = support(model)
         self._k = self.ks.astype(float)
 
     def at(self, t):
@@ -851,7 +857,7 @@ class _SearchedMoments:
 
 
 def _whole_array_curve(variant, model, r_max=None):
-    mom = _SearchedMoments(model, min_k=r_max or 0)
+    mom = _SearchedMoments(model)
     if r_max is None:
         r_max = int(mom.ks[-1])
     values = np.zeros(r_max + 1)
@@ -875,7 +881,7 @@ def _cancellation_bound(variant, model, r_max):
     and U2 carry a few roundings more), plus 1e-13 of the value, the
     curve's own bound against exact fractions and 50-digit mpmath
     (tests/test_exact_references.py)."""
-    mom = _SearchedMoments(model, min_k=r_max)
+    mom = _SearchedMoments(model)
     i = mom.at(np.arange(2, r_max + 2))
     r = np.arange(1, r_max + 1, dtype=float)
     if variant is Variant.CLASSIC:

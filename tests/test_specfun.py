@@ -5,7 +5,8 @@ implementations, adaptive quadrature of the defining integrals, or direct
 partial sums — never against the module under test.  The one
 same-algorithm comparisons are the bit-identity checks of the series kernel
 against the loops it replaced, of the Poisson mass window against the
-table from k = 0, and of the in-place harmonic table against the
+table from k = 0 and against the window of the bisection guard, and of
+the in-place harmonic table against the
 concatenated one, kept below as references.
 """
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from secstop import specfun
-from secstop.core_model import Poisson, support
+from secstop.core_model import Poisson, poisson_k_max, support
 from secstop.specfun import (
     EULER_GAMMA,
     TruncationError,
@@ -32,7 +33,6 @@ from secstop.specfun import (
     harmonic_gap_ratio,
     harmonic_numbers,
     lambert_w0,
-    log_factorial,
     poisson_pmf,
     poisson_pmf_array,
     poisson_tail,
@@ -240,13 +240,6 @@ def test_lambert_against_scipy_grid():
         assert abs(lambert_w0(float(x)) - ref) < 1e-11 * max(1.0, abs(ref))
 
 
-def test_log_factorial():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
-    assert abs(log_factorial(10) - math.log(3628800)) < 1e-14
-    assert abs(log_factorial(10) - 15.104412573075516) < 1e-13
-
-
 def test_poisson_pmf_values():
     assert abs(poisson_pmf(0, 1.0) - math.exp(-1.0)) < 1e-16
     assert abs(poisson_pmf(1, 1.0) - math.exp(-1.0)) < 1e-16
@@ -284,6 +277,67 @@ def test_poisson_support_is_the_mass_window_of_the_full_table(lam):
     assert np.array_equal(ks, np.arange(k_lo, k_max + 1))
     assert ps[0] > 0.0 and not np.any(full[:k_lo])
     assert k_lo == 0 if lam <= 745 else k_lo > 0
+
+
+# The Poisson window as it was built before both of its ends came from
+# closed tail bounds, kept verbatim: the log-pmf, the top grown from the
+# first bound until its tail is below 1e-15, and the guard found by
+# bisection over the log-pmf.
+
+
+def _poisson_log_pmf(k: int, lam: float) -> float:
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return k * math.log(lam) - lam - math.lgamma(k + 1.0)
+
+
+def _grown_k_max(lam: float) -> int:
+    k = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
+    for _ in range(64):
+        if poisson_tail(k + 1, lam) < specfun._REL_TOL:
+            return k
+        k = int(k * 1.5) + 10
+    raise RuntimeError("could not bound the Poisson support")
+
+
+def _poisson_guard(lam: float) -> int:
+    """The last k <= lam whose log-pmf is below -760, or 0, by bisection:
+    the log-pmf rises up to lam and its float error is far below the 15
+    that separate -760 from -745.14, past which exp gives 0.0, so every
+    mass below the guard is 0.0 in floats."""
+    lo, hi = 0, int(lam)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _poisson_log_pmf(mid, lam) < -760.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _guarded_window(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    k_max, guard = _grown_k_max(lam), _poisson_guard(lam)
+    ps = poisson_pmf_array(lam, k_max, guard)
+    k_lo = guard + int(np.argmax(ps > 0.0))
+    return np.arange(k_lo, k_max + 1), ps[k_lo - guard :]
+
+
+_WINDOW_RATES = [5.0, 745.0, 746.0, 1519.0, 1520.0, 1521.0, 1e4, 1e5, 1e6, 1e7]
+_WINDOW_RATES += np.exp(np.random.default_rng(20181).uniform(math.log(0.01), math.log(1e7), 24)).tolist()
+
+
+@pytest.mark.parametrize("lam", _WINDOW_RATES)
+def test_poisson_window_from_tail_bounds_bit_equal_to_the_guarded_window(lam):
+    # the Chernoff point and the first Bennett top give the window that the
+    # bisection guard and the grown top gave: k_lo, k_max and every mass
+    ks, ps = support(Poisson(lam))
+    ref_ks, ref_ps = _guarded_window(lam)
+    assert np.array_equal(ks, ref_ks) and ps.tobytes() == ref_ps.tobytes()
+    assert poisson_tail(poisson_k_max(lam) + 1, lam) < 1e-30
+    for k in (0, 1, 50):
+        assert poisson_pmf(k, lam) == math.exp(_poisson_log_pmf(k, lam))
 
 
 def test_poisson_pmf_array_window_bit_equal_to_the_full_table():

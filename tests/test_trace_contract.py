@@ -1,8 +1,10 @@
 """The benchmark's traced runs (`bench/run.py --trace 1`) patch secstop
-functions by name and read two result fields.  These tests pin that
-contract, so a rename or a removed field fails here rather than silently
-breaking trace runs.  `bench/` is read, never changed."""
+functions by name and read two result fields, and its workloads import
+secstop names.  These tests pin that contract, so a rename or a removed
+name fails here rather than in a benchmark run.  `bench/` is read, never
+changed."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -11,7 +13,8 @@ from pathlib import Path
 from secstop.dp import DPPolicy
 from secstop.exact import SuccessCurve
 
-_TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACER = _BENCH / "tracer.py"
 
 
 def _traced():
@@ -33,3 +36,18 @@ def test_trace_hook_fields_exist():
     # the hooks of exact.success_curve and dp.backward_induction read these
     assert "truncation_terms_used" in {f.name for f in dataclasses.fields(SuccessCurve)}
     assert "horizon" in {f.name for f in dataclasses.fields(DPPolicy)}
+
+
+def test_every_benchmark_import_resolves():
+    # every `from secstop... import name` in the workloads and the worker,
+    # at module level or inside a function, names a module or an attribute
+    names = []
+    for path in (_BENCH / "workloads.py", _BENCH / "worker.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "secstop":
+                names += [(node.module, alias.name) for alias in node.names]
+    assert len(names) > 20
+    for mod_name, name in names:
+        module = importlib.import_module(mod_name)
+        if not hasattr(module, name):
+            importlib.import_module(f"{mod_name}.{name}")
