@@ -51,6 +51,10 @@ _MORE_COMMANDS = [
     "curve --variant pd --model uniform:n=1000000000 --rmax 3",
     # past the top of the Poisson support, k_max = 69: F(69..72) read 0
     "curve --variant bw --model poisson:lambda=2 --rmax 72",
+    # the induction over 10^6 steps, and on islands of mass at 5, 30, 180
+    # and 1080, whose accept set is eight runs of accept and reject steps
+    "dp --variant bw --model uniform:n=1000000",
+    "dp --variant classic --model table:tests/data/islands.csv",
 ]
 
 _LIMITED_CHILD = (
