@@ -74,6 +74,15 @@ def _mass_miss(ps) -> float:
     return math.fsum(sorted(ps, reverse=True)) - 1.0
 
 
+class MassMissError(ValueError):
+    """An explicit table's masses miss total mass 1 by more than _MASS_TOL;
+    `miss` is fsum(masses) - 1."""
+
+    def __init__(self, miss: float) -> None:
+        super().__init__(f"probabilities must sum to 1 within {_MASS_TOL:g}")
+        self.miss = miss
+
+
 class PmfMassError(RuntimeError):
     """A count model's pmf, evaluated in floats, misses total mass 1 by more
     than an explicit table may: a numeric limit of the model (the log-space
@@ -96,12 +105,13 @@ class Explicit:
         ps = [p for _, p in self.items]
         if len(ks) != len(set(ks)):
             raise ValueError("Explicit pmf has duplicate support points")
-        if any(k < 0 for k in ks):
+        if min(ks, default=0) < 0:
             raise ValueError("support points must be >= 0")
-        if not all(math.isfinite(p) and p >= 0.0 for p in ps):
+        if not all(map(math.isfinite, ps)) or min(ps, default=0.0) < 0.0:
             raise ValueError("probabilities must be finite and >= 0")
-        if abs(_mass_miss(ps)) > _MASS_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {_MASS_TOL:g}")
+        miss = _mass_miss(ps)
+        if abs(miss) > _MASS_TOL:
+            raise MassMissError(miss)
         object.__setattr__(self, "items", tuple(sorted(self.items)))
 
 
@@ -175,11 +185,12 @@ def truncate_to_explicit(model: CountModel) -> Explicit:
     # head sum's rounding (~1e-15) would dwarf the true tail (~1e-60) and plant
     # a phantom atom that poisons conditional tails
     ps[-1] += tail_prob(model, int(ks[-1]) + 1)
-    items = tuple((int(k), float(p)) for k, p in zip(ks, ps))
-    err = _mass_miss(p for _, p in items)
-    if abs(err) > _MASS_TOL:
-        raise PmfMassError(f"the pmf of {model} sums to 1 {err:+.1e} in floats; a table allows {_MASS_TOL:g}")
-    return Explicit(items)
+    try:
+        return Explicit(tuple(zip(ks.tolist(), ps.tolist())))
+    except MassMissError as exc:
+        raise PmfMassError(
+            f"the pmf of {model} sums to 1 {exc.miss:+.1e} in floats; a table allows {_MASS_TOL:g}"
+        ) from None
 
 
 # nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST

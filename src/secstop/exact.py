@@ -122,14 +122,16 @@ class SuffixMoments:
         return self._buf[:n]
 
     @staticmethod
-    def _suffix(w: np.ndarray) -> np.ndarray:
-        """[sum w[i:] for i = 0..len(w)], the last 0: a sequential cumsum
-        from the top in blocks of _BLOCK, in place in the reversed output,
-        each block then lifted by the Kahan sum of the totals above it.  On
-        10^6 flat points S is within 1.2e-14 of exact, where one sequential
-        cumsum drifts by 1.3e-11."""
+    def _suffix(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """[sum w[i:] for i = 0..len(w)], the last 0, into out (len(w) + 1
+        points) when given: a sequential cumsum from the top in blocks of
+        _BLOCK, in place in the reversed output, each block then lifted by
+        the Kahan sum of the totals above it.  On 10^6 flat points S is
+        within 1.2e-14 of exact, where one sequential cumsum drifts by
+        1.3e-11."""
         n = len(w)
-        out = np.empty(n + 1)
+        if out is None:
+            out = np.empty(n + 1)
         out[-1] = 0.0
         rev, w = out[-2::-1], w[::-1]
         full = n - n % _BLOCK

@@ -274,6 +274,9 @@ def test_model_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             Explicit(((1, bad), (2, 1.0)))
+    # a negative mass that the others make up for
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Explicit(((1, -0.5), (2, 1.5)))
     # k = 0 with explicit mass is allowed
     m = Explicit(((0, 0.25), (3, 0.75)))
     assert tail_prob(m, 1) == pytest.approx(0.75)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from secstop.core_model import (
     Explicit,
@@ -13,6 +14,7 @@ from secstop.core_model import (
     ThresholdPolicy,
     Uniform,
     Variant,
+    explicit_from_dict,
     nice_probability,
     pbw_known,
     support,
@@ -147,8 +149,14 @@ def test_induction_matches_loop_reference_known_and_uniform(variant):
         _assert_same_policy(backward_induction(variant, Uniform(n)), _loop_induction(variant, Uniform(n)))
 
 
+# with Known and Uniform(1..3) above, the tables on which every step is one
+# of the steps s <= c that the induction takes one at a time (nu_1 is the
+# variant's first-step chance, nu_2 = 1 for best-or-worst)
 _EXPLICIT_MODELS = [
     Explicit(((0, 1.0),)),
+    Explicit(((1, 1.0),)),
+    Explicit(((2, 1.0),)),
+    Explicit(((0, 0.5), (1, 0.5))),
     Explicit(((0, 0.5), (3, 0.5))),
     Explicit(((0, 0.2), (1, 0.3), (4, 0.5))),
     Explicit(((100, 0.99), (1000, 0.01))),
@@ -163,6 +171,50 @@ _MODELS += [truncate_to_explicit(Poisson(lam)) for lam in (10.0, 20.0)] + [Expli
 @pytest.mark.parametrize("model", _EXPLICIT_MODELS)
 def test_induction_matches_loop_reference_explicit(variant, model):
     _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
+
+
+def _normalized(weights: dict) -> Explicit:
+    total = sum(weights.values())
+    return explicit_from_dict({k: w / total for k, w in weights.items()})
+
+
+# tables with gaps, with mass at 0, 1 and 2, and islands of mass at k0 r^i
+_GAPPED = st.dictionaries(
+    st.one_of(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=400)),
+    st.integers(min_value=1, max_value=50),
+    min_size=1,
+    max_size=8,
+)
+_ISLANDS = st.builds(
+    lambda k0, r, ws: {k0 * r**i: w for i, w in enumerate(ws)},
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=1000), min_size=1, max_size=4),
+)
+
+
+@given(st.one_of(_GAPPED, _ISLANDS))
+@settings(max_examples=150, deadline=None)
+def test_induction_matches_loop_reference_on_random_tables(weights):
+    model = _normalized(weights)
+    for variant in Variant:
+        _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
+
+
+def _runs(accept: np.ndarray) -> int:
+    """Maximal runs of equal decisions over the steps 1..T."""
+    return 1 + int(np.count_nonzero(accept[2:] != accept[1:-1]))
+
+
+def test_induction_matches_loop_reference_over_twenty_runs():
+    # twelve spikes at 5 * 2^i with masses 2^-i: for the two-sided rules the
+    # accept set switches at every spike, 22 runs over 10240 steps
+    model = _normalized({5 * 2**i: 0.5**i for i in range(12)})
+    for variant in Variant:
+        pol = backward_induction(variant, model)
+        _assert_same_policy(pol, _loop_induction(variant, model))
+        if variant is not Variant.CLASSIC:
+            assert _runs(pol.accept_at) >= 20
 
 
 # ------------------------------------------------- coherence with the curve
