@@ -133,12 +133,16 @@ def poisson_k_max(lam: float) -> int:
     return k
 
 
+def chernoff_point(lam: float) -> int:
+    """max(0, floor(lam - sqrt(1520 lam))), below which p(k) <= e^-760 is 0.0."""
+    return max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
+
+
 def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:
     """(values, masses) of X, contiguous for Known, Uniform and Poisson.
     Poisson's is the mass window [k_lo, k_max] of the rate alone: k_max from
     `poisson_k_max`, k_lo the first k whose float mass is not 0.0 (0 up to
-    lam = 745), found from the Chernoff point g = floor(lam - sqrt(1520 lam)),
-    below which p(k) <= e^-760 is 0.0 in floats (the log-pmf's error is far
+    lam = 745), found from the `chernoff_point` g (the log-pmf's error is far
     below the 15 between -760 and -745.13).  Never includes k with zero
     structural mass except explicit zeros the caller put there."""
     if isinstance(model, Known):
@@ -148,7 +152,7 @@ def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:
         return ks, np.full(model.n, 1.0 / model.n)
     if isinstance(model, Poisson):
         lam = model.lam
-        k_max, g = poisson_k_max(lam), max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
+        k_max, g = poisson_k_max(lam), chernoff_point(lam)
         ps = poisson_pmf_array(lam, k_max, g)
         k_lo = g + int(np.argmax(ps > 0.0))
         return np.arange(k_lo, k_max + 1), ps[k_lo - g :]

@@ -71,7 +71,7 @@ def _moments(model: CountModel) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
     support."""
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
-    mom = SuffixMoments(model)
+    mom = SuffixMoments(*support(model))
     T = int(mom.ks.max())
     return mom, np.arange(T + 1), mom.read(mom.S, 0, np.empty(T + 1))
 

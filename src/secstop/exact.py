@@ -9,14 +9,14 @@ positive terms, F(r) = c r K(r + 1) with K a suffix sum over the integer
 steps (`SuffixMoments.cutoff_values`), so a curve costs O(support + r_max)
 and nothing is subtracted; a two-sided prefix of a Uniform curve reads its
 T(s) and K in closed form and costs O(r_max).  The suffix sums live in one place,
-SuffixMoments, which the curve, the step probabilities on finite tables and
-the backward induction in `dp` read.  They are compensated, and every curve
-value is within 1e-13 of exact rationals (1.5 ulp at 10^6 points).  On top
-of the curve sit the conditional step probabilities (accept now vs. reject
-and continue): table reads on finite tables, closed forms on Uniform (the
-classic reject aside, which is a table read) and pmf-ratio series on
-Poisson, which reach steps past the support.  The optimal-cutoff search has
-two routes.  On Known(n), and on Uniform(n) for the two-sided rules,
+SuffixMoments, which the curve, the step probabilities and the backward
+induction in `dp` read.  They are compensated, and every curve value is
+within 1e-13 of exact rationals (1.5 ulp at 10^6 points).  On top of the
+curve sit the conditional step probabilities (accept now vs. reject and
+continue): closed forms on Uniform (the classic reject aside), and table
+reads elsewhere, on Poisson of the law of X given X >= r, which reaches
+steps past the support.  The optimal-cutoff search has two routes.  On
+Known(n), and on Uniform(n) for the two-sided rules,
 ΔF(r) = F(r + 1) - F(r) has a closed form that changes sign once, so the
 best positive cutoff is a bisection on its sign: O(log n) scalar
 evaluations, each decided in floats only where |ΔF| exceeds the explicit
@@ -26,6 +26,7 @@ other model takes the argmax of the whole curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,8 +41,9 @@ from .core_model import (
     Poisson,
     Uniform,
     Variant,
-    accept_success_known,
+    chernoff_point,
     nice_probabilities,
+    poisson_k_max,
     support,
     threshold_success_known,
 )
@@ -51,7 +53,6 @@ from .specfun import (
     harmonic_gap,
     harmonic_gap_ratio,
     np,
-    series,
 )
 
 # relative slack for treating two curve values as tied, and the float error
@@ -80,23 +81,23 @@ class SuccessCurve:
 
 
 class SuffixMoments:
-    """Suffix sums of the count pmf over k >= t, on the sorted `support`:
+    """Suffix sums over k >= t of a pmf on sorted points ks, masses ps:
 
         S(t) = p(X >= t),   U1(t) = sum p(k)/k,   U2(t) = sum p(k)/(k(k-1)),
 
-    U1 without k = 0 and U2 without k <= 1, each with a trailing 0 and built
-    on first use by `_suffix`.  Their weights p(k)/d(k) go into the
-    instance's one scratch buffer, zeroed only below the table's first
-    point; F(0)'s nu and the T of `cutoff_values` reuse it.  The slot of a
-    step t is the first support point >= t.  read(table, t0, out) reads a
-    table at the consecutive steps t0, t0 + 1, ...: on a contiguous support
-    (Known, Uniform, Poisson, a gapless table) a head fill, a slice copy and
-    a tail fill; on a table with gaps a gather at searched slots.  at(t)
-    gives single slots.
+    on a `support` or a Poisson step table, U1 without k = 0 and U2 without
+    k <= 1, each with a trailing 0 and built on first use by `_suffix`.
+    Their weights p(k)/d(k) go into the instance's one scratch buffer,
+    zeroed only below the first point; F(0)'s nu and the T of
+    `cutoff_values` reuse it.  The slot of a step t is the first point >= t.
+    read(table, t0, out) reads a table at the steps t0, t0 + 1, ...: on
+    contiguous points (Known, Uniform, Poisson, a gapless table) a head
+    fill, a slice copy and a tail fill; with gaps a gather at searched
+    slots.  at(t) gives single slots.
     """
 
-    def __init__(self, model: CountModel) -> None:
-        self.ks, self.ps = support(model)
+    def __init__(self, ks: np.ndarray, ps: np.ndarray) -> None:
+        self.ks, self.ps = ks, ps
         n = len(self.ks)
         self._k0 = int(self.ks[0]) if n and self.ks[-1] - self.ks[0] == n - 1 else None
         self._buf = np.empty(0)
@@ -128,12 +129,15 @@ class SuffixMoments:
         _BLOCK, in place in the reversed output, each block then lifted by
         the Kahan sum of the totals above it.  On 10^6 flat points S is
         within 1.2e-14 of exact, where one sequential cumsum drifts by
-        1.3e-11."""
+        1.3e-11.  Shorter than one block, it is that block's cumsum alone."""
         n = len(w)
         if out is None:
             out = np.empty(n + 1)
         out[-1] = 0.0
         rev, w = out[-2::-1], w[::-1]
+        if n < _BLOCK:
+            np.cumsum(w, out=rev)
+            return out
         full = n - n % _BLOCK
         blocks = rev[:full].reshape(-1, _BLOCK)
         np.cumsum(w[:full].reshape(-1, _BLOCK), axis=1, out=blocks)
@@ -242,13 +246,20 @@ def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_conditional(weights, lam: float, r: int) -> float:
-    """E[w(X) | X >= r] for Poisson X via the pmf-ratio series from k = r.
-
-    Terms are normalized by pmf(r), so the conditioning survives r far above
-    lam where pmf and tail both underflow.  Assumes 0 <= w <= 1.
-    """
-    return series(1.0, lambda k: lam / (k + 1.0), r, weight=weights)
+def _poisson_step_table(lam: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, ps): the law of Poisson(lam) given X >= r, up to a constant: 1
+    at a = max(r, floor(lam)), then the pmf ratios p(k - 1) = p(k) k/lam
+    down to max(r, `chernoff_point`) and p(k + 1) = p(k) lam/(k + 1) up to
+    b + L, b = max(r, k_max).  No value passes 1, so steps far past k_max
+    do not overflow.  With q = lam/(b + 1), the rest past b + L is below
+    p(b) q^(L + 1)/(1 - q) < 2^-60 p(b) at L = ceil(ln(2^-60 (1 - q))/ln q)."""
+    lo, b = max(r, chernoff_point(lam)), max(r, poisson_k_max(lam))
+    q, i = lam / (b + 1), max(r, math.floor(lam)) - lo  # i: the slot of a
+    ks = np.arange(lo, b + math.ceil(math.log(2.0**-60 * (1.0 - q)) / math.log(q)) + 1)
+    ps = np.ones(len(ks))
+    np.cumprod(ks[i:0:-1] / lam, out=ps[:i][::-1])
+    np.cumprod(lam / ks[i + 1 :], out=ps[i + 1 :])
+    return ks, ps
 
 
 def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
@@ -266,9 +277,10 @@ def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
 
 
 def _table_step(model: CountModel, r: int) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
-    """(moments, [r], [S(r)]) on a finite table; ConditioningError where
-    p(X >= r) = 0."""
-    mom = SuffixMoments(model)
+    """(moments, [r], [S(r)]) on the model's support, or on Poisson's step
+    table; ConditioningError where p(X >= r) = 0."""
+    table = _poisson_step_table(model.lam, r) if isinstance(model, Poisson) else support(model)
+    mom = SuffixMoments(*table)
     S = mom.read(mom.S, r, np.empty(1))
     if not S[0] > 0.0:
         raise ConditioningError(f"p(X >= {r}) = 0")
@@ -284,8 +296,8 @@ def _check_step(model: CountModel, r: int) -> None:
 
 def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
     """P_A(r): success chance accepting a nice candidate at step r, averaged
-    over X conditioned on X >= r (single-identity accept weights); on finite
-    tables the induction's A(r)."""
+    over X conditioned on X >= r (single-identity accept weights); on tables
+    the induction's A(r)."""
     _check_step(model, r)
     if isinstance(model, Uniform):
         n = model.n
@@ -293,10 +305,6 @@ def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
             # telescoping sum of 1/(k(k-1)) collapses to r/n as well
             return 0.0 if r == 1 else r / n
         return float(r * _uniform_tail_sums(r, n)[0] / (n + 1 - r))
-    if isinstance(model, Poisson):
-        return _poisson_conditional(
-            lambda k: accept_success_known(variant, k, r), model.lam, r
-        )
     mom, t, S = _table_step(model, r)
     return float(mom.accept_mass(variant, t)[0] / S[0])
 
@@ -304,15 +312,11 @@ def step_accept_prob(variant: Variant, model: CountModel, r: int) -> float:
 def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
     """P_R(r): success chance of rejecting at step r and accepting the next
     nice candidate, averaged over X conditioned on X >= r; F(r)/S(r) on
-    finite tables and for classic on Uniform."""
+    tables and for classic on Uniform."""
     _check_step(model, r)
     if isinstance(model, Uniform) and variant is not Variant.CLASSIC:
         n = model.n
         return float(_TWO_SIDED[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
-    if isinstance(model, Poisson):
-        return _poisson_conditional(
-            lambda k: threshold_success_known(variant, k, r), model.lam, r
-        )
     mom, t, S = _table_step(model, r)
     return float(mom.cutoff_values(variant, t, np.empty(1))[0] / S[0])
 
@@ -348,7 +352,7 @@ def success_curve(variant: Variant, model: CountModel, r_max: int | None = None)
     if isinstance(model, Uniform) and variant is not Variant.CLASSIC and r_max is not None and r_max < model.n:
         values, terms = _uniform_prefix_curve(variant, model, r_max), model.n
     else:
-        mom = SuffixMoments(model)
+        mom = SuffixMoments(*support(model))
         if r_max is None:
             r_max = int(mom.ks[-1])
         values, terms = np.zeros(r_max + 1), len(mom.ks)
@@ -381,9 +385,10 @@ def poisson_smoothing_coefficients(lam: float) -> tuple[float, float]:
     E(lam)), so the two factors are summed as the equivalent pmf series
     sum_{k>=2} pmf(k)/(k-1) and sum_{k>=2} pmf(k)/(k(k-1)) at every rate.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    ks, p = support(Poisson(lam))
+    return _smoothing_sums(*support(Poisson(lam)))
+
+
+def _smoothing_sums(ks: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     k, p = ks[ks >= 2].astype(float), p[ks >= 2]
     return float(np.sum(p / (k - 1.0))), float(np.sum(p / (k * (k - 1.0))))
 
@@ -395,10 +400,9 @@ def poisson_fstar_and_f(r: int, lam: float) -> tuple[float, float]:
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam)
-    fstar = 2.0 * r * exp_s1 - 2.0 * r * r * exp_s2
-
     ks, p = support(Poisson(lam))
+    exp_s1, exp_s2 = _smoothing_sums(ks, p)
+    fstar = 2.0 * r * exp_s1 - 2.0 * r * r * exp_s2
     keep = (ks >= 2) & (ks <= r)
     k = ks[keep].astype(float)
     return fstar, float(np.dot(2.0 * r * (k - r) / (k * (k - 1.0)), p[keep]))

@@ -1,17 +1,16 @@
 """Scalar special functions backing the closed forms used everywhere else.
 
 All arithmetic is 64-bit float.  Every Poisson-side infinite sum (the upper
-Poisson tail, I(lam), the sinh integral and the conditional expectations of
-`exact`) goes through one kernel, `series`: a Kahan-compensated sum of
-positive terms t_{k+1} = t_k * ratio(k), stopped by one rule, a relative
-tail bound of 1e-15, and capped at 10^6 terms, past which it raises
-TruncationError rather than return a short sum.  The compensated harmonic
-numbers H_0..H_10^4 are one table that grows once per process and is sliced
-by every later call.  The Poisson pmf, exp(k ln(lam) - lam - lgamma(k + 1)),
-has two forms: the scalar `poisson_pmf`, which starts the series of
-`poisson_tail`, and `poisson_pmf_array`, which takes ln k! over the window
-of k it is asked for, so a Poisson table costs the length of its window,
-not of 0..k_max.
+Poisson tail, I(lam) and the sinh integral) goes through one kernel,
+`series`: a Kahan-compensated sum of positive terms t_{k+1} = t_k *
+ratio(k), stopped by one rule, a relative tail bound of 1e-15, and capped
+at 10^6 terms, past which it raises TruncationError rather than return a
+short sum.  The compensated harmonic numbers H_0..H_10^4 are one table that
+grows once per process and is sliced by every later call.  The Poisson
+pmf, exp(k ln(lam) - lam - lgamma(k + 1)), has two forms: the scalar
+`poisson_pmf`, which starts the series of `poisson_tail`, and
+`poisson_pmf_array`, which takes ln k! over the window of k it is asked
+for, so a Poisson table costs the length of its window, not of 0..k_max.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -304,36 +303,24 @@ def poisson_pmf_array(lam: float, k_max: int, k_lo: int = 0) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
-def series(term: float, ratio, k: int = 0, weight=None) -> float:
+def series(term: float, ratio, k: int = 0) -> float:
     """Sum of positive terms t_k, t_{k+1} = t_k * ratio(k), from the given k
-    and first term; with weight, the weighted mean sum t_k w(k) / sum t_k.
-
-    Both sums are Kahan-compensated.  The series stops once a term is 0, or
-    once ratio(k) = q < 1 bounds the remaining tail, term q/(1 - q), below
-    _REL_TOL = 1e-15 times the sum; TruncationError after _MAX_TERMS = 10^6
-    terms.
-    With weight, a term past 2^900 rescales the term, both sums and their
-    carries by the exact 2^-900, so conditional series, whose terms reach
-    lam^(k-r) r!/k!, do not overflow; below 2^900 no bit changes.
+    and first term, Kahan-compensated.  The series stops once a term is 0,
+    or once ratio(k) = q < 1 bounds the remaining tail, term q/(1 - q),
+    below _REL_TOL = 1e-15 times the sum; TruncationError after _MAX_TERMS =
+    10^6 terms.
     """
-    s = c = ws = wc = 0.0
+    s = c = 0.0
     for _ in range(_MAX_TERMS):
-        if weight is not None:
-            y = term * weight(k) - wc
-            t = ws + y
-            wc = (t - ws) - y
-            ws = t
         y = term - c
         t = s + y
         c = (t - s) - y
         s = t
         q = ratio(k)
         if term == 0.0 or (q < 1.0 and term * q / (1.0 - q) < _REL_TOL * s):
-            return s if weight is None else ws / s
+            return s
         term *= q
         k += 1
-        if weight is not None and term > 2.0**900:
-            term, s, c, ws, wc = (x * 2.0**-900 for x in (term, s, c, ws, wc))
     raise TruncationError(f"series did not converge within {_MAX_TERMS} terms")
 
 

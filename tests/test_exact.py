@@ -5,14 +5,16 @@ exact rationals for the uniform family, 50-digit mpmath sums, and frozen
 literals derived from those routes.  The same-algorithm comparisons are
 the checks against the curve's earlier cancelling forms (the per-curve
 A/B/C/D suffix sums and the searched, whole-array tables), within those
-forms' own error bounds, the bit-identity of the slots and of the table
-reads, and the Poisson conditional series loop that the specfun kernel
-replaced, bit for bit.  tests/test_exact_references.py holds the exact
+forms' own error bounds, and the bit-identity of the slots and of the table
+reads.  The Poisson step probabilities are checked against float direct
+sums over the rate grid, which are themselves checked against 50-digit
+mpmath.  tests/test_exact_references.py holds the exact
 `Fraction` and mpmath references for every curve, step probability and
 induction value.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -21,7 +23,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from secstop import specfun
 from secstop.core_model import (
     Explicit,
     Known,
@@ -150,93 +151,124 @@ def test_step_probs_poisson_against_direct_sums():
 
 
 def test_step_probs_survive_deep_conditioning():
-    # r far beyond lam: pmf and tail both underflow, the ratio series must not
+    # r far beyond lam: pmf and tail both underflow, the step table must not
     v = step_accept_prob(V.BEST_OR_WORST, Poisson(2.0), 400)
     assert 0.99 < v <= 1.0
 
 
-# (rate, r): the running term lam^(k-r) r!/k! of the conditional series
-# passes the double range at r = 1 from about lam = 710 on
+# (rate, r): r = 1 and lam/2 at rates where the pmf ratios from r = 1 pass
+# the double range (from about lam = 710 on), and steps at and past the top
+# k_max of the Poisson support, where the law given X >= r has most of its
+# mass near r
 _LARGE_RATE_CASES = [(720, 1), (720, 360), (1000, 1), (1000, 500), (5000, 1), (5000, 2500)]
+_LARGE_RATE_CASES += [(100_000, 1), (100_000, 50_000)]
+_LARGE_RATE_CASES += [
+    (lam, poisson_k_max(lam) + d) for lam in (0.5, 2, 100, 720, 5000, 100_000) for d in (-3, 0, 1)
+]
+_LARGE_RATE_CASES += [(lam, 10 * poisson_k_max(lam)) for lam in (0.5, 2, 100)]
 
 
-def _poisson_conditional_mpmath(weight, lam, r):
-    """E[w(X) | X >= r] for X ~ Poisson(lam) at 50 digits, summed directly
-    over k = r .. lam + 40 sqrt(lam) + 100 from the pmf ratio."""
+def _poisson_step_refs_mpmath(lam, r):
+    """{(variant, "accept" or "reject"): E[w(X) | X >= r]} for X ~ Poisson(lam)
+    at 50 digits, w the per-k accept or cutoff success: summed directly from
+    the pmf ratio over k >= max(r, lam - 40 sqrt(lam)) until k > lam and the
+    term is below 1e-40 of the largest."""
     with mpmath.workdps(50):
-        lam = mpmath.mpf(lam)
-        t = mpmath.mpf(1)
-        num = den = mpmath.mpf(0)
-        for k in range(r, int(lam + 40 * mpmath.sqrt(lam)) + 100):
-            num += t * weight(k)
+        lam_m = mpmath.mpf(lam)
+        k = max(r, math.floor(lam - 40 * math.sqrt(lam)))
+        t = peak = mpmath.mpf(1)
+        h = mpmath.harmonic(k - 1) - mpmath.harmonic(r - 1)  # H_{k-1} - H_{r-1}
+        den, num = 0, dict.fromkeys([(v, what) for v in V for what in ("accept", "reject")], 0)
+        while k <= lam or t >= mpmath.mpf(10) ** -40 * peak:
             den += t
-            t = t * lam / (k + 1)
-        return num / den
+            num[V.CLASSIC, "accept"] += t * r / k
+            num[V.BEST_OR_WORST, "accept"] += t * r / k
+            num[V.CLASSIC, "reject"] += t * r / k * h
+            if k > 1:
+                num[V.POSTDOC, "accept"] += t * r * (r - 1) / (k * (k - 1))
+                num[V.BEST_OR_WORST, "reject"] += t * 2 * r * (k - r) / (k * (k - 1))
+                num[V.POSTDOC, "reject"] += t * r * (k - r) / (k * (k - 1))
+            h += mpmath.mpf(1) / k
+            peak = max(peak, t)
+            t = t * lam_m / (k + 1)
+            k += 1
+        return {key: x / den for key, x in num.items()}
+
+
+def _step_prob(variant, what, model, r):
+    return (step_accept_prob if what == "accept" else step_reject_prob)(variant, model, r)
 
 
 @pytest.mark.parametrize("lam, r", _LARGE_RATE_CASES)
 def test_poisson_step_probs_at_large_rates_against_mpmath(lam, r):
     model = Poisson(float(lam))
-    with mpmath.workdps(50):
-        h_r = mpmath.harmonic(r - 1)
-    refs = {
-        "bw accept": (step_accept_prob(V.BEST_OR_WORST, model, r), lambda k: mpmath.mpf(r) / k),
-        "bw reject": (
-            step_reject_prob(V.BEST_OR_WORST, model, r),
-            lambda k: mpmath.mpf(2 * r * (k - r)) / (k * (k - 1)) if k > 1 else 0,
-        ),
-        "classic reject": (
-            step_reject_prob(V.CLASSIC, model, r),
-            lambda k: mpmath.mpf(r) / k * (mpmath.harmonic(k - 1) - h_r),
-        ),
-    }
-    for name, (got, weight) in refs.items():
-        ref = _poisson_conditional_mpmath(weight, lam, r)
-        assert abs(got - ref) < 1e-14 * ref, (name, got, float(ref))
+    for (variant, what), ref in _poisson_step_refs_mpmath(lam, r).items():
+        got = _step_prob(variant, what, model, r)
+        if ref == 0:
+            assert got == 0.0, (variant, what, got)
+        else:
+            assert abs(got - ref) < 1e-14 * ref, (variant, what, got, float(ref))
 
 
-def _loop_poisson_conditional(weights, lam: float, r: int) -> float:
-    """E[w(X) | X >= r] for Poisson X via pmf-ratio series from k = r.
+def test_poisson_step_probs_at_huge_rates_return_values():
+    # Poisson(10^6) at r = 1, on a step table of about 55,000 points:
+    # E[1/X | X >= 1] = 1/lam + 1/lam^2 + 2/lam^3 + O(lam^-4), and the bw
+    # reject is twice that, less 2 p(1)/p(X >= 1), far below one ulp
+    model, lam = Poisson(1e6), 1e6
+    mean_inverse = 1 / lam + 1 / lam**2 + 2 / lam**3
+    assert step_accept_prob(V.BEST_OR_WORST, model, 1) == pytest.approx(mean_inverse, rel=1e-14)
+    assert step_reject_prob(V.BEST_OR_WORST, model, 1) == pytest.approx(2 * mean_inverse, rel=1e-14)
 
-    Terms are normalized by pmf(r), so the conditioning survives r far above
-    lam where pmf and tail both underflow.  Assumes 0 <= w <= 1.
-    """
-    num = den = cn = cd = 0.0
-    t = 1.0
-    k = r
-    for _ in range(specfun._MAX_TERMS):
-        w = float(weights(k))
-        y = t * w - cn
-        s = num + y
-        cn = (s - num) - y
-        num = s
-        y = t - cd
-        s = den + y
-        cd = (s - den) - y
-        den = s
-        ratio = lam / (k + 1.0)
-        if ratio < 1.0 and t * ratio / (1.0 - ratio) <= specfun._REL_TOL * den:
-            return num / den
-        t *= ratio
+
+def _direct_step_probs(lam: float, r: int) -> dict:
+    """{(variant, "accept" or "reject"): E[w(X) | X >= r]} for Poisson X in
+    floats: the pmf ratios t_k = p(k)/p(r) from k = r, until k > lam and
+    t_k is below 2^-80 of the largest, each sum by math.fsum, with the
+    per-k weights `accept_success_known` and `threshold_success_known`."""
+    ts, t, k, peak = [], 1.0, r, 1.0
+    while k <= lam or t >= 2.0**-80 * peak:
+        ts.append(t)
+        peak = max(peak, t)
+        t *= lam / (k + 1.0)
         k += 1
-    raise RuntimeError("conditional expectation did not converge")
+    ks = range(r, k)
+    den = math.fsum(ts)
+    out = {}
+    for v in V:
+        out[v, "accept"] = math.fsum(t * accept_success_known(v, j, r) for t, j in zip(ts, ks)) / den
+        out[v, "reject"] = math.fsum(t * threshold_success_known(v, j, r) for t, j in zip(ts, ks)) / den
+    return out
 
 
-def test_poisson_step_probs_match_the_loop_bit_for_bit():
-    # the conditional series before the shared kernel, verbatim above, on the
-    # rate and cutoff grid of tests/test_specfun.py
-    rates = [float(x) for x in np.linspace(0.01, 60.0, 700)] + [100.0, 500.0]
-    for lam in rates:
+# the rate and cutoff grid of tests/test_specfun.py
+_GRID_RATES = [float(x) for x in np.linspace(0.01, 60.0, 700)] + [100.0, 500.0]
+
+
+def _grid_cutoffs(lam):
+    f = math.floor(lam)
+    return (1, 2, 5, f + 2, 2 * f + 3, 50, 150, 400)
+
+
+def test_direct_step_probs_against_mpmath():
+    # the float reference of the grid test, on a seeded sample of its cells
+    # and at its largest rate, within 1e-15 of 50 digits
+    rng = random.Random(5)
+    cells = [(lam, r) for lam in _GRID_RATES for r in _grid_cutoffs(lam)]
+    for lam, r in rng.sample(cells, 40) + [(500.0, 1), (500.0, 400), (0.01, 400)]:
+        refs = _poisson_step_refs_mpmath(lam, r)
+        for key, got in _direct_step_probs(lam, r).items():
+            ref = refs[key]
+            assert abs(got - ref) <= 1e-15 * ref if ref else got == 0.0, (lam, r, key, got)
+
+
+def test_poisson_step_probs_on_the_rate_grid():
+    # within 1e-14 relative of the direct sums, absolute where the value is 0
+    for lam in _GRID_RATES:
         model = Poisson(lam)
-        f = math.floor(lam)
-        for r in (1, 2, 5, f + 2, 2 * f + 3, 50, 150, 400):
-            for v in V:
-                for got, weight in (
-                    (step_accept_prob(v, model, r), lambda k: accept_success_known(v, k, r)),
-                    (step_reject_prob(v, model, r), lambda k: threshold_success_known(v, k, r)),
-                ):
-                    ref = _loop_poisson_conditional(weight, lam, r)
-                    assert got == ref, (v, lam, r, got, ref)
+        for r in _grid_cutoffs(lam):
+            for (v, what), ref in _direct_step_probs(lam, r).items():
+                got = _step_prob(v, what, model, r)
+                assert abs(got - ref) <= 1e-14 * (ref or 1.0), (v, what, lam, r, got, ref)
 
 
 def test_step_prob_conditioning_errors():
@@ -598,7 +630,7 @@ def test_best_cutoff_poisson():
 
 
 def _first_array_f0(variant, model):
-    mom = SuffixMoments(model)
+    mom = SuffixMoments(*support(model))
     k = mom.ks
     first = np.where(k >= (2 if variant is Variant.POSTDOC else 1), 1.0 / np.maximum(k, 1.0), 0.0)
     if variant is Variant.BEST_OR_WORST:
@@ -905,7 +937,7 @@ def test_suffix_moments_bit_equal_to_the_searched_tables():
     # cumsum on m points, the first-order drift bound of both sums (equal
     # bits up to one block of 512 points)
     for model in _SLOT_MODELS:
-        new, old = SuffixMoments(model), _SearchedMoments(model)
+        new, old = SuffixMoments(*support(model)), _SearchedMoments(model)
         m = len(new.ks)
         for name in ("S", "U1", "U2"):
             got, want = getattr(new, name), getattr(old, name)
@@ -944,7 +976,7 @@ _READ_MODELS += [Poisson(lam) for lam in (0.01, 5.0, 1e5)] + [
 
 def test_read_bit_equal_to_the_gather():
     for model in _READ_MODELS:
-        mom = SuffixMoments(model)
+        mom = SuffixMoments(*support(model))
         k0, top, n = int(mom.ks[0]), int(mom.ks[-1]), len(mom.ks)
         starts = sorted({k0 - 3, k0 - 1, 0, k0, (k0 + top) // 2, top, top + 1, top + 5})
         for name in ("S", "U1", "U2"):

@@ -428,14 +428,12 @@ def test_series_respect_max_terms(monkeypatch):
     with pytest.raises(TruncationError):
         sinh_integral(500.0)
     with pytest.raises(TruncationError):
-        series(1.0, lambda k: 250.0 / (k + 1.0), 1, weight=lambda k: 0.5)
+        series(1.0, lambda k: 250.0 / (k + 1.0), 1)
 
 
 def test_series_kernel():
-    # e = sum 1/k!, and the weighted mean of k under the Poisson(3) pmf ratios
-    # from k = 0 is the Poisson mean
+    # e = sum 1/k!
     assert series(1.0, lambda k: 1.0 / (k + 1.0)) == pytest.approx(math.e, rel=1e-16)
-    assert series(1.0, lambda k: 3.0 / (k + 1.0), weight=float) == pytest.approx(3.0, rel=1e-15)
     # a zero leading term ends the sum at once
     assert series(0.0, lambda k: 2.0) == 0.0
 
