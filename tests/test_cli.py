@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import secstop
-from secstop import cli, specfun
+from secstop import cli, core_model, specfun
 from secstop.core_model import Poisson, Uniform, Variant
 from secstop.exact import best_cutoff
 
@@ -378,13 +378,27 @@ def test_dp_poisson_truncates_and_matches_curve(capsys):
     assert float(rec["value"]) == pytest.approx(rep.prob, abs=1e-12)
 
 
-@pytest.mark.parametrize("lam, drift", [("3000", "-2.7e-12"), ("10000", "+8.9e-12"), ("100000", "+1.9e-11")])
-def test_dp_poisson_mass_drift_is_a_numeric_failure(capsys, lam, drift):
-    # the model is valid; its log-space pmf sums to 1 only within the drift
-    # named, past what a table allows: exit 3, where it was "error:" and 2
-    code, out, err = run(capsys, "dp", "--variant", "bw", "--model", f"poisson:lambda={lam}")
+@pytest.mark.parametrize("lam", ["3000", "10000", "100000"])
+def test_dp_poisson_at_large_rates_truncates_within_the_mass_tolerance(capsys, lam):
+    # the log-space pmf missed mass 1 by -2.7e-12, +8.9e-12 and +1.9e-11 at
+    # these rates, past what a table allows (exit 3); Loader's sums to 1
+    # within it, and dp finds best_cutoff's threshold
+    code, out, err = run(capsys, "dp", "--variant", "bw", "--model", f"poisson:lambda={lam}", "--format", "json")
+    assert code == 0 and err == ""
+    (rec,) = json.loads(out)
+    rep = best_cutoff(Variant.BEST_OR_WORST, Poisson(float(lam)))
+    assert rec["is_threshold"] == "true" and int(rec["threshold"]) == rep.cutoff
+    assert float(rec["value"]) == pytest.approx(rep.prob, abs=1e-12)
+
+
+def test_dp_names_a_pmf_that_drifts_as_a_numeric_failure(capsys, monkeypatch):
+    # a valid model whose float masses miss 1 by more than a table allows is
+    # a numeric limit, not bad input: exit 3, with the drift named
+    true_pmf = core_model.poisson_pmf_array
+    monkeypatch.setattr(core_model, "poisson_pmf_array", lambda *args: true_pmf(*args) * (1.0 + 3e-12))
+    code, out, err = run(capsys, "dp", "--variant", "bw", "--model", "poisson:lambda=5")
     assert code == 3 and out == ""
-    assert err == f"numeric failure: the pmf of Poisson(lam={float(lam)}) sums to 1 {drift} in floats; a table allows 1e-12\n"
+    assert err == "numeric failure: the pmf of Poisson(lam=5.0) sums to 1 +3.0e-12 in floats; a table allows 1e-12\n"
 
 
 def test_a_long_flat_table_passes_the_mass_check(capsys, tmp_path):

@@ -45,7 +45,7 @@ _MORE_COMMANDS = [
     "cutoff --variant bw --model poisson:lambda=-1",
     # three steps below the one support point, without a table of 10^10
     "curve --variant classic --model known:n=10000000000 --rmax 3",
-    # a valid rate whose float pmf misses mass 1 by 2.7e-12: a numeric failure
+    # the induction on the truncation of Poisson(3000), within 1e-12 of mass 1
     "dp --variant bw --model poisson:lambda=3000",
     # four cutoffs of Uniform(10^9) from closed forms, without its support
     "curve --variant pd --model uniform:n=1000000000 --rmax 3",

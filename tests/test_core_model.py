@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from secstop import core_model
 from secstop.core_model import (
     CutoffReport,
     EstimatorCheck,
@@ -315,12 +316,23 @@ def test_truncate_to_explicit_preserves_mass():
         assert tail_prob(m, r) == pytest.approx(tail_prob(Poisson(6.0), r), abs=1e-12)
 
 
-def test_truncate_to_explicit_names_a_pmf_that_drifts_from_mass_one():
+def test_truncate_to_explicit_names_a_pmf_that_drifts_from_mass_one(monkeypatch):
     # a numeric limit of a valid model, so a RuntimeError (CLI exit 3), not
-    # the ValueError of a bad table
-    with pytest.raises(PmfMassError, match=r"Poisson\(lam=3000\.0\) sums to 1 -2\.7e-12 in floats") as info:
+    # the ValueError of a bad table; masses scaled by 1 - 3e-12 stand in for
+    # a pmf that drifts
+    true_pmf = core_model.poisson_pmf_array
+    monkeypatch.setattr(core_model, "poisson_pmf_array", lambda *args: true_pmf(*args) * (1.0 - 3e-12))
+    with pytest.raises(PmfMassError, match=r"Poisson\(lam=3000\.0\) sums to 1 -3\.0e-12 in floats") as info:
         truncate_to_explicit(Poisson(3000.0))
     assert isinstance(info.value, RuntimeError) and not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("lam", [3000.0, 1e4, 1e5])
+def test_truncate_to_explicit_keeps_large_poisson_rates_within_the_mass_tolerance(lam):
+    # the log-space pmf missed mass 1 by -2.7e-12, +8.9e-12 and +1.9e-11
+    # here; Loader's masses sum to 1 within what a table allows
+    table = truncate_to_explicit(Poisson(lam))
+    assert abs(math.fsum(p for _, p in table.items) - 1.0) <= 1e-12
 
 
 def test_mass_check_takes_the_exact_sum_of_a_long_table():

@@ -1,13 +1,13 @@
 """Special-function unit tests.
 
 Every value here is pinned against an independent route: scipy's
-implementations, adaptive quadrature of the defining integrals, or direct
-partial sums — never against the module under test.  The one
-same-algorithm comparisons are the bit-identity checks of the series kernel
-against the loops it replaced, of the Poisson mass window against the
-table from k = 0 and against the window of the bisection guard, and of
-the in-place harmonic table against the
-concatenated one, kept below as references.
+implementations, mpmath at 40 digits, adaptive quadrature of the defining
+integrals, or direct partial sums — never against the module under test.
+The one same-algorithm comparisons are the bit-identity checks of the
+series kernel against the loops it replaced, of a Poisson mass window
+against the same routine's table from k = 0 and against the window of the
+bisection guard, of the scalar pmf against the array, and of the in-place
+harmonic table against the concatenated one, kept below as references.
 """
 
 import math
@@ -256,23 +256,13 @@ def test_poisson_pmf_array_normalizes():
         assert abs(p[3] - stats.poisson.pmf(3, lam)) < 1e-15
 
 
-def _listcomp_poisson_pmf_array(lam: float, k_max: int) -> np.ndarray:
-    """poisson_pmf_array over k = 0..k_max as it was before the ln k! cache,
-    kept verbatim."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    k = np.arange(k_max + 1)
-    logs = k * math.log(lam) - lam - np.array([math.lgamma(i + 1.0) for i in range(k_max + 1)])
-    return np.exp(logs)
-
-
 @pytest.mark.parametrize("lam", [5.0, 708.0, 745.0, 746.0, 1000.0, 1e4, 1e5, 1e6])
 def test_poisson_support_is_the_mass_window_of_the_full_table(lam):
     # the support drops exactly the 0.0 masses below the first nonzero one,
     # and every mass it keeps has the bits of the table from k = 0
     ks, ps = support(Poisson(lam))
     k_lo, k_max = int(ks[0]), int(ks[-1])
-    full = _listcomp_poisson_pmf_array(lam, k_max)
+    full = poisson_pmf_array(lam, k_max)
     assert ps.tobytes() == full[k_lo:].tobytes()
     assert np.array_equal(ks, np.arange(k_lo, k_max + 1))
     assert ps[0] > 0.0 and not np.any(full[:k_lo])
@@ -337,13 +327,67 @@ def test_poisson_window_from_tail_bounds_bit_equal_to_the_guarded_window(lam):
     assert np.array_equal(ks, ref_ks) and ps.tobytes() == ref_ps.tobytes()
     assert poisson_tail(poisson_k_max(lam) + 1, lam) < 1e-30
     for k in (0, 1, 50):
-        assert poisson_pmf(k, lam) == math.exp(_poisson_log_pmf(k, lam))
+        assert poisson_pmf(k, lam) == poisson_pmf_array(lam, k, k)[0]
 
 
 def test_poisson_pmf_array_window_bit_equal_to_the_full_table():
-    for lam, k_max, k_lo in [(1.0, 0, 0), (1.0, 1, 1), (2.5, 40, 3), (3000.0, 3400, 2500), (0.01, 30, 29)]:
+    # a window has the bits of the same routine's table from k = 0, across
+    # the head of cached k, stirlerr's table and the block edges
+    cases = [(1.0, 0, 0), (1.0, 1, 1), (2.5, 40, 3), (3000.0, 3400, 2500), (0.01, 30, 29), (600.0, 1100, 1020)]
+    cases += [(2e4, 26_000, 15_000), (5e3, 9_000, 4_100)]
+    for lam, k_max, k_lo in cases:
         got = poisson_pmf_array(lam, k_max, k_lo)
-        assert got.tobytes() == _listcomp_poisson_pmf_array(lam, k_max)[k_lo:].tobytes(), (lam, k_max, k_lo)
+        assert got.tobytes() == poisson_pmf_array(lam, k_max)[k_lo:].tobytes(), (lam, k_max, k_lo)
+
+
+_LOADER_RATES = [0.5, 2.0, 37.3, 100.0, 1000.0, 3000.0, 1e4, 1e5, 1e6, 1e9]
+
+
+def _mp_pmf(k: int, lam: float) -> float:
+    with mpmath.workdps(40):
+        return mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+
+
+@pytest.mark.parametrize("lam", _LOADER_RATES)
+def test_poisson_pmf_against_mpmath(lam):
+    # every mass of a window up to 3000 points, 400 spread over a longer
+    # one: within 4e-15 where p(k) >= 1e-6 p(mode); elsewhere within 2e-13
+    # on bd0's series (lam/2 < k < 2 lam) and within 4e-13 on its direct
+    # form, whose floor is the rounding of k ln(k/lam) (about 1100 near
+    # k = lam/2 at lam = 3000), not of bd0; a subnormal mass, which holds
+    # fewer bits, may be off by one unit of 2^-1074 besides
+    ks, ps = support(Poisson(lam))
+    mode = float(ps.max())
+    picks = range(len(ks)) if len(ks) <= 3000 else np.unique(np.linspace(0, len(ks) - 1, 400).astype(int))
+    for i in picks:
+        k, p = int(ks[i]), float(ps[i])
+        ref = _mp_pmf(k, lam)
+        if p >= 1e-6 * mode:
+            bound = 4e-15
+        else:
+            bound = 2e-13 if lam / 2 < k < 2 * lam else 4e-13
+        assert abs(p - ref) <= bound * ref + 2.0**-1074, (lam, k, float(abs(p - ref) / ref))
+    assert abs(math.fsum(ps.tolist()) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 37.3, 1000.0, 1e5])
+def test_poisson_pmf_scalar_equals_the_array(lam):
+    # the scalar that starts poisson_tail's series has the array's bits at
+    # every k of the window, near and far from the rate
+    ks, ps = support(Poisson(lam))
+    for k, p in zip(ks.tolist(), ps.tolist()):
+        assert poisson_pmf(k, lam) == p, (lam, k)
+
+
+@pytest.mark.parametrize("lam", [2.0, 1e5])
+def test_poisson_support_takes_no_lgamma(monkeypatch, lam):
+    # the masses are one vector evaluation over the window, with no ln k!
+    def no_lgamma(x):
+        raise AssertionError("math.lgamma was called")
+
+    monkeypatch.setattr(math, "lgamma", no_lgamma)
+    ks, ps = support(Poisson(lam))
+    assert len(ks) == len(ps) and ps.max() > 0.0
 
 
 def test_poisson_tail_values():
