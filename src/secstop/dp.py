@@ -20,10 +20,17 @@ an accept run D/w has a closed form, a suffix sum of positive terms, with
 w(t) = t or t(t - 1) the summation factor of nu_t = 1/t or 2/t.  The pass
 is O(T) whatever the number of runs, one run on a threshold model and a few
 on islands of mass; A = B/S and C = D/S are within 1e-13 of exact fractions
-or 50-digit mpmath on Known and Uniform up to 10^6.  B, nu_t, the accept
-mask and the scan for the reachable accept pattern are whole-array numpy
-expressions.  On a threshold model C(t) is the best curve value past t over
-S(t), max_{r >= t} F(r)/S(t).  The policy holds A, C and the accept mask as
+or 50-digit mpmath on Known and Uniform up to 10^6.  B and the accept mask
+are whole-array numpy expressions; nu_t = c/t is formed window by window.
+The live steps, where S > 0, are the prefix up to the last point with mass,
+and the reachable ones a range of it, so A = B/S, C = D/S, the accept mask
+and the classification read slices; S is read at the steps as a view where
+the support is contiguous.  Besides the support and its S and U tables, the
+induction holds one float array of the steps, the tables' scratch buffer
+(the U weights, then the recursion's weights, then the tie band's floor),
+B, which becomes A, D, which becomes C, and the accept mask.  On a
+threshold model C(t) is the best curve value past t over S(t),
+max_{r >= t} F(r)/S(t).  The policy holds A, C and the accept mask as
 read-only arrays.
 """
 
@@ -35,15 +42,16 @@ from fractions import Fraction
 from itertools import permutations
 
 from .core_model import (
+    _NICE_FIRST,
     _NICE_NUMERATOR,
     CountModel,
     Poisson,
     ThresholdPolicy,
     Variant,
-    nice_probabilities,
+    nice_probability,
     support,
 )
-from .exact import _TIE_REL, SuffixMoments
+from .exact import _TIE_REL, SuffixMoments, _first
 from .specfun import np
 
 # steps in the first window of a run; each further window is twice as long
@@ -66,35 +74,24 @@ class DPPolicy:
     witness: tuple[int, int] | None
 
 
-def _moments(model: CountModel) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
-    """(moments, steps t = 0..T, S(t) at those steps) with T the top of the
-    support."""
+def _moments(model: CountModel) -> SuffixMoments:
     if isinstance(model, Poisson):
         raise ValueError("Poisson support is infinite; truncate_to_explicit first")
-    mom = SuffixMoments(*support(model))
-    T = int(mom.ks.max())
-    return mom, np.arange(T + 1), mom.read(mom.S, 0, np.empty(T + 1))
+    return SuffixMoments(*support(model))
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True of mask, or None."""
-    if not len(mask):
-        return None
-    j = int(mask.argmax())
-    return j if mask[j] else None
-
-
-def _continue_mass(B: np.ndarray, nu: np.ndarray, t: np.ndarray, c: int, buf: np.ndarray) -> np.ndarray:
+def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.ndarray) -> np.ndarray:
     """D(t) = S(t) C(t) for t = 0..T, with B(t) = S(t) A(t): D(T) = 0 and
 
         D(t) = D(t+1) + nu_{t+1} max(B(t+1) - D(t+1), 0),
 
-    the recursion for C times S(t), nu_s = c/s for s >= 2 and c = 1 or 2.
-    It runs one run of steps at a time from the top.  Over a reject run,
-    B(s) <= D(s), D is constant, and the run ends at the last step below
-    with B > D.  Over an accept run, B(s) > D(s), D(t) = (1 - nu_{t+1})
-    D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s = w(s-1)/w(s) with w(t) = t
-    (c = 1) or t(t - 1) (c = 2), so from the run's top u
+    the recursion for C times S(t), nu_1 = nu1, nu_s = c/s for s >= 2 and
+    c = 1 or 2, t the float steps 0..T.  It runs one run of steps at a time
+    from the top.  Over a reject run, B(s) <= D(s), D is constant, and the
+    run ends at the last step below with B > D.  Over an accept run, B(s) >
+    D(s), D(t) = (1 - nu_{t+1}) D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s =
+    w(s-1)/w(s) with w(t) = t (c = 1) or t(t - 1) (c = 2), so from the run's
+    top u
 
         D(t)/w(t) = D(u)/w(u) + sum_{s = t+1..u} nu_s B(s)/w(s-1),
 
@@ -121,7 +118,8 @@ def _continue_mass(B: np.ndarray, nu: np.ndarray, t: np.ndarray, c: int, buf: np
             while True:
                 lo = max(u - width, c)
                 g = buf[: u - lo]  # nu_s B(s)/w(s-1), s = lo+1..u
-                np.multiply(B[lo + 1 : u + 1], nu[lo + 1 : u + 1], out=g)
+                np.divide(c, t[lo + 1 : u + 1], out=g)
+                g *= B[lo + 1 : u + 1]
                 g /= t[lo:u]
                 if c == 2:
                     g /= t[lo - 1 : u - 1]
@@ -163,63 +161,72 @@ def _continue_mass(B: np.ndarray, nu: np.ndarray, t: np.ndarray, c: int, buf: np
     for s in range(p, 0, -1):
         b = B[s]
         if b > d:
-            d += nu[s] * (b - d)
+            d += (nu1 if s == 1 else c / s) * (b - d)
         D[s - 1] = d
     return D
 
 
-def _conditional(x: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """x/S in place, where S > 0; x is 0 where S is."""
-    return np.divide(x, S, out=x, where=S > 0.0)
-
-
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
-    return _induction(variant, model, *_moments(model))
+    return _induction(variant, model, _moments(model))
 
 
-def _induction(variant: Variant, model: CountModel, mom: SuffixMoments, t: np.ndarray, S: np.ndarray) -> DPPolicy:
-    T = len(t) - 1
-    nu = nice_probabilities(variant, t)
+def _induction(variant: Variant, model: CountModel, mom: SuffixMoments) -> DPPolicy:
+    T = int(mom.ks[-1])
+    buf = mom.scratch(T + 1)  # before the U table's weights, so it is not regrown
+    t = np.arange(T + 1, dtype=float)
+    c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
 
     B = mom.accept_mass(variant, t)
     if variant is Variant.BEST_OR_WORST and T >= 1:
         # k = 1: the object is both best and worst, value 1; else 2/k
         i = mom.at(1)
         B[1] = 2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)
-    D = _continue_mass(B, nu, t, int(_NICE_NUMERATOR[variant]), mom.scratch(T))
-    C = _conditional(D, S)
-    A = _conditional(B, S)
+    D = _continue_mass(B, t, c, nu1, buf[:T])
+
+    # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
+    # past it B = D = 0, and so A = C = 0 and no step accepts
+    last = len(mom.ps) - 1 - int(np.argmax(mom.ps[::-1] > 0.0))
+    L = int(mom.ks[last]) + 1
+    mom.divide_at_steps(mom.S, buf, B[:L], D[:L])
+    A, C = B, D
 
     # ties resolve to accept; the band absorbs float noise in exact ties
-    # (odd-n Known models tie A and C exactly at step (n+1)/2)
-    live = S > 0.0
-    accept = live & (A >= C - _TIE_REL * np.maximum(1.0, C))
-    accept[0] = False
+    # (odd-n Known models tie A and C exactly at step (n+1)/2); its floor
+    # goes into the spent scratch buffer
+    accept = np.zeros(T + 1, dtype=bool)
+    floor = np.maximum(C[1:L], 1.0, out=buf[: L - 1])
+    floor *= _TIE_REL
+    np.subtract(C[1:L], floor, out=floor)
+    np.greater_equal(A[1:L], floor, out=accept[1:L])
 
-    # Classify the policy by its reachable decisions only.  An accepting
-    # step whose nice-probability is exactly 1 (step 1, and step 2 for the
-    # best-or-worst rule) absorbs every surviving trajectory, so decisions
-    # past it are vacuous: the realized policy of "accept at 1, dip, accept
-    # late" is indistinguishable from the pure cutoff-0 rule.
-    realizable = np.flatnonzero(live & (nu > 0.0))
-    absorbing = np.flatnonzero(accept[realizable] & (nu[realizable] >= 1.0))
-    if absorbing.size:
-        realizable = realizable[: absorbing[0] + 1]
-    pattern = accept[realizable]
-    drops = np.flatnonzero(pattern[:-1] & ~pattern[1:])
+    # Classify the policy by its reachable decisions only: the live steps
+    # from the first whose nice-probability is positive (step 1, or 2 for
+    # postdoc).  An accepting step whose nice-probability is exactly 1 (step
+    # 1, and step 2 for the best-or-worst rule; nu_s = c/s < 1 past c)
+    # absorbs every surviving trajectory, so decisions past it are vacuous:
+    # the realized policy of "accept at 1, dip, accept late" is
+    # indistinguishable from the pure cutoff-0 rule.
+    lo = 1 if nu1 > 0.0 else 2
+    hi = L
+    for s in range(lo, min(L, c + 1)):
+        if accept[s] and nice_probability(variant, s) >= 1.0:
+            hi = s + 1
+            break
+    pattern = accept[lo:hi]
+    j = _first(pattern[:-1] > pattern[1:])  # the first accept -> reject
 
     witness = None
     threshold = None
-    if drops.size:
-        j = drops[0]
-        witness = (int(realizable[j]), int(realizable[j + 1]))
+    if j is not None:
+        witness = (lo + j, lo + j + 1)
     else:
-        if pattern.any():
-            r = int(realizable[np.argmax(pattern)]) - 1
+        first = _first(pattern)
+        if first is not None:
+            r = lo + first - 1
         else:
-            r = int(realizable[-1]) if realizable.size else T
+            r = hi - 1 if hi > lo else T
         # canonical form: dropping leading never-nice steps changes nothing
-        while r >= 1 and nu[r] == 0.0:
+        while r >= 1 and nice_probability(variant, r) == 0.0:
             r -= 1
         threshold = r
 
@@ -255,14 +262,17 @@ def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
     rules; for best-or-worst the true weight is 2/(t+1), and this reports how
     far the printed system drifts from the behavioral values.
     """
-    mom, t, S = _moments(model)
-    pol = _induction(variant, model, mom, t, S)
+    mom = _moments(model)
+    pol = _induction(variant, model, mom)
+    T = pol.horizon
+    t = np.arange(T + 1, dtype=float)
+    S = mom.read(mom.S, 0, np.empty(T + 1))
     # definition-style accept values (single-identity convention throughout);
     # the classic nice chances are exactly the printed weights 1/(t+1)
-    classic = Variant.CLASSIC
-    B, nu = mom.accept_mass(variant, t), nice_probabilities(classic, t)
-    D = _continue_mass(B, nu, t, int(_NICE_NUMERATOR[classic]), mom.scratch(len(t) - 1))
-    return float(np.max(np.abs(_conditional(D, S) - pol.value_reject)))
+    B = mom.accept_mass(variant, t)
+    D = _continue_mass(B, t, int(_NICE_NUMERATOR[Variant.CLASSIC]), _NICE_FIRST[Variant.CLASSIC], mom.scratch(T))
+    D = np.divide(D, S, out=D, where=S > 0.0)
+    return float(np.max(np.abs(D - pol.value_reject)))
 
 
 _ORACLE_MAX_K = 9

@@ -15,13 +15,17 @@ within 1e-13 of exact rationals (1.5 ulp at 10^6 points).  On top of the
 curve sit the conditional step probabilities (accept now vs. reject and
 continue): closed forms on Uniform (the classic reject aside), and table
 reads elsewhere, on Poisson of the law of X given X >= r, which reaches
-steps past the support.  The optimal-cutoff search has two routes.  On
+steps past the support.  The optimal-cutoff search has three routes.  On
 Known(n), and on Uniform(n) for the two-sided rules,
 ΔF(r) = F(r + 1) - F(r) has a closed form that changes sign once, so the
 best positive cutoff is a bisection on its sign: O(log n) scalar
 evaluations, each decided in floats only where |ΔF| exceeds the explicit
-error bound of `specfun.harmonic_form_sign` and exactly otherwise.  Every
-other model takes the argmax of the whole curve.
+error bound of `specfun.harmonic_form_sign` and exactly otherwise.  The
+two-sided rules on Poisson and tables evaluate F over the support's window
+and, below its first point, where F is a concave parabola, only at the
+cutoffs near its vertex that can reach the tie band: O(window), with the
+whole curve's argmax bit for bit.  Classic on Uniform, Poisson and tables
+takes the argmax of the whole curve.
 """
 
 from __future__ import annotations
@@ -60,6 +64,9 @@ from .specfun import (
 _TIE_REL = 1e-12
 # block length of the compensated suffix sums (SuffixMoments._suffix)
 _BLOCK = 512
+# points of the row that `_ramp` repeats, and the fewest cutoffs below k_0
+# that one pass of `_parabola` takes in a curve
+_CHUNK = 4096
 
 
 class ConditioningError(ValueError):
@@ -88,8 +95,9 @@ class SuffixMoments:
     on a `support` or a Poisson step table, U1 without k = 0 and U2 without
     k <= 1, each with a trailing 0 and built on first use by `_suffix`.
     Their weights p(k)/d(k) go into the instance's one scratch buffer,
-    zeroed only below the first point; F(0)'s nu and the T of
-    `cutoff_values` reuse it.  The slot of a step t is the first point >= t.
+    zeroed only below the first point; F(0)'s nu, the T and the parabola
+    of `cutoff_values`, the postdoc weights of `accept_mass` and the
+    induction in `dp` reuse it.  The slot of a step t is the first point >= t.
     read(table, t0, out) reads a table at the steps t0, t0 + 1, ...: on
     contiguous points (Known, Uniform, Poisson, a gapless table) a head
     fill, a slice copy and a tail fill; with gaps a gather at searched
@@ -113,6 +121,22 @@ class SuffixMoments:
         if self._k0 is None:
             return np.take(table, self.at(np.arange(t0, t0 + len(out))), out=out)
         return _shifted_read(table, t0 - self._k0, out)
+
+    def divide_at_steps(self, table: np.ndarray, buf: np.ndarray, *xs: np.ndarray) -> None:
+        """x[t] /= table[slot of t] at the steps t = 0..n - 1 of each x, all
+        n <= top + 1 long: on contiguous points by table[0] below the first
+        point and by a view of the table from it; with gaps by the table
+        read into buf (n points)."""
+        n = len(xs[0])
+        if self._k0 is None:
+            at_steps = self.read(table, 0, buf[:n])
+            for x in xs:
+                x /= at_steps
+            return
+        h = min(self._k0, n)
+        for x in xs:
+            x[:h] /= table[0]
+            x[h:] /= table[: n - h]
 
     def scratch(self, n: int) -> np.ndarray:
         """The first n slots of the instance's scratch buffer, grown if short.
@@ -188,50 +212,94 @@ class SuffixMoments:
         convention: t U1(t), or t(t-1) U2(t) for postdoc; 0 where p(X >= t)
         = 0, since both U tables are 0 there."""
         if variant is Variant.POSTDOC:
-            table, weight = self.U2, t * (t - 1)
+            table = self.U2  # built before the scratch holds the weights
+            weight = np.subtract(t, 1.0, out=self.scratch(len(t)))
+            np.maximum(weight, 0.0, out=weight)  # a +0 weight at t = 0, as in integers
+            weight *= t
         else:
             table, weight = self.U1, t
         out = self.read(table, int(t[0]), np.empty(len(t)))
         out *= weight
         return out
 
-    def cutoff_values(self, variant: Variant, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """F(r) at the consecutive cutoffs r >= 1, into out:
+    def cutoff_values(self, variant: Variant, r0: int, out: np.ndarray) -> tuple[float, float]:
+        """F(r) at the consecutive cutoffs r = r0, r0 + 1, ... (r0 >= 1), into
+        out:
 
             F(r) = c r K(r + 1),   K(t) = sum over integer steps s >= t of T(s),
 
         T = U2 and c = 2 (bw) or 1 (pd); T(s) = U1(s)/(s - 1) and c = 1 for
         classic, since sum_{s=r+1..k} 1/(s - 1) = H_{k-1} - H_{r-1}.  K is
         summed by `_suffix` over the steps a..top, gaps included, from a =
-        max(r + 1, k_0), k_0 the first support point.  Below k_0 both U
+        max(r0 + 1, k_0), k_0 the first support point.  Below k_0 both U
         tables are constant, so K(t) = K(a) + (a - t) U2(a) for the two-sided
-        rules and K(a) + U1(a) (H_{a-2} - H_{t-2}) for classic, that gap
-        taken from `harmonic_gap` at the last step below a and lifted by a
-        `_suffix` of 1/(s - 1) under it: Known(n) costs O(r_max), not O(n),
-        and Poisson the length of its mass window."""
-        t0, top = int(r[0]) + 1, int(self.ks[-1])
+        rules (F is the parabola of `_parabola`) and K(a) + U1(a) (H_{a-2} -
+        H_{t-2}) for classic, that gap taken from `harmonic_gap` at the last
+        step below a and lifted by a `_suffix` of 1/(s - 1) under it: Known(n)
+        costs O(r_max), not O(n), and Poisson the length of its mass window.
+        The cutoffs r are written into out (at least one point) by `_ramp`
+        first and each factor multiplies them in place, so no array of r is
+        built; the parabola runs in chunks of the scratch buffer.  Returns
+        (T(a), K(a)), T(a) = 0.0 where a > top."""
+        t0, top = r0 + 1, int(self.ks[-1])
         classic = variant is Variant.CLASSIC
         table = self.U1 if classic else self.U2  # built before the scratch holds T
         a = max(t0, int(self.ks[0]))
         T = self.read(table, a, self.scratch(max(top - a + 1, 0)))
-        below = out[: min(a - t0, len(out))]  # steps t = r + 1 < a
-        if len(below):
-            if classic:
-                t1 = t0 + len(below) - 1
-                below[:] = self._suffix(1.0 / np.arange(t0 - 1, t1 - 1, dtype=float))
-                below += harmonic_gap(a - 2, t1 - 2)[0]
-            else:
-                np.subtract(a - 1, r[: len(below)], out=below)
-            below *= T[0]
+        Ta = float(T[0]) if len(T) else 0.0
+        nb = min(a - t0, len(out))  # cutoffs below a - 1, whose steps t = r + 1 < a
         if classic:
             T /= np.arange(a - 1, top, dtype=float)
         K = self._suffix(T)  # K(a), ..., K(top), K(top + 1) = 0
-        _shifted_read(K, t0 + len(below) - a, out[len(below) :])
-        below += K[0]
-        out *= r
+        Ka = float(K[0])
+        _ramp(out, r0)
+        window = out[nb:]
+        m = min(len(window), len(K))  # the first window cutoff's step is a
+        window[:m] *= K[:m]
+        window[m:] = 0.0
+        if nb and classic:
+            t1 = t0 + nb - 1
+            below = self._suffix(1.0 / np.arange(t0 - 1, t1 - 1, dtype=float))
+            below += harmonic_gap(a - 2, t1 - 2)[0]
+            below *= Ta
+            below += Ka
+            out[:nb] *= below
+        elif nb:
+            x = self.scratch(min(nb, max(len(self.ks), _CHUNK)))  # T is spent
+            for i in range(0, nb, len(x)):
+                chunk = out[i : min(i + len(x), nb)]
+                _parabola(chunk, a, Ta, Ka, x[: len(chunk)])
         if not classic:
             out *= _TWO_SIDED[variant]
+        return Ta, Ka
+
+
+def _ramp(out: np.ndarray, r0: int) -> np.ndarray:
+    """out[j] = r0 + j in a contiguous out, integers and so exact in floats:
+    up to _CHUNK points one arange, past it the outer sum of a column of
+    block starts and a row of _CHUNK offsets, so that no array as long as
+    out is built."""
+    n = len(out)
+    if n <= _CHUNK:
+        out[:] = np.arange(r0, r0 + n, dtype=float)
         return out
+    full = n - n % _CHUNK
+    starts = np.arange(r0, r0 + full, _CHUNK, dtype=float)
+    np.add.outer(starts, np.arange(_CHUNK, dtype=float), out=out[:full].reshape(-1, _CHUNK))
+    out[full:] = np.arange(r0 + full, r0 + n, dtype=float)
+    return out
+
+
+def _parabola(r: np.ndarray, a: int, Ta: float, Ka: float, x: np.ndarray) -> np.ndarray:
+    """r (Ka + (a - 1 - r) Ta) in place at the cutoffs r below a - 1, the
+    two-sided F(r)/c under the first support point a, with x (as long as r)
+    for the bracket: (a - 1 - r) is exact, then one rounding each for the
+    product, the sum and the product with r."""
+    np.subtract(a - 1, r, out=x)
+    x *= Ta
+    x += Ka
+    r *= x
+    return r
 
 
 def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
@@ -318,7 +386,9 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
         n = model.n
         return float(_TWO_SIDED[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
     mom, t, S = _table_step(model, r)
-    return float(mom.cutoff_values(variant, t, np.empty(1))[0] / S[0])
+    F = np.empty(1)
+    mom.cutoff_values(variant, r, F)
+    return float(F[0] / S[0])
 
 
 def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.ndarray:
@@ -342,6 +412,12 @@ def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.nd
     return values
 
 
+def _first_value(variant: Variant, mom: SuffixMoments) -> float:
+    """F(0) = sum_k p(k) nu_k, a dot with nu in the scratch buffer."""
+    nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
+    return float(np.dot(nu, mom.ps))
+
+
 def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:
     """F(r) for r = 0..r_max (default: the top of the support, past which
     F(r) is 0.0; r_max never moves a bit): F(0) = sum_k p(k) nu_k, a dot,
@@ -355,11 +431,10 @@ def success_curve(variant: Variant, model: CountModel, r_max: int | None = None)
         mom = SuffixMoments(*support(model))
         if r_max is None:
             r_max = int(mom.ks[-1])
-        values, terms = np.zeros(r_max + 1), len(mom.ks)
-        nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
-        values[0] = float(np.dot(nu, mom.ps))
+        values, terms = np.empty(r_max + 1), len(mom.ks)
+        values[0] = _first_value(variant, mom)
         if r_max >= 1:
-            mom.cutoff_values(variant, np.arange(1, r_max + 1, dtype=float), values[1:])
+            mom.cutoff_values(variant, 1, values[1:])
     np.clip(values, 0.0, 1.0, out=values)
     return SuccessCurve(variant, model, r_max, values, truncation_terms_used=terms)
 
@@ -489,17 +564,20 @@ def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     r = 0 means "accept the first nice candidate immediately"; for small or
     front-loaded models that genuinely dominates every positive cutoff.
 
-    Two routes.  On Known(n), and on Uniform(n) for the two-sided rules, the
-    best positive cutoff M is `positive_cutoff`'s bisection on the sign of
-    ΔF, each sign decided in floats only outside an explicit error bound
+    Three routes.  On Known(n), and on Uniform(n) for the two-sided rules,
+    the best positive cutoff M is `positive_cutoff`'s bisection on the sign
+    of ΔF, each sign decided in floats only outside an explicit error bound
     and exactly inside it, so no curve is built and no tie band is used.
     F(0) and F(M) come from closed forms, and where they lie within 1e-12
     relative of each other (those forms are within 2e-15 of mpmath at every
     n <= 3000 measured) they are compared as exact fractions, so the
     analytic ties (postdoc cutoffs 0 and 1, Known(2) and Known(3)) resolve
-    to 0.  Classic on Uniform, Poisson and
-    explicit tables take the argmax of `success_curve`, where values within
-    a 1e-12 relative band of the maximum count as tied.
+    to 0.  The two-sided rules on Poisson and explicit tables take
+    `_window_cutoff`: the curve over the window k_0 - 1..top and a few
+    cutoffs of the parabola below it, O(top - k_0) however far k_0 lies
+    from 0.  Classic on Uniform, Poisson and explicit tables takes the
+    argmax of the whole `success_curve`.  Those two routes count values
+    within a 1e-12 relative band of the maximum as tied (`_band_argmax`).
     """
     if _closed_form_search(variant, model):
         m = positive_cutoff(variant, model)
@@ -509,8 +587,72 @@ def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
         else:
             zero = f0 > fm
         return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=f0 if zero else fm)
-    curve = success_curve(variant, model)
-    vmax = float(curve.values.max())
-    tol = _TIE_REL * abs(vmax)
-    m = int(np.argmax(curve.values >= vmax - tol))
-    return CutoffReport(model=model, variant=variant, cutoff=m, prob=float(curve.values[m]))
+    if variant is Variant.CLASSIC:
+        m, prob = _band_argmax([(0, success_curve(variant, model).values)])
+    else:
+        m, prob = _window_cutoff(variant, model)
+    return CutoffReport(model=model, variant=variant, cutoff=m, prob=prob)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True of mask, or None."""
+    if not len(mask):
+        return None
+    j = int(mask.argmax())
+    return j if mask[j] else None
+
+
+def _band_argmax(runs: list[tuple[int, np.ndarray]]) -> tuple[int, float]:
+    """(M, F(M)) over runs (r, F at r, r + 1, ...) in increasing r: the
+    smallest cutoff whose value lies within the _TIE_REL relative band of
+    the largest."""
+    vmax = max(float(v.max()) for _, v in runs if len(v))
+    floor = vmax - _TIE_REL * abs(vmax)
+    for r, v in runs:  # the run of the maximum always breaks
+        j = _first(v >= floor)
+        if j is not None:
+            break
+    return r + j, float(v[j])
+
+
+def _window_cutoff(variant: Variant, model: CountModel) -> tuple[int, float]:
+    """(M, F(M)) for a two-sided rule on a support table, the argmax of the
+    whole curve 0..top in the tie band, bit for bit, from F(0), the window
+    r = r0..top with r0 = max(1, k_0 - 1), and the cutoffs below k_0 - 1
+    that can reach the band.
+
+    Below the first support point k_0 (k_0 >= 3), the curve's float values
+    v(r) are the expression of `_parabola` on g(r) = c r (Ka + (k_0 - 1 - r)
+    Ta), Ta = U2(k_0) and Ka = K(k_0) from the window's one suffix sum; at r
+    = k_0 - 1 the window's value is that same expression.  g is concave,
+    g(r) = c Ta (r*^2 - (r - r*)^2) with vertex r* = Ka/(2 Ta) + (k_0 - 1)/2,
+    and v = g (1 + d), |d| <= 3u (u = 2^-53: a product, a sum of positives
+    and a product; c is a power of 2).  Let q be an integer of [1, k_0 - 1]
+    nearest rc, r* clamped to that range.  The maximum V of all values is at
+    least v(q), and a cutoff in the band has v(r) >= V (1 - rho)(1 - 2u),
+    rho = _TIE_REL, so g(r) >= (1 - b) g(q) with b <= rho + 8u < 2 rho.
+    With r* inside the range, g(q) >= c Ta (r*^2 - 1/4) and so
+    (r - r*)^2 <= b r*^2 + 1/4; with r* past an end, g(q) is that end's
+    value and |r - q| <= sqrt(b) r*.  Either way |r - rc| <= sqrt(2 rho) r*
+    + 1/2, and 1/2 more covers the rounding of r* and the integer ends.
+    Only those integers are evaluated, by the expression of the curve: a
+    value outside them misses the band, and so is not the maximum either.
+    Ta > 0 there, since all the mass lies at k >= k_0 >= 3."""
+    mom = SuffixMoments(*support(model))
+    k0, top = int(mom.ks[0]), int(mom.ks[-1])
+    r0 = max(1, k0 - 1)
+    values = np.empty(max(top - r0 + 2, 1))  # F(0), F(r0), ..., F(top)
+    values[0] = _first_value(variant, mom)
+    runs = [(0, values)]
+    if top >= r0:
+        Ta, Ka = mom.cutoff_values(variant, r0, values[1:])
+        if r0 > 1:
+            vertex = Ka / (2.0 * Ta) + 0.5 * (k0 - 1)
+            rc, h = min(max(vertex, 1.0), k0 - 1.0), vertex * math.sqrt(2.0 * _TIE_REL) + 1.0
+            lo, hi = max(1, math.ceil(rc - h)), min(k0 - 2, math.floor(rc + h))
+            below = np.arange(lo, hi + 1, dtype=float)
+            _parabola(below, k0, Ta, Ka, np.empty(len(below)))
+            below *= _TWO_SIDED[variant]
+            runs = [(0, values[:1]), (lo, np.clip(below, 0.0, 1.0, out=below)), (r0, values[1:])]
+    np.clip(values, 0.0, 1.0, out=values)
+    return _band_argmax(runs)

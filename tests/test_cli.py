@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import secstop
+from conftest import run_limited
 from secstop import cli, core_model, specfun
 from secstop.core_model import Poisson, Uniform, Variant
 from secstop.exact import best_cutoff
@@ -145,10 +146,21 @@ def test_cutoff_uniform_estimator_columns(capsys):
 def test_cutoff_uniform_past_any_support_array():
     # M from the sign of the first difference and P from the closed form: no
     # curve over the support, which at n = 10^9 would need 8 GB an array
-    done = _run_limited(["cutoff", "--variant", "bw", "--model", "uniform:n=1000000000", "--format", "json"])
+    done = run_limited(["cutoff", "--variant", "bw", "--model", "uniform:n=1000000000", "--format", "json"])
     assert done.returncode == 0, done.stderr
     (rec,) = json.loads(done.stdout)
     assert rec["M"] == "203187870"
+
+
+@pytest.mark.parametrize("variant", ["bw", "pd"])
+def test_cutoff_poisson_at_a_billion_within_the_mass_window(variant):
+    # the curve over the window of 1.6 million points and a few cutoffs of
+    # the parabola below it; the curve from r = 1 asked for 7.45 GiB and
+    # exited 3 (out of memory) under the limit.  Classic still takes it.
+    done = run_limited(["cutoff", "--variant", variant, "--model", "poisson:lambda=1e9", "--format", "json"])
+    assert done.returncode == 0, done.stderr
+    (rec,) = json.loads(done.stdout)
+    assert rec["model"] == "poisson:lambda=1e9"
 
 
 @pytest.mark.parametrize(
@@ -208,7 +220,7 @@ def test_curve_uniform_prefix_past_any_support_array(variant):
     # four cutoffs of Uniform(10^9) from closed forms; building its support
     # was killed for lack of memory, so it runs under the 2 GB limit only
     argv = ["curve", "--variant", variant, "--model", "uniform:n=1000000000", "--rmax", "3", "--format", "csv"]
-    done = _run_limited(argv)
+    done = run_limited(argv)
     assert done.returncode == 0, done.stderr
     rows = parse_csv(done.stdout)
     assert [r["r"] for r in rows] == ["0", "1", "2", "3"]
@@ -316,27 +328,12 @@ def test_simulate_cap_counts_steps_past_the_cutoff(capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 2
 
 
-def _run_limited(argv):
-    """The CLI in a child process under a 2 GB address-space limit, so that
-    a command that allocates a huge support fails fast (exit 3, out of
-    memory) instead of swapping."""
-    child = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-        "from secstop.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    src = str(Path(secstop.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60)
-
-
 def test_simulate_refuses_a_huge_uniform_before_building_its_support():
     # Uniform(10^10) at cutoff 0 is about 5e9 trial-steps, past the cap; its
     # support alone would be 160 GB, so under a 2 GB address-space limit a
     # guard that built it would end in "out of memory" (exit 3) instead
     argv = ["simulate", "--variant", "bw", "--model", "uniform:n=10000000000", "--cutoff", "0", "--trials", "1"]
-    done = _run_limited(argv)
+    done = run_limited(argv)
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and "5e+09 trial-steps" in done.stderr
 
@@ -345,7 +342,7 @@ def test_simulate_refuses_a_huge_poisson_before_building_its_support():
     # Poisson(10^12) at cutoff 0 is 10^12 trial-steps, lam Psi(0) from the
     # tail; building its support first ran out of series terms (exit 3)
     argv = ["simulate", "--variant", "bw", "--model", "poisson:lambda=1e12", "--cutoff", "0", "--trials", "1"]
-    done = _run_limited(argv)
+    done = run_limited(argv)
     assert done.returncode == 2, done.stderr
     assert done.stdout == "" and "1e+12 trial-steps" in done.stderr
 

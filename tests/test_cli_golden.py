@@ -18,7 +18,6 @@ import importlib.util
 import json
 import os
 import re
-import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -27,6 +26,7 @@ from unittest import mock
 
 import pytest
 
+from conftest import run_limited
 from secstop import cli
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -57,14 +57,6 @@ _MORE_COMMANDS = [
     "dp --variant classic --model table:tests/data/islands.csv",
 ]
 
-_LIMITED_CHILD = (
-    "import resource, sys\n"
-    "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
-    "from secstop.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
-
-
 def _commands() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location("bench_workloads", _ROOT / "bench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -83,10 +75,7 @@ def _huge(argv: list[str]) -> bool:
 
 def _run(argv: list[str]) -> tuple[int, str, str]:
     if _huge(argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), COLUMNS="80",
-                   OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv], cwd=_ROOT, env=env,
-                              capture_output=True, text=True, timeout=60)
+        done = run_limited(argv, cwd=_ROOT, COLUMNS="80")
         return done.returncode, done.stdout, done.stderr
     out, err = StringIO(), StringIO()
     cwd = os.getcwd()

@@ -151,7 +151,9 @@ def test_induction_matches_loop_reference_known_and_uniform(variant):
 
 # with Known and Uniform(1..3) above, the tables on which every step is one
 # of the steps s <= c that the induction takes one at a time (nu_1 is the
-# variant's first-step chance, nu_2 = 1 for best-or-worst)
+# variant's first-step chance, nu_2 = 1 for best-or-worst), and two whose
+# explicit zero masses at the top end the live steps, where S > 0, before
+# the horizon
 _EXPLICIT_MODELS = [
     Explicit(((0, 1.0),)),
     Explicit(((1, 1.0),)),
@@ -160,6 +162,8 @@ _EXPLICIT_MODELS = [
     Explicit(((0, 0.5), (3, 0.5))),
     Explicit(((0, 0.2), (1, 0.3), (4, 0.5))),
     Explicit(((100, 0.99), (1000, 0.01))),
+    Explicit(((3, 0.5), (7, 0.5), (12, 0.0))),
+    Explicit(((0, 0.5), (4, 0.5), (9, 0.0))),
     *(truncate_to_explicit(Poisson(lam)) for lam in (2.0, 5.0, 8.0, 1000.0)),
 ]
 # every model the induction runs on in this module

@@ -15,7 +15,9 @@ induction value.
 
 import math
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -36,8 +38,10 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
+from secstop.cli import parse_model
 from secstop.dp import backward_induction
 from secstop.exact import (
+    _TIE_REL,
     ConditioningError,
     SuffixMoments,
     _closed_value,
@@ -692,6 +696,92 @@ def test_poisson_curve_has_the_same_bits_at_every_horizon(variant, lam):
         values = success_curve(variant, Poisson(lam), r_max).values
         assert values[: k_max + 1].tobytes() == default.tobytes(), r_max
         assert not np.any(values[k_max + 1 :]), r_max
+
+
+# ------------------------------- the two-sided cutoff over the mass window
+
+
+def _full_curve_cutoff(variant, model):
+    """best_cutoff's argmax of the whole curve, as it was before the
+    two-sided rules took the window route, kept verbatim as that route's
+    reference."""
+    curve = success_curve(variant, model)
+    vmax = float(curve.values.max())
+    tol = _TIE_REL * abs(vmax)
+    m = int(np.argmax(curve.values >= vmax - tol))
+    return m, float(curve.values[m])
+
+
+def _assert_window_route_is_the_full_curve(model):
+    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+        rep = best_cutoff(variant, model)
+        m, p = _full_curve_cutoff(variant, model)
+        assert (rep.cutoff, rep.prob.hex()) == (m, p.hex()), (variant, model)
+
+
+# k_0 is 1 at 746, so the window is the whole curve; the parabola's vertex
+# lies in the window up to 4821 and below k_0 - 1 from 4822; at 3*10^6 and
+# 10^7 the band takes a cutoff below the argmax (1499998 and 4999994, not
+# 1499999 and 4999999)
+_WINDOW_RATES = [746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1, 3e6, 1e7]
+_WINDOW_RATES += [math.exp(random.Random(20).uniform(math.log(746), math.log(2e6))) for _ in range(40)]
+
+
+@pytest.mark.parametrize("lam", _WINDOW_RATES)
+def test_window_cutoff_equals_the_whole_curve_on_poisson(lam):
+    _assert_window_route_is_the_full_curve(Poisson(float(lam)))
+
+
+def test_window_cutoff_keeps_the_knife_edges():
+    for lam, m in ((1e7, 4999994), (3e6, 1499998)):
+        for variant in (V.BEST_OR_WORST, V.POSTDOC):
+            assert best_cutoff(variant, Poisson(lam)).cutoff == m, (lam, variant)
+
+
+_ISLANDS = Path(__file__).resolve().parent / "data" / "islands.csv"
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        explicit_from_dict({100: 0.99, 1000: 0.01}),
+        parse_model(f"table:{_ISLANDS}"),
+        explicit_from_dict({3: 0.5, 4: 0.5}),
+        explicit_from_dict({50: 0.25, 51: 0.25, 400: 0.5}),
+        # an explicit zero mass at k_0, below the first point with mass
+        explicit_from_dict({10: 0.0, 50: 0.5, 51: 0.5}),
+    ],
+)
+def test_window_cutoff_equals_the_whole_curve_on_tables(model):
+    _assert_window_route_is_the_full_curve(model)
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=3000),
+        st.integers(min_value=1, max_value=50),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_window_cutoff_equals_the_whole_curve_on_gapped_tables(weights):
+    total = sum(weights.values())
+    _assert_window_route_is_the_full_curve(explicit_from_dict({k: w / total for k, w in weights.items()}))
+
+
+@pytest.mark.parametrize("variant", [V.BEST_OR_WORST, V.POSTDOC])
+def test_best_cutoff_at_a_billion_lies_in_the_band_of_the_vertex(variant):
+    # the curve from r = 1 asked for 7.45 GiB; the window is 1.6 million
+    # points.  Below it, F is f*(r) = c r (s1 - r s2) with the smoothing
+    # sums s1, s2, whose maximum c s1^2/(4 s2) M must reach within the band
+    start = time.perf_counter()
+    rep = best_cutoff(variant, Poisson(1e9))
+    assert time.perf_counter() - start < 2.0
+    s1, s2 = poisson_smoothing_coefficients(1e9)
+    c = 2.0 if variant is V.BEST_OR_WORST else 1.0
+    assert rep.cutoff < support(Poisson(1e9))[0][0] - 1
+    assert abs(rep.prob - c * s1 * s1 / (4.0 * s2)) <= 1.1 * _TIE_REL * rep.prob
 
 
 # ------------------------------------- the cutoff from the sign of ΔF

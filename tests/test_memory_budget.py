@@ -39,11 +39,12 @@ def _peak_units(fn, n: int = N) -> float:
 @pytest.mark.parametrize(
     "model, budget",
     [
-        # ks, ps, the U2 and K tables, the scratch buffer (T), the values
-        # and r
-        (Uniform(N), 8),
-        # the values and r; T and K are a few points long
-        (Known(N), 3),
+        # ks, ps, the U2 and K tables, the scratch buffer (T) and the values,
+        # which hold the cutoffs r before F: about 6.2 units
+        (Uniform(N), 6.5),
+        # the values and a chunk of the scratch buffer for the parabola below
+        # the one support point; T and K are a point long: about 1 unit
+        (Known(N), 1.25),
     ],
 )
 def test_full_support_curve_budget(model, budget):
@@ -74,11 +75,11 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
 
 
 def test_backward_induction_budget():
-    # ks, ps, S, the steps and S at them, nu, U1 and its scratch buffer, B
-    # and D, which the recursion fills run by run in place with its weights
-    # in the scratch buffer: 10 units, and the two temporaries of the tie
-    # band's floor on top; the peak is about 12.4 units
-    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 12.5
+    # ks, ps, the S and U1 tables, the float steps, the scratch buffer (the
+    # U1 weights, then the recursion's weights, then the tie band's floor),
+    # B, which becomes A, and D, which the recursion fills run by run in
+    # place and which becomes C, and the accept mask: about 8.2 units
+    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 8.5
 
 
 @pytest.mark.parametrize(
@@ -118,3 +119,11 @@ def test_poisson_curve_below_the_window_is_linear_in_the_window():
     # ks, ps, U2, T and K over the window and the 1001 values: about 5.4
     # arrays of the window
     assert _peak_units(lambda: success_curve(Variant.BEST_OR_WORST, Poisson(1e6), 1000), _WINDOW) <= 7
+
+
+@pytest.mark.parametrize("variant", [Variant.BEST_OR_WORST, Variant.POSTDOC])
+def test_two_sided_poisson_cutoff_is_linear_in_the_window(variant):
+    # ks, ps, the U2 and K tables, the scratch buffer and the values over
+    # the window, and three cutoffs of the parabola below it: about 6.4
+    # windows, where the whole curve from r = 1 peaked at 45.7
+    assert _peak_units(lambda: best_cutoff(variant, Poisson(1e6)), _WINDOW) <= 6.5
