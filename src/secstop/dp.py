@@ -27,7 +27,7 @@ and the reachable ones a range of it, so A = B/S, C = D/S, the accept mask
 and the classification read slices; S is read at the steps as a view where
 the support is contiguous.  Besides the support and its S and U tables, the
 induction holds one float array of the steps, the tables' scratch buffer
-(the U weights, then the recursion's weights, then the tie band's floor),
+(the U weights, then the recursion's weights, then C (1 - _ACCEPT_REL)),
 B, which becomes A, D, which becomes C, and the accept mask.  On a
 threshold model C(t) is the best curve value past t over S(t),
 max_{r >= t} F(r)/S(t).  The policy holds A, C and the accept mask as
@@ -51,11 +51,18 @@ from .core_model import (
     nice_probability,
     support,
 )
-from .exact import _TIE_REL, SuffixMoments, _first
+from .exact import SuffixMoments
 from .specfun import np
 
 # steps in the first window of a run; each further window is twice as long
 _RUN_WINDOW = 64
+# a bound on the relative error of C(t) - A(t), the accept test's slack.
+# A = B/S and C = D/S share S, so the sign is that of D - B.  B (t U1, or
+# t(t - 1) U2 for postdoc) is within 1.2e-14, the error of the U tables
+# (`exact.SuffixMoments._suffix`), and D, a positive combination of B
+# values, within that plus its own 1.4e-14 (`_continue_mass`): 1.2e-14 +
+# 2.6e-14 and the two divisions by S
+_ACCEPT_REL = 4e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +79,14 @@ class DPPolicy:
     is_threshold: bool
     threshold: int | None
     witness: tuple[int, int] | None
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True of mask, or None."""
+    if not len(mask):
+        return None
+    j = int(mask.argmax())
+    return j if mask[j] else None
 
 
 def _moments(model: CountModel) -> SuffixMoments:
@@ -190,13 +205,12 @@ def _induction(variant: Variant, model: CountModel, mom: SuffixMoments) -> DPPol
     mom.divide_at_steps(mom.S, buf, B[:L], D[:L])
     A, C = B, D
 
-    # ties resolve to accept; the band absorbs float noise in exact ties
-    # (odd-n Known models tie A and C exactly at step (n+1)/2); its floor
-    # goes into the spent scratch buffer
+    # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside the
+    # float bound is a tie, and ties resolve to accept (odd-n Known models
+    # tie A and C exactly at step (n+1)/2); C(t) (1 - _ACCEPT_REL) goes into
+    # the spent scratch buffer
     accept = np.zeros(T + 1, dtype=bool)
-    floor = np.maximum(C[1:L], 1.0, out=buf[: L - 1])
-    floor *= _TIE_REL
-    np.subtract(C[1:L], floor, out=floor)
+    floor = np.multiply(C[1:L], 1.0 - _ACCEPT_REL, out=buf[: L - 1])
     np.greater_equal(A[1:L], floor, out=accept[1:L])
 
     # Classify the policy by its reachable decisions only: the live steps

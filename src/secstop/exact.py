@@ -15,17 +15,18 @@ within 1e-13 of exact rationals (1.5 ulp at 10^6 points).  On top of the
 curve sit the conditional step probabilities (accept now vs. reject and
 continue): closed forms on Uniform (the classic reject aside), and table
 reads elsewhere, on Poisson of the law of X given X >= r, which reaches
-steps past the support.  The optimal-cutoff search has three routes.  On
-Known(n), and on Uniform(n) for the two-sided rules,
-ΔF(r) = F(r + 1) - F(r) has a closed form that changes sign once, so the
-best positive cutoff is a bisection on its sign: O(log n) scalar
+steps past the support.  The optimal-cutoff search reads the sign of
+ΔF(r) = F(r + 1) - F(r) and has two routes.  On Known(n), and on Uniform(n)
+for the two-sided rules, ΔF has a closed form that changes sign once, so
+the best positive cutoff is a bisection on its sign: O(log n) scalar
 evaluations, each decided in floats only where |ΔF| exceeds the explicit
-error bound of `specfun.harmonic_form_sign` and exactly otherwise.  The
-two-sided rules on Poisson and tables evaluate F over the support's window
-and, below its first point, where F is a concave parabola, only at the
-cutoffs near its vertex that can reach the tie band: O(window), with the
-whole curve's argmax bit for bit.  Classic on Uniform, Poisson and tables
-takes the argmax of the whole curve.
+error bound of `specfun.harmonic_form_sign` and exactly otherwise.  Every
+other model (Poisson, tables, and classic on Uniform(n), whose support is a
+table) takes one scan of ΔF(r) = c [K(r + 2) - r T(r + 1)] over the T and K
+tables the curve sums: closed forms below the first support point, one
+vectorised compare over the window, O(window) in all.  Each decision
+compares a float difference against its own derived rounding bound, and a
+difference inside it is a tie that goes to the smaller cutoff.
 """
 
 from __future__ import annotations
@@ -59,13 +60,18 @@ from .specfun import (
     np,
 )
 
-# relative slack for treating two curve values as tied, and the float error
-# bound of the closed-form F values compared at r = 0 and M (see best_cutoff)
-_TIE_REL = 1e-12
+# the unit roundoff; the relative error bound of the float ΔF and F of
+# `_scan_cutoff`, which derives it, and the factor of its rise test
+_U = 2.0**-53
+_DF_REL = 1100 * _U
+_DF_GAMMA = (1.0 + _DF_REL) / (1.0 - _DF_REL)
+# the float error of the closed forms best_cutoff compares at r = 0 and M,
+# where they come close (n <= 200, H_n < 6): a `harmonic_gap` within 8 eps
+# H_n, cancelled by at most 16 in `_uniform_tail_sums`, and a few roundings
+_CLOSED_REL = 2e-13
 # block length of the compensated suffix sums (SuffixMoments._suffix)
 _BLOCK = 512
-# points of the row that `_ramp` repeats, and the fewest cutoffs below k_0
-# that one pass of `_parabola` takes in a curve
+# points that `_times_ramp` and the parabola of `cutoff_values` take at a time
 _CHUNK = 4096
 
 
@@ -95,9 +101,9 @@ class SuffixMoments:
     on a `support` or a Poisson step table, U1 without k = 0 and U2 without
     k <= 1, each with a trailing 0 and built on first use by `_suffix`.
     Their weights p(k)/d(k) go into the instance's one scratch buffer,
-    zeroed only below the first point; F(0)'s nu, the T and the parabola
-    of `cutoff_values`, the postdoc weights of `accept_mass` and the
-    induction in `dp` reuse it.  The slot of a step t is the first point >= t.
+    zeroed only below the first point; F(0)'s nu, the T of `step_tables`,
+    the parabola of `cutoff_values`, the postdoc weights of `accept_mass`
+    and the induction in `dp` reuse it.  The slot of a step t is the first point >= t.
     read(table, t0, out) reads a table at the steps t0, t0 + 1, ...: on
     contiguous points (Known, Uniform, Poisson, a gapless table) a head
     fill, a slice copy and a tail fill; with gaps a gather at searched
@@ -222,84 +228,59 @@ class SuffixMoments:
         out *= weight
         return out
 
-    def cutoff_values(self, variant: Variant, r0: int, out: np.ndarray) -> tuple[float, float]:
-        """F(r) at the consecutive cutoffs r = r0, r0 + 1, ... (r0 >= 1), into
-        out:
-
-            F(r) = c r K(r + 1),   K(t) = sum over integer steps s >= t of T(s),
-
-        T = U2 and c = 2 (bw) or 1 (pd); T(s) = U1(s)/(s - 1) and c = 1 for
-        classic, since sum_{s=r+1..k} 1/(s - 1) = H_{k-1} - H_{r-1}.  K is
-        summed by `_suffix` over the steps a..top, gaps included, from a =
-        max(r0 + 1, k_0), k_0 the first support point.  Below k_0 both U
-        tables are constant, so K(t) = K(a) + (a - t) U2(a) for the two-sided
-        rules (F is the parabola of `_parabola`) and K(a) + U1(a) (H_{a-2} -
-        H_{t-2}) for classic, that gap taken from `harmonic_gap` at the last
-        step below a and lifted by a `_suffix` of 1/(s - 1) under it: Known(n)
-        costs O(r_max), not O(n), and Poisson the length of its mass window.
-        The cutoffs r are written into out (at least one point) by `_ramp`
-        first and each factor multiplies them in place, so no array of r is
-        built; the parabola runs in chunks of the scratch buffer.  Returns
-        (T(a), K(a)), T(a) = 0.0 where a > top."""
-        t0, top = r0 + 1, int(self.ks[-1])
+    def step_tables(self, variant: Variant, a: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """(T, K, u) at the integer steps s = a..top, a >= 2, gaps included:
+        T(s) = U2(s) (bw, pd) or U1(s)/(s - 1) (classic) in the scratch
+        buffer, K(t) = sum_{s >= t} T(s) (its `_suffix`, K(top + 1) = 0), and
+        u = U2(a) or U1(a), 0.0 where a > top.  For all three rules F(r) = c
+        r K(r + 1), c = 2 (bw) or 1, as sum_{s=r+1..k} 1/(s - 1) = H_{k-1} -
+        H_{r-1}; so ΔF(r) = F(r + 1) - F(r) = c [K(r + 2) - r T(r + 1)].
+        Both U tables are constant below the first support point k_0, so
+        there T(s) = u (bw, pd) or u/(s - 1) (classic), from a >= k_0 down."""
+        top = int(self.ks[-1])
         classic = variant is Variant.CLASSIC
         table = self.U1 if classic else self.U2  # built before the scratch holds T
-        a = max(t0, int(self.ks[0]))
         T = self.read(table, a, self.scratch(max(top - a + 1, 0)))
-        Ta = float(T[0]) if len(T) else 0.0
-        nb = min(a - t0, len(out))  # cutoffs below a - 1, whose steps t = r + 1 < a
+        u = float(T[0]) if len(T) else 0.0
         if classic:
             T /= np.arange(a - 1, top, dtype=float)
-        K = self._suffix(T)  # K(a), ..., K(top), K(top + 1) = 0
+        return T, self._suffix(T), u
+
+    def cutoff_values(self, variant: Variant, r0: int, out: np.ndarray) -> None:
+        """F(r) = c r K(r + 1) at the consecutive cutoffs r = r0, r0 + 1, ...
+        (r0 >= 1), into out (at least one point), from the `step_tables` at
+        a = max(r0 + 1, k_0).  Below a, K(t) = K(a) + (a - t) u for the
+        two-sided rules, a parabola in r, and K(a) + u (H_{a-2} - H_{t-2})
+        for classic, that gap taken from `harmonic_gap` at the last step
+        below a and lifted by a `_suffix` of 1/(s - 1) under it: Known(n)
+        costs O(r_max), not O(n), and Poisson the length of its mass
+        window.  Each K(r + 1) is written into out and multiplied by r in
+        place (`_times_ramp`), so no array of r is built."""
+        t0 = r0 + 1
+        a = max(t0, int(self.ks[0]))
+        T, K, u = self.step_tables(variant, a)
         Ka = float(K[0])
-        _ramp(out, r0)
+        nb = min(a - t0, len(out))  # cutoffs below a - 1, whose steps t = r + 1 < a
         window = out[nb:]
         m = min(len(window), len(K))  # the first window cutoff's step is a
-        window[:m] *= K[:m]
+        window[:m] = K[:m]
         window[m:] = 0.0
-        if nb and classic:
+        if nb and variant is Variant.CLASSIC:
             t1 = t0 + nb - 1
-            below = self._suffix(1.0 / np.arange(t0 - 1, t1 - 1, dtype=float))
+            steps = np.arange(t0 - 1, t1 - 1, dtype=float)
+            below = self._suffix(np.divide(1.0, steps, out=steps), out=out[:nb])
             below += harmonic_gap(a - 2, t1 - 2)[0]
-            below *= Ta
+            below *= u
             below += Ka
-            out[:nb] *= below
-        elif nb:
-            x = self.scratch(min(nb, max(len(self.ks), _CHUNK)))  # T is spent
-            for i in range(0, nb, len(x)):
-                chunk = out[i : min(i + len(x), nb)]
-                _parabola(chunk, a, Ta, Ka, x[: len(chunk)])
-        if not classic:
+        else:
+            for i in range(0, nb, _CHUNK):  # (a - 1 - r) u + Ka, the first factor exact
+                y = out[i : min(i + _CHUNK, nb)]
+                y[:] = np.arange(a - 1 - r0 - i, a - 1 - r0 - i - len(y), -1, dtype=float)
+                y *= u
+                y += Ka
+        _times_ramp(out, r0)
+        if variant is not Variant.CLASSIC:
             out *= _TWO_SIDED[variant]
-        return Ta, Ka
-
-
-def _ramp(out: np.ndarray, r0: int) -> np.ndarray:
-    """out[j] = r0 + j in a contiguous out, integers and so exact in floats:
-    up to _CHUNK points one arange, past it the outer sum of a column of
-    block starts and a row of _CHUNK offsets, so that no array as long as
-    out is built."""
-    n = len(out)
-    if n <= _CHUNK:
-        out[:] = np.arange(r0, r0 + n, dtype=float)
-        return out
-    full = n - n % _CHUNK
-    starts = np.arange(r0, r0 + full, _CHUNK, dtype=float)
-    np.add.outer(starts, np.arange(_CHUNK, dtype=float), out=out[:full].reshape(-1, _CHUNK))
-    out[full:] = np.arange(r0 + full, r0 + n, dtype=float)
-    return out
-
-
-def _parabola(r: np.ndarray, a: int, Ta: float, Ka: float, x: np.ndarray) -> np.ndarray:
-    """r (Ka + (a - 1 - r) Ta) in place at the cutoffs r below a - 1, the
-    two-sided F(r)/c under the first support point a, with x (as long as r)
-    for the bracket: (a - 1 - r) is exact, then one rounding each for the
-    product, the sum and the product with r."""
-    np.subtract(a - 1, r, out=x)
-    x *= Ta
-    x += Ka
-    r *= x
-    return r
 
 
 def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
@@ -515,10 +496,15 @@ def positive_cutoff(variant: Variant, model: CountModel) -> int:
     Uniform(n).  O(log n) sign evaluations and no arrays."""
     if not _closed_form_search(variant, model):
         raise ValueError("the closed-form search covers Known, and Uniform for bw and pd")
-    lo, hi = 1, model.n
+    return _first_fall(lambda r: _delta_sign(variant, model, r) > 0, 1, model.n)
+
+
+def _first_fall(rises, lo: int, hi: int) -> int:
+    """The first r in [lo, hi) where rises(r) is false, hi where there is
+    none, by bisection: rises must hold on a prefix of the range."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if _delta_sign(variant, model, mid) > 0:
+        if rises(mid):
             lo = mid + 1
         else:
             hi = mid
@@ -564,95 +550,92 @@ def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     r = 0 means "accept the first nice candidate immediately"; for small or
     front-loaded models that genuinely dominates every positive cutoff.
 
-    Three routes.  On Known(n), and on Uniform(n) for the two-sided rules,
-    the best positive cutoff M is `positive_cutoff`'s bisection on the sign
-    of ΔF, each sign decided in floats only outside an explicit error bound
-    and exactly inside it, so no curve is built and no tie band is used.
-    F(0) and F(M) come from closed forms, and where they lie within 1e-12
-    relative of each other (those forms are within 2e-15 of mpmath at every
-    n <= 3000 measured) they are compared as exact fractions, so the
-    analytic ties (postdoc cutoffs 0 and 1, Known(2) and Known(3)) resolve
-    to 0.  The two-sided rules on Poisson and explicit tables take
-    `_window_cutoff`: the curve over the window k_0 - 1..top and a few
-    cutoffs of the parabola below it, O(top - k_0) however far k_0 lies
-    from 0.  Classic on Uniform, Poisson and explicit tables takes the
-    argmax of the whole `success_curve`.  Those two routes count values
-    within a 1e-12 relative band of the maximum as tied (`_band_argmax`).
+    Two routes, both on the sign of ΔF(r) = F(r + 1) - F(r), and neither
+    builds the curve.  On Known(n), and on Uniform(n) for the two-sided
+    rules, the best positive cutoff M is `positive_cutoff`'s bisection, each
+    sign decided in floats only outside an explicit error bound and exactly
+    inside it.  F(0) and F(M) come from closed forms, and where they lie
+    within _CLOSED_REL of each other they are compared as exact fractions,
+    so the analytic ties (postdoc cutoffs 0 and 1, Known(2) and Known(3))
+    resolve to 0.  Every other model (Poisson, explicit tables, and classic
+    on Uniform(n), whose support is a table) takes `_scan_cutoff`: one scan
+    of the sign of ΔF over the support's step tables, O(top - k_0) however
+    far the first support point k_0 lies from 0, where a difference inside
+    its rounding bound is a tie and goes to the smaller cutoff.
     """
     if _closed_form_search(variant, model):
         m = positive_cutoff(variant, model)
         f0, fm = _closed_value(variant, model, 0), _closed_value(variant, model, m)
-        if abs(f0 - fm) <= _TIE_REL * max(f0, fm):
+        if abs(f0 - fm) <= _CLOSED_REL * max(f0, fm):
             zero = _exact_value(variant, model, 0) >= _exact_value(variant, model, m)
         else:
             zero = f0 > fm
         return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=f0 if zero else fm)
-    if variant is Variant.CLASSIC:
-        m, prob = _band_argmax([(0, success_curve(variant, model).values)])
-    else:
-        m, prob = _window_cutoff(variant, model)
+    m, prob = _scan_cutoff(variant, model)
     return CutoffReport(model=model, variant=variant, cutoff=m, prob=prob)
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True of mask, or None."""
-    if not len(mask):
-        return None
-    j = int(mask.argmax())
-    return j if mask[j] else None
+def _scan_cutoff(variant: Variant, model: CountModel) -> tuple[int, float]:
+    """(M, F(M)) on a support table, from the sign of ΔF(r) = c [K(r + 2) -
+    r T(r + 1)] on the `step_tables` at a = max(2, k_0): the smallest of
+    F(0) and the local maxima r >= 1 (ΔF(r) does not rise, and ΔF(r - 1)
+    does or r = 1) whose F ties the largest.  Below a, ΔF(r)/c = Ka + (a -
+    2 - 2r) u for the two-sided rules and Ka + u (H_{a-2} - H_r - 1) for
+    classic, Ka = K(a): both fall once, found by `_first_fall` in O(log a)
+    scalars.  Over the window r = a - 1..top - 1 the rises are one compare,
+    and F = c r K(r + 1) is read at the local maxima only: O(top - a).
 
-
-def _band_argmax(runs: list[tuple[int, np.ndarray]]) -> tuple[int, float]:
-    """(M, F(M)) over runs (r, F at r, r + 1, ...) in increasing r: the
-    smallest cutoff whose value lies within the _TIE_REL relative band of
-    the largest."""
-    vmax = max(float(v.max()) for _, v in runs if len(v))
-    floor = vmax - _TIE_REL * abs(vmax)
-    for r, v in runs:  # the run of the maximum always breaks
-        j = _first(v >= floor)
-        if j is not None:
-            break
-    return r + j, float(v[j])
-
-
-def _window_cutoff(variant: Variant, model: CountModel) -> tuple[int, float]:
-    """(M, F(M)) for a two-sided rule on a support table, the argmax of the
-    whole curve 0..top in the tie band, bit for bit, from F(0), the window
-    r = r0..top with r0 = max(1, k_0 - 1), and the cutoffs below k_0 - 1
-    that can reach the band.
-
-    Below the first support point k_0 (k_0 >= 3), the curve's float values
-    v(r) are the expression of `_parabola` on g(r) = c r (Ka + (k_0 - 1 - r)
-    Ta), Ta = U2(k_0) and Ka = K(k_0) from the window's one suffix sum; at r
-    = k_0 - 1 the window's value is that same expression.  g is concave,
-    g(r) = c Ta (r*^2 - (r - r*)^2) with vertex r* = Ka/(2 Ta) + (k_0 - 1)/2,
-    and v = g (1 + d), |d| <= 3u (u = 2^-53: a product, a sum of positives
-    and a product; c is a power of 2).  Let q be an integer of [1, k_0 - 1]
-    nearest rc, r* clamped to that range.  The maximum V of all values is at
-    least v(q), and a cutoff in the band has v(r) >= V (1 - rho)(1 - 2u),
-    rho = _TIE_REL, so g(r) >= (1 - b) g(q) with b <= rho + 8u < 2 rho.
-    With r* inside the range, g(q) >= c Ta (r*^2 - 1/4) and so
-    (r - r*)^2 <= b r*^2 + 1/4; with r* past an end, g(q) is that end's
-    value and |r - q| <= sqrt(b) r*.  Either way |r - rc| <= sqrt(2 rho) r*
-    + 1/2, and 1/2 more covers the rounding of r* and the integer ends.
-    Only those integers are evaluated, by the expression of the curve: a
-    value outside them misses the band, and so is not the maximum either.
-    Ta > 0 there, since all the mass lies at k >= k_0 >= 3."""
+    The bound.  Each `_suffix` value of positive terms is a cumsum of at
+    most _BLOCK terms ((_BLOCK - 1) u of the value, u = 2^-53) lifted by the
+    Kahan sum of the block totals (2u) in two roundings: 515u.  With the U
+    weights' 2u and classic's division, T is within 518u, K = _suffix(T)
+    within 1033u, r T within 519u and F = c r K within 1034u.  So ΔF(r)
+    rises where it exceeds _DF_REL (K(r + 2) + r T(r + 1)), _DF_REL = 1100u,
+    that is where K(r + 2) > _DF_GAMMA r T(r + 1), whose roundings the margin
+    covers; classic below a takes H_{a-2} - H_r at the low end of its
+    `harmonic_gap` bound.  A difference inside the bound is a tie and goes
+    to the smaller cutoff: ΔF(r) does not rise, and an F within the bounds
+    of its value and of the largest is taken before a later one.  F(0), a
+    dot of n = len(ks) positive products, is within (n + 2) u."""
     mom = SuffixMoments(*support(model))
-    k0, top = int(mom.ks[0]), int(mom.ks[-1])
-    r0 = max(1, k0 - 1)
-    values = np.empty(max(top - r0 + 2, 1))  # F(0), F(r0), ..., F(top)
-    values[0] = _first_value(variant, mom)
-    runs = [(0, values)]
-    if top >= r0:
-        Ta, Ka = mom.cutoff_values(variant, r0, values[1:])
-        if r0 > 1:
-            vertex = Ka / (2.0 * Ta) + 0.5 * (k0 - 1)
-            rc, h = min(max(vertex, 1.0), k0 - 1.0), vertex * math.sqrt(2.0 * _TIE_REL) + 1.0
-            lo, hi = max(1, math.ceil(rc - h)), min(k0 - 2, math.floor(rc + h))
-            below = np.arange(lo, hi + 1, dtype=float)
-            _parabola(below, k0, Ta, Ka, np.empty(len(below)))
-            below *= _TWO_SIDED[variant]
-            runs = [(0, values[:1]), (lo, np.clip(below, 0.0, 1.0, out=below)), (r0, values[1:])]
-    np.clip(values, 0.0, 1.0, out=values)
-    return _band_argmax(runs)
+    top = int(mom.ks[-1])
+    rs, Fs = [0], [_first_value(variant, mom)]
+    if top >= 2:
+        c, classic = _NICE_NUMERATOR[variant], variant is Variant.CLASSIC
+        a = max(2, int(mom.ks[0]))
+        T, K, u = mom.step_tables(variant, a)
+        Ka = float(K[0])
+
+        def rises(r: int) -> bool:
+            if classic:
+                d, e = harmonic_gap(a - 2, r)
+                return Ka + u * (d - e) > _DF_GAMMA * u
+            return Ka + (a - 2 - r) * u > _DF_GAMMA * (r * u)
+
+        m = _first_fall(rises, 1, a - 1)
+        if m < a - 1:
+            rs.append(m)  # F(m) as the curve's below-a forms, classic's gap from harmonic_gap
+            Fs.append(m * (harmonic_gap(a - 2, m - 1)[0] * u + Ka) if classic else m * ((a - 1 - m) * u + Ka) * c)
+        _times_ramp(T, a - 1)  # r T(r + 1) at r = a - 1..top - 1
+        T *= _DF_GAMMA
+        up = K[1:] > T
+        falls = ((up[:-1] > up[1:]).nonzero()[0] + 1).tolist()
+        if m == a - 1 and not up[0]:
+            falls.insert(0, 0)
+        for j, k in zip(falls, K[falls].tolist()):
+            rs.append(a - 1 + j)
+            Fs.append((a - 1 + j) * k * c)
+    Fs = [min(max(f, 0.0), 1.0) for f in Fs]
+    bounds = [f * _DF_REL for f in Fs]
+    bounds[0] = Fs[0] * (len(mom.ks) + 2) * _U
+    i = max(range(len(Fs)), key=Fs.__getitem__)
+    j = next(j for j, (f, b) in enumerate(zip(Fs, bounds)) if Fs[i] - f <= b + bounds[i])
+    return rs[j], Fs[j]
+
+
+def _times_ramp(x: np.ndarray, r0: int) -> None:
+    """x[j] *= r0 + j in place, _CHUNK points at a time, so that no array
+    as long as x is built."""
+    for i in range(0, len(x), _CHUNK):
+        seg = x[i : i + _CHUNK]
+        seg *= np.arange(r0 + i, r0 + i + len(seg), dtype=float)

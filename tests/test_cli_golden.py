@@ -6,10 +6,11 @@ must equal the files under `tests/golden/`.  The commands are the
 cli-session workload of the benchmark at seed 1
 (`bench/workloads.py::cli_session_specs`), curves on a support of 10^10, and
 the error paths of bad input, each of which must exit with its code and one
-message, never a traceback.  A command on a model of n >= 10^9 runs in a
-child process under a 2 GB address-space limit, so that a path that built
-an array of n floats fails fast instead of exhausting the machine's memory.  A change that means to alter a printed line rewrites the files and
-so shows as a diff of them:
+message, never a traceback.  A command on a model of n >= 10^9 or a
+Poisson rate >= 10^8 runs in a child process under a 2 GB address-space
+limit, so that a path that built an array as long as n or the rate fails
+fast instead of exhausting the machine's memory.  A change that means to
+alter a printed line rewrites the files and so shows as a diff of them:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -55,6 +56,11 @@ _MORE_COMMANDS = [
     # and 1080, whose accept set is eight runs of accept and reject steps
     "dp --variant bw --model uniform:n=1000000",
     "dp --variant classic --model table:tests/data/islands.csv",
+    # the argmax 4999999, which both estimators give, past the knife edge
+    # where a tie band of the whole curve took 4999994
+    "cutoff --variant bw --model poisson:lambda=1e7",
+    # classic over the mass window of Poisson(10^9), without a curve from r = 1
+    "cutoff --variant classic --model poisson:lambda=1e9",
 ]
 
 def _commands() -> list[list[str]]:
@@ -69,8 +75,12 @@ _COMMANDS = _commands()
 
 
 def _huge(argv: list[str]) -> bool:
-    """A model of n >= 10^9, ten digits or more."""
-    return any(re.search(r":n=\d{10,}$", a) for a in argv)
+    """A model of n >= 10^9, ten digits or more, or a Poisson rate >= 10^8."""
+    for a in argv:
+        rate = re.search(r":lambda=(\S+)$", a)
+        if re.search(r":n=\d{10,}$", a) or (rate and float(rate.group(1)) >= 1e8):
+            return True
+    return False
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

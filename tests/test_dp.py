@@ -257,13 +257,10 @@ def test_induction_threshold_equals_the_certified_cutoff(n):
         assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff, (variant, model)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="dp accepts where A(t) >= C(t) - 1e-12 C(t), a tie band (ROADMAP item 3); "
-    "it gives 204615, the certified M is 204616",
-)
 @pytest.mark.parametrize("variant", [Variant.BEST_OR_WORST, Variant.POSTDOC])
 def test_induction_threshold_at_the_knife_edge_of_1007027(variant):
+    # (A - C)/C at step 204616 is -4.7e-13 (bw) and -9.5e-13 (pd): an
+    # absolute band of 1e-12 accepted there and gave threshold 204615
     model = Uniform(1_007_027)
     assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff
 

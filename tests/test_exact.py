@@ -41,7 +41,6 @@ from secstop.core_model import (
 from secstop.cli import parse_model
 from secstop.dp import backward_induction
 from secstop.exact import (
-    _TIE_REL,
     ConditioningError,
     SuffixMoments,
     _closed_value,
@@ -55,7 +54,7 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop.specfun import harmonic_numbers
+from secstop.specfun import harmonic, harmonic_numbers
 
 V = Variant
 
@@ -680,6 +679,10 @@ def test_cutoff_zero_and_default_horizon_bit_equal_to_the_dispatched_forms(varia
             # from the curve: the same cutoff, and P within 2e-14 of it
             # (test_best_cutoff_closed_form_prob_against_mpmath)
             assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-14, abs=0.0), model
+        elif variant is V.CLASSIC:
+            # below the first support point the classic scan takes F(M) with
+            # H_{k_0-2} - H_{M-1} from harmonic_gap, where the curve sums 1/s
+            assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-15, abs=0.0), model
         else:
             assert (rep.cutoff, rep.prob) == (m, p), model
 
@@ -698,7 +701,11 @@ def test_poisson_curve_has_the_same_bits_at_every_horizon(variant, lam):
         assert not np.any(values[k_max + 1 :]), r_max
 
 
-# ------------------------------- the two-sided cutoff over the mass window
+# ---------------------------------------- the cutoff scan over the mass window
+
+# the band of the argmax of the whole curve that best_cutoff took before its
+# scan of the sign of ΔF
+_TIE_REL = 1e-12
 
 
 def _full_curve_cutoff(variant, model):
@@ -713,17 +720,24 @@ def _full_curve_cutoff(variant, model):
 
 
 def _assert_window_route_is_the_full_curve(model):
-    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+    # the same cutoff; the same bits of P for the two-sided rules, whose
+    # scan reads F where the curve does, and P within 2e-15 for classic,
+    # which takes H_{k_0-2} - H_{M-1} from harmonic_gap where the curve sums
+    # 1/s below the first support point
+    for variant in V:
         rep = best_cutoff(variant, model)
         m, p = _full_curve_cutoff(variant, model)
-        assert (rep.cutoff, rep.prob.hex()) == (m, p.hex()), (variant, model)
+        if variant is V.CLASSIC:
+            assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-15, abs=0.0), (variant, model)
+        else:
+            assert (rep.cutoff, rep.prob.hex()) == (m, p.hex()), (variant, model)
 
 
 # k_0 is 1 at 746, so the window is the whole curve; the parabola's vertex
-# lies in the window up to 4821 and below k_0 - 1 from 4822; at 3*10^6 and
-# 10^7 the band takes a cutoff below the argmax (1499998 and 4999994, not
-# 1499999 and 4999999)
-_WINDOW_RATES = [746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1, 3e6, 1e7]
+# lies in the window up to 4821 and below k_0 - 1 from 4822.  The knife
+# edges 3*10^6 and 10^7, where the band of the whole curve takes a cutoff
+# below the argmax, are test_window_cutoff_keeps_the_knife_edges
+_WINDOW_RATES = [746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1]
 _WINDOW_RATES += [math.exp(random.Random(20).uniform(math.log(746), math.log(2e6))) for _ in range(40)]
 
 
@@ -732,8 +746,28 @@ def test_window_cutoff_equals_the_whole_curve_on_poisson(lam):
     _assert_window_route_is_the_full_curve(Poisson(float(lam)))
 
 
+def _mp_two_sided_delta(lam, r):
+    """ΔF(r)/(c B1) for bw and pd on Poisson(lam) at 50 digits, with B1 =
+    sum_{k>=2} p(k)/k: ΔF(r)/c = sum_{k>r} p(k) (k - 2r - 1)/(k (k - 1)) =
+    B1 - 2r A2 less the terms k = 2..r, below r e^(-0.15 lam) at r <= lam/2
+    and dropped.  A1 = lam J - 1 + e^-lam (1 + lam), B1 = J - lam e^-lam and
+    A2 = A1 - B1, from J = e^-lam (Ei(lam) - gamma - ln lam)."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        e = mpmath.exp(-lam)
+        J = e * (mpmath.ei(lam) - mpmath.euler - mpmath.log(lam))
+        A1 = lam * J - 1 + e * (1 + lam)
+        B1 = J - lam * e
+        return (B1 - 2 * r * (A1 - B1)) / B1
+
+
 def test_window_cutoff_keeps_the_knife_edges():
-    for lam, m in ((1e7, 4999994), (3e6, 1499998)):
+    # the band of the whole curve took 1499998 at 3*10^6 and 4999994 at
+    # 10^7; ΔF(M - 1) > 0 >= ΔF(M) at 50 digits, and at 10^7 + 1 ΔF(M) is
+    # -4e-14 relative, inside the scan's rounding bound: a tie, taken as M
+    for lam, m in ((3e6, 1499999), (1e7, 4999999), (1e7 + 1, 4999999)):
+        assert _mp_two_sided_delta(lam, m - 1) > 1e-30
+        assert _mp_two_sided_delta(lam, m) < -1e-30
         for variant in (V.BEST_OR_WORST, V.POSTDOC):
             assert best_cutoff(variant, Poisson(lam)).cutoff == m, (lam, variant)
 
@@ -770,18 +804,32 @@ def test_window_cutoff_equals_the_whole_curve_on_gapped_tables(weights):
     _assert_window_route_is_the_full_curve(explicit_from_dict({k: w / total for k, w in weights.items()}))
 
 
-@pytest.mark.parametrize("variant", [V.BEST_OR_WORST, V.POSTDOC])
+@pytest.mark.parametrize("variant", list(V))
 def test_best_cutoff_at_a_billion_lies_in_the_band_of_the_vertex(variant):
     # the curve from r = 1 asked for 7.45 GiB; the window is 1.6 million
-    # points.  Below it, F is f*(r) = c r (s1 - r s2) with the smoothing
-    # sums s1, s2, whose maximum c s1^2/(4 s2) M must reach within the band
+    # points, and M lies below it, where no mass is: ΔF(r)/c = B1 - 2r A2
+    # for bw and pd, B1 = A1 - A2 from the smoothing sums (A1, A2), so M =
+    # ceil((A1/A2 - 1)/2) and F(M) = c M (A1 - M A2); for classic ΔF(r) =
+    # R - (H_r + 1) Q, Q = E[1/X] and R = E[H_{X-1}/X], so M is the first r
+    # with H_r >= R/Q - 1 and F(M) = M (R - H_{M-1} Q)
     start = time.perf_counter()
     rep = best_cutoff(variant, Poisson(1e9))
     assert time.perf_counter() - start < 2.0
-    s1, s2 = poisson_smoothing_coefficients(1e9)
-    c = 2.0 if variant is V.BEST_OR_WORST else 1.0
-    assert rep.cutoff < support(Poisson(1e9))[0][0] - 1
-    assert abs(rep.prob - c * s1 * s1 / (4.0 * s2)) <= 1.1 * _TIE_REL * rep.prob
+    ks, ps = support(Poisson(1e9))
+    assert rep.cutoff < ks[0] - 1
+    if variant is V.CLASSIC:
+        k = ks.astype(float)
+        Q = math.fsum(ps / k)
+        R = math.fsum(ps / k * (np.log(k - 1.0) + np.euler_gamma + 0.5 / (k - 1.0) - 1.0 / (12.0 * (k - 1.0) ** 2)))
+        m = math.ceil(math.exp(R / Q - 1.0 - np.euler_gamma) - 0.5)
+        assert harmonic(m - 1) + 1.0 < R / Q <= harmonic(m) + 1.0
+        want = m * (R - harmonic(m - 1) * Q)
+    else:
+        s1, s2 = poisson_smoothing_coefficients(1e9)
+        m = math.ceil((s1 / s2 - 1.0) / 2.0)
+        want = (2.0 if variant is V.BEST_OR_WORST else 1.0) * m * (s1 - m * s2)
+    assert rep.cutoff == m
+    assert rep.prob == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ------------------------------------- the cutoff from the sign of ΔF

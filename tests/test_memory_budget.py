@@ -76,9 +76,10 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
 
 def test_backward_induction_budget():
     # ks, ps, the S and U1 tables, the float steps, the scratch buffer (the
-    # U1 weights, then the recursion's weights, then the tie band's floor),
-    # B, which becomes A, and D, which the recursion fills run by run in
-    # place and which becomes C, and the accept mask: about 8.2 units
+    # U1 weights, then the recursion's weights, then the accept test's
+    # C(t) (1 - _ACCEPT_REL)), B, which becomes A, and D, which the
+    # recursion fills run by run in place and which becomes C, and the
+    # accept mask: about 8.2 units
     assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 8.5
 
 
@@ -121,9 +122,12 @@ def test_poisson_curve_below_the_window_is_linear_in_the_window():
     assert _peak_units(lambda: success_curve(Variant.BEST_OR_WORST, Poisson(1e6), 1000), _WINDOW) <= 7
 
 
-@pytest.mark.parametrize("variant", [Variant.BEST_OR_WORST, Variant.POSTDOC])
+@pytest.mark.parametrize("variant", list(Variant))
 def test_two_sided_poisson_cutoff_is_linear_in_the_window(variant):
-    # ks, ps, the U2 and K tables, the scratch buffer and the values over
-    # the window, and three cutoffs of the parabola below it: about 6.4
-    # windows, where the whole curve from r = 1 peaked at 45.7
+    # the scan of the sign of ΔF: ks, ps, the U table, the scratch buffer
+    # (T, then r T(r + 1)), K and the rise mask over the window, and for
+    # classic the steps that T is divided by: about 5.4 windows for every
+    # rule.  M lies below the window (near 500,000 for bw and pd, 368,000
+    # for classic), where ΔF is bisected in scalars.  The whole curve from
+    # r = 1 peaked at 45.7 windows for bw and 63.9 for classic
     assert _peak_units(lambda: best_cutoff(variant, Poisson(1e6)), _WINDOW) <= 6.5
