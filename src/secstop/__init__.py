@@ -19,19 +19,12 @@ from .core_model import (
     Variant,
     explicit_from_dict,
     nice_probability,
-    pbw_known,
     support,
     tail_prob,
     threshold_success_known,
     truncate_to_explicit,
 )
-from .dp import (
-    DPPolicy,
-    backward_induction,
-    exhaustive_oracle,
-    printed_recursion_gap,
-    verify_threshold_structure,
-)
+from .dp import DPPolicy, backward_induction, exhaustive_oracle
 from .estimate import (
     EstimatorId,
     affine_shift,
@@ -48,7 +41,6 @@ from .exact import (
     SuccessCurve,
     best_cutoff,
     closed_form_uniform,
-    poisson_fstar_and_f,
     poisson_smoothing_coefficients,
     step_accept_prob,
     step_reject_prob,
@@ -78,7 +70,6 @@ __all__ = [
     "Variant",
     "explicit_from_dict",
     "nice_probability",
-    "pbw_known",
     "support",
     "tail_prob",
     "threshold_success_known",
@@ -86,8 +77,6 @@ __all__ = [
     "DPPolicy",
     "backward_induction",
     "exhaustive_oracle",
-    "printed_recursion_gap",
-    "verify_threshold_structure",
     "EstimatorId",
     "affine_shift",
     "g_theta",
@@ -101,7 +90,6 @@ __all__ = [
     "SuccessCurve",
     "best_cutoff",
     "closed_form_uniform",
-    "poisson_fstar_and_f",
     "poisson_smoothing_coefficients",
     "step_accept_prob",
     "step_reject_prob",

@@ -30,7 +30,7 @@ from .core_model import (
     explicit_from_dict,
     truncate_to_explicit,
 )
-from .dp import backward_induction, verify_threshold_structure
+from .dp import backward_induction
 from .estimate import (
     EstimatorId,
     g_theta,
@@ -389,11 +389,9 @@ def cmd_scan_failures(args) -> int:
 def _suite_thresholds() -> list[tuple[str, bool, str]]:
     out = []
     for n in (5, 17, 40, 60):
-        ok, _ = verify_threshold_structure(Variant.BEST_OR_WORST, Uniform(n))
+        ok = backward_induction(Variant.BEST_OR_WORST, Uniform(n)).is_threshold
         out.append((f"bw uniform n={n} threshold", ok, "accept region is an up-set"))
-    ok, _ = verify_threshold_structure(
-        Variant.POSTDOC, truncate_to_explicit(Poisson(8.0))
-    )
+    ok = backward_induction(Variant.POSTDOC, truncate_to_explicit(Poisson(8.0))).is_threshold
     out.append(("pd poisson lam=8 threshold", ok, "accept region is an up-set"))
     pol = backward_induction(Variant.BEST_OR_WORST, Known(30))
     out.append((
@@ -479,13 +477,12 @@ def _suite_convergents() -> list[tuple[str, bool, str]]:
 
 
 def _suite_counterexample() -> list[tuple[str, bool, str]]:
-    model = Explicit(((100, 0.99), (1000, 0.01)))
-    ok, witness = verify_threshold_structure(Variant.CLASSIC, model)
+    pol = backward_induction(Variant.CLASSIC, Explicit(((100, 0.99), (1000, 0.01))))
     return [
         (
             "two-point classic model is not a threshold problem",
-            (not ok) and witness == (100, 101),
-            f"witness {witness}: accept at 100, reject at 101",
+            (not pol.is_threshold) and pol.witness == (100, 101),
+            f"witness {pol.witness}: accept at 100, reject at 101",
         )
     ]
 

@@ -227,24 +227,6 @@ def nice_probabilities(variant: Variant, t: np.ndarray, out: np.ndarray | None =
     return nu
 
 
-def accept_success_known(variant: Variant, n: int, r: int) -> float:
-    """Success chance when the r-th of n objects is nice and gets accepted.
-
-    classic and best-or-worst: r/n; postdoc: r(r-1)/(n(n-1)).  For
-    best-or-worst at r = 1 this is the single-identity convention (a best-so-
-    far object extends to the overall best with chance r/n); the behavioral
-    value is larger at r = 1 because the first object is simultaneously
-    worst-so-far — the induction engine in `dp` accounts for that separately.
-    """
-    if r < 1 or r > n:
-        raise ValueError("need 1 <= r <= n")
-    if variant is Variant.POSTDOC:
-        if n == 1:
-            return 0.0
-        return r * (r - 1) / (n * (n - 1))
-    return r / n
-
-
 def threshold_success_known(variant: Variant, n: int, r: int) -> float:
     """Success chance of 'reject the first r, then take the first nice
     candidate' when exactly n objects arrive; nu_n at r = 0, so that
@@ -261,27 +243,6 @@ def threshold_success_known(variant: Variant, n: int, r: int) -> float:
     if variant is Variant.CLASSIC:
         return (r / n) * harmonic_gap(n - 1, r - 1)[0]
     return _TWO_SIDED[variant] * r * (n - r) / (n * (n - 1))
-
-
-@dataclass(frozen=True)
-class KnownOptimum:
-    cutoff: int
-    p_bw: float
-    p_pd: float
-
-
-def pbw_known(n: int) -> KnownOptimum:
-    """Optimal cutoff floor(n/2) and the closed-form success probabilities
-    for exactly n objects: n/(2(n-1)) for even n, (n+1)/(2n) for odd n; the
-    second-best variant achieves exactly half (0 when n = 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n % 2 == 0:
-        p_bw = n / (2.0 * (n - 1))
-    else:
-        p_bw = (n + 1) / (2.0 * n)
-    p_pd = 0.0 if n == 1 else 0.5 * p_bw
-    return KnownOptimum(n // 2, p_bw, p_pd)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ t, the continue-value satisfies
 
 with C(T) = 0 at the top of the support.  A(t) is the true behavioral accept
 value (for best-or-worst at t = 1 the sole object is simultaneously best- and
-worst-so-far, which the single-identity step definitions undercount — see
-printed_recursion_gap).  The overall optimal success probability is C(0),
-where q_0 = p(X >= 1) absorbs any mass at X = 0.
+worst-so-far, which the single-identity step definitions undercount).  The
+overall optimal success probability is C(0), where q_0 = p(X >= 1) absorbs
+any mass at X = 0.
 
 S(t) = p(X >= t) and B(t) = S(t) A(t) = t U1(t) (t(t-1) U2(t) for postdoc)
 are read from the compensated tables of `exact.SuffixMoments` at the steps
@@ -87,12 +87,6 @@ def _first(mask: np.ndarray) -> int | None:
         return None
     j = int(mask.argmax())
     return j if mask[j] else None
-
-
-def _moments(model: CountModel) -> SuffixMoments:
-    if isinstance(model, Poisson):
-        raise ValueError("Poisson support is infinite; truncate_to_explicit first")
-    return SuffixMoments(*support(model))
 
 
 def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.ndarray) -> np.ndarray:
@@ -182,10 +176,9 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.nda
 
 
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
-    return _induction(variant, model, _moments(model))
-
-
-def _induction(variant: Variant, model: CountModel, mom: SuffixMoments) -> DPPolicy:
+    if isinstance(model, Poisson):
+        raise ValueError("Poisson support is infinite; truncate_to_explicit first")
+    mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
     buf = mom.scratch(T + 1)  # before the U table's weights, so it is not regrown
     t = np.arange(T + 1, dtype=float)
@@ -258,35 +251,6 @@ def _induction(variant: Variant, model: CountModel, mom: SuffixMoments) -> DPPol
         threshold=threshold,
         witness=witness,
     )
-
-
-def verify_threshold_structure(variant: Variant, model: CountModel):
-    """(is_threshold, witness): witness is the first accept->reject step pair
-    among steps where a nice candidate can actually occur."""
-    pol = backward_induction(variant, model)
-    return pol.is_threshold, pol.witness
-
-
-def printed_recursion_gap(variant: Variant, model: CountModel) -> float:
-    """Max deviation between the first-principles continue-values and the
-    textbook-style recursion that weights the max-term by q_t/(t+1).
-
-    The 1/(t+1) weight is the chance the (t+1)-th object is second-best-so-
-    far (or best-so-far), so the gap vanishes for the classic and postdoc
-    rules; for best-or-worst the true weight is 2/(t+1), and this reports how
-    far the printed system drifts from the behavioral values.
-    """
-    mom = _moments(model)
-    pol = _induction(variant, model, mom)
-    T = pol.horizon
-    t = np.arange(T + 1, dtype=float)
-    S = mom.read(mom.S, 0, np.empty(T + 1))
-    # definition-style accept values (single-identity convention throughout);
-    # the classic nice chances are exactly the printed weights 1/(t+1)
-    B = mom.accept_mass(variant, t)
-    D = _continue_mass(B, t, int(_NICE_NUMERATOR[Variant.CLASSIC]), _NICE_FIRST[Variant.CLASSIC], mom.scratch(T))
-    D = np.divide(D, S, out=D, where=S > 0.0)
-    return float(np.max(np.abs(D - pol.value_reject)))
 
 
 _ORACLE_MAX_K = 9

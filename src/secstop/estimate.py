@@ -41,11 +41,6 @@ def theta() -> float:
     return -0.5 * lambert_w0(-2.0 * math.exp(-2.0))
 
 
-def g(x: float) -> float:
-    """Limiting success probability of cutoff fraction x in (0, 1]."""
-    return -2.0 * x * math.log(x) - 2.0 * x * (1.0 - x)
-
-
 @lru_cache(maxsize=1)
 def g_theta() -> float:
     """g at its maximum: 2(theta - theta^2) = 0.3238051189459574."""
@@ -149,8 +144,12 @@ def lambda_m() -> tuple[float, float]:
 
 
 def with_estimates(report: CutoffReport) -> CutoffReport:
-    """Attach the applicable estimator checks (rounded vs. exact cutoff)."""
+    """Attach the applicable estimator checks (rounded vs. exact cutoff):
+    the two-sided rules' on Uniform and Poisson, none for classic, whose
+    cutoff they do not estimate."""
     model = report.model
+    if report.variant is Variant.CLASSIC:
+        return report
     if isinstance(model, Uniform):
         pairs = uniform_cutoff_estimates(model.n)
     elif isinstance(model, Poisson):

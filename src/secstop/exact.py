@@ -441,27 +441,9 @@ def poisson_smoothing_coefficients(lam: float) -> tuple[float, float]:
     E(lam)), so the two factors are summed as the equivalent pmf series
     sum_{k>=2} pmf(k)/(k-1) and sum_{k>=2} pmf(k)/(k(k-1)) at every rate.
     """
-    return _smoothing_sums(*support(Poisson(lam)))
-
-
-def _smoothing_sums(ks: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    ks, p = support(Poisson(lam))
     k, p = ks[ks >= 2].astype(float), p[ks >= 2]
     return float(np.sum(p / (k - 1.0))), float(np.sum(p / (k * (k - 1.0))))
-
-
-def poisson_fstar_and_f(r: int, lam: float) -> tuple[float, float]:
-    """The signed full series f*(r, lam) = sum_{k>=2} 2r(k-r)/(k(k-1)) pmf(k)
-    and its head f(r, lam) = sum_{k=2..r} (same summand), a dot over the
-    Poisson support, so that the cutoff curve satisfies F(r) = f* - f.
-    """
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    ks, p = support(Poisson(lam))
-    exp_s1, exp_s2 = _smoothing_sums(ks, p)
-    fstar = 2.0 * r * exp_s1 - 2.0 * r * r * exp_s2
-    keep = (ks >= 2) & (ks <= r)
-    k = ks[keep].astype(float)
-    return fstar, float(np.dot(2.0 * r * (k - r) / (k * (k - 1.0)), p[keep]))
 
 
 def _closed_form_search(variant: Variant, model: CountModel) -> bool:

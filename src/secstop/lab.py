@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_model import Known, Poisson, Uniform, Variant, pbw_known, support
+from .core_model import Known, Poisson, Uniform, Variant, support, threshold_success_known
 from .estimate import (
     EstimatorId,
     integer_estimate,
@@ -31,7 +31,7 @@ from .estimate import (
     theta,
     uniform_cutoff_estimates,
 )
-from .exact import best_cutoff, poisson_fstar_and_f, positive_cutoff
+from .exact import best_cutoff, positive_cutoff
 from .specfun import sinh_integral
 
 
@@ -182,7 +182,6 @@ class AsymptoteReport:
     uniform_rows: tuple[tuple[int, float, float], ...]  # (n, P(n), gap to limit)
     poisson_rows: tuple[tuple[float, float, float], ...]  # (lam, P(lam), gap)
     mixture_rows: tuple[tuple[float, float, float, float], ...]  # (lam, series, closed, |gap|)
-    f_half_rows: tuple[tuple[float, float], ...]  # (lam, f(floor(lam/2), lam))
     uniform_limit: float
     poisson_limit: float
 
@@ -194,7 +193,7 @@ def _mixture_series(lam: float) -> float:
     total = 0.0
     for k, pk in zip(ks.tolist(), p.tolist()):
         if k:
-            total += pbw_known(k).p_bw * pk
+            total += threshold_success_known(Variant.BEST_OR_WORST, k, k // 2) * pk
     return total
 
 
@@ -220,15 +219,10 @@ def asymptote_probe() -> AsymptoteReport:
         series = _mixture_series(lam)
         closed = _mixture_closed(lam)
         mixture_rows.append((lam, series, closed, abs(series - closed)))
-    f_half_rows = []
-    for lam in (25.0, 50.0, 100.0, 200.0):
-        _, f_head = poisson_fstar_and_f(int(lam) // 2, lam)
-        f_half_rows.append((lam, f_head))
     return AsymptoteReport(
         uniform_rows=tuple(uniform_rows),
         poisson_rows=tuple(poisson_rows),
         mixture_rows=tuple(mixture_rows),
-        f_half_rows=tuple(f_half_rows),
         uniform_limit=g_th,
         poisson_limit=0.5,
     )

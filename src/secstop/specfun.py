@@ -14,9 +14,8 @@ cancellation for lam/2 < k < 2 lam and directly elsewhere.  Each mass is
 within 4e-15 of exact wherever p(k) >= 1e-6 p(mode), and within 4e-13 down
 to the smallest normal float.  `poisson_pmf_array` evaluates it over the
 window of k it is asked for, in blocks of k, so a Poisson table costs the
-length of its window, not of 0..k_max; the scalar `poisson_pmf`, which
-starts the series of `poisson_tail`, does the same operations on one k and
-has the array's bits.
+length of its window, not of 0..k_max, and a window of one k, which starts
+the series of `poisson_tail`, has that k's bits in every table.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -380,27 +379,6 @@ def _bd0_far(x, lam):
     return x * np.log(x / lam) + (lam - x)
 
 
-def poisson_pmf(k: int, lam: float) -> float:
-    """p(X = k) for X ~ Poisson(lam) in Loader's saddle-point form,
-    exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k), and exp(-lam) at k = 0.
-    These are the operations of `poisson_pmf_array` on one k, with numpy's
-    exp and log, so it returns the array's bits at every k."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return math.exp(-lam)
-    x = float(k)
-    e = -(_STIRLERR[k] if k < len(_STIRLERR) else _stirlerr_series(x))
-    if lam / 2 < k < 2 * lam:
-        tail, lead = _bd0_near(x, lam, _BD0_Q)
-        e = (e - tail) - lead
-    else:
-        e = e - _bd0_far(x, lam)
-    return float(np.exp(e)) / math.sqrt(_TWO_PI * x)
-
-
 def _pmf_block(lam: float, a: int, out: np.ndarray) -> None:
     """The masses at k = a, ..., a + len(out) - 1 (a >= 1), into out.  The
     head and stirlerr's series, and bd0's direct and near forms, each cover
@@ -441,10 +419,9 @@ def _pmf_block(lam: float, a: int, out: np.ndarray) -> None:
 
 
 def poisson_pmf_array(lam: float, k_max: int, k_lo: int = 0) -> np.ndarray:
-    """[pmf(k_lo), ..., pmf(k_max)] by the operations of `poisson_pmf`,
-    vectorised over blocks of _PMF_BLOCK k, so that every temporary is a
-    block whatever the window; each mass has the bits it has in a table
-    from k = 0."""
+    """[pmf(k_lo), ..., pmf(k_max)], exp(-lam) at k = 0, in blocks of
+    _PMF_BLOCK k, so that every temporary is a block whatever the window;
+    each mass has the bits it has in a table from k = 0."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     out = np.empty(max(0, k_max + 1 - k_lo))
@@ -491,7 +468,8 @@ def poisson_tail(r: int, lam: float) -> float:
         term = math.exp(-lam)
         if term < sys.float_info.min:
             # exp(-lam) is subnormal or 0 (lam > 708.4): sum down from k = r - 1
-            return max(0.0, 1.0 - series(poisson_pmf(r - 1, lam), lambda j: (r - 1 - j) / lam))
+            top = float(poisson_pmf_array(lam, r - 1, r - 1)[0])
+            return max(0.0, 1.0 - series(top, lambda j: (r - 1 - j) / lam))
         acc = 0.0
         c = 0.0
         for k in range(r):
@@ -502,7 +480,7 @@ def poisson_tail(r: int, lam: float) -> float:
             term *= lam / (k + 1.0)
         return max(0.0, 1.0 - acc)
     # an underflowed leading term ends the series at 0: the tail is < 1e-300
-    return series(poisson_pmf(r, lam), lambda k: lam / (k + 1.0), r)
+    return series(float(poisson_pmf_array(lam, r, r)[0]), lambda k: lam / (k + 1.0), r)
 
 
 def ein_series(lam: float) -> float:

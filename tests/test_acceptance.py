@@ -20,7 +20,6 @@ from secstop.core_model import (
     ThresholdPolicy,
     Uniform,
     Variant,
-    pbw_known,
     truncate_to_explicit,
 )
 from secstop.dp import backward_induction, exhaustive_oracle
@@ -31,7 +30,7 @@ from secstop.estimate import (
     lambda_m,
     theta,
 )
-from secstop.exact import best_cutoff, poisson_fstar_and_f, success_curve
+from secstop.exact import best_cutoff, success_curve
 from secstop.lab import (
     asymptote_probe,
     cf_convergents,
@@ -39,6 +38,8 @@ from secstop.lab import (
     verify_convergent_cutoffs,
 )
 from secstop.mc import SimConfig, simulate
+
+from oracles import pbw_known, poisson_fstar_and_f
 
 BW, PD, CL = Variant.BEST_OR_WORST, Variant.POSTDOC, Variant.CLASSIC
 

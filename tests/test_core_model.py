@@ -16,17 +16,14 @@ from secstop.core_model import (
     EstimatorCheck,
     Explicit,
     Known,
-    KnownOptimum,
     PmfMassError,
     Poisson,
     ThresholdPolicy,
     Uniform,
     Variant,
-    accept_success_known,
     explicit_from_dict,
     nice_probabilities,
     nice_probability,
-    pbw_known,
     poisson_k_max,
     support,
     tail_prob,
@@ -34,6 +31,8 @@ from secstop.core_model import (
     truncate_to_explicit,
 )
 from secstop.specfun import digamma, harmonic_gap, harmonic_gap_ratio
+
+from oracles import KnownOptimum, accept_success_known, pbw_known
 
 _EPS = 2.0**-52
 

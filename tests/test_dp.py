@@ -16,19 +16,14 @@ from secstop.core_model import (
     Variant,
     explicit_from_dict,
     nice_probability,
-    pbw_known,
     support,
     threshold_success_known,
     truncate_to_explicit,
 )
-from secstop.dp import (
-    DPPolicy,
-    backward_induction,
-    exhaustive_oracle,
-    printed_recursion_gap,
-    verify_threshold_structure,
-)
+from secstop.dp import DPPolicy, backward_induction, exhaustive_oracle
 from secstop.exact import best_cutoff, step_reject_prob, success_curve
+
+from oracles import accept_success_known, pbw_known
 
 
 # ---------------------------------------------------------------- known n
@@ -276,11 +271,9 @@ def test_classic_two_point_mass_is_not_threshold():
     # almost surely 100 objects, tiny chance of 1000: accepting the best-so-
     # far near step 100 is good, but just past it the rare long horizon makes
     # waiting better, so the accept region is not an up-set.
-    model = Explicit(((100, 0.99), (1000, 0.01)))
-    ok, witness = verify_threshold_structure(Variant.CLASSIC, model)
-    assert not ok
-    assert witness == (100, 101)
-    pol = backward_induction(Variant.CLASSIC, model)
+    pol = backward_induction(Variant.CLASSIC, Explicit(((100, 0.99), (1000, 0.01))))
+    assert not pol.is_threshold
+    assert pol.witness == (100, 101)
     assert pol.accept_at[100]
     assert not pol.accept_at[101]
     assert pol.threshold is None
@@ -289,8 +282,8 @@ def test_classic_two_point_mass_is_not_threshold():
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("n", [5, 17, 36, 60])
 def test_uniform_is_threshold(variant, n):
-    ok, witness = verify_threshold_structure(variant, Uniform(n))
-    assert ok and witness is None
+    pol = backward_induction(variant, Uniform(n))
+    assert pol.is_threshold and pol.witness is None
 
 
 # ----------------------------------------------- continue-value dominance
@@ -307,17 +300,38 @@ def test_commit_to_reject_is_dominated(variant, model):
 
 # ------------------------------------------------------- printed recursion
 
+def _printed_recursion_gap(variant, model):
+    """The largest gap between the induction's continue-values C(t) and the
+    printed recursion, which weights the max-term by 1/(t+1), the chance
+    that the (t+1)-th object is best-so-far (or second-best-so-far):
+
+        C(t) = q_t [ max(A(t+1), C(t+1))/(t+1) + (1 - 1/(t+1)) C(t+1) ],
+
+    C(T) = 0, q_t = S(t+1)/S(t), and A(t) = E[accept_success_known(X, t) |
+    X >= t], one step at a time in floats."""
+    pmf = dict(zip(*(a.tolist() for a in support(model))))
+    top = max(pmf)
+    S = [sum(p for k, p in pmf.items() if k >= t) for t in range(top + 2)]
+    A = [0.0] + [sum(p * accept_success_known(variant, k, t) for k, p in pmf.items() if k >= t) / S[t]
+                 for t in range(1, top + 1)]
+    C = [0.0] * (top + 1)
+    for t in range(top - 1, -1, -1):
+        w = 1.0 / (t + 1)
+        C[t] = S[t + 1] / S[t] * (w * max(A[t + 1], C[t + 1]) + (1.0 - w) * C[t + 1])
+    return max(abs(c - v) for c, v in zip(C, backward_induction(variant, model).value_reject.tolist()))
+
+
 @pytest.mark.parametrize("variant", [Variant.CLASSIC, Variant.POSTDOC])
 @pytest.mark.parametrize("model", [Uniform(30), Known(19)])
 def test_printed_recursion_exact_for_single_identity_rules(variant, model):
-    assert printed_recursion_gap(variant, model) <= 1e-12
+    assert _printed_recursion_gap(variant, model) <= 1e-12
 
 
 @pytest.mark.parametrize("model", [Uniform(30), Known(19), Uniform(7)])
 def test_printed_recursion_underweights_best_or_worst(model):
     # the two-sided rule needs weight 2/(t+1); the 1/(t+1) system is a
     # different quantity and lands visibly below the behavioral values
-    assert printed_recursion_gap(Variant.BEST_OR_WORST, model) > 1e-3
+    assert _printed_recursion_gap(Variant.BEST_OR_WORST, model) > 1e-3
 
 
 # --------------------------------------------------------------- oracle

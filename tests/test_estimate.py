@@ -9,7 +9,6 @@ from secstop.core_model import Poisson, Uniform, Variant
 from secstop.estimate import (
     EstimatorId,
     affine_shift,
-    g,
     g_theta,
     lambda0,
     lambda_m,
@@ -40,9 +39,10 @@ def test_theta_fixed_point():
 
 def test_g_at_theta():
     assert g_theta() == pytest.approx(0.3238051189459574, abs=1e-15)
-    # the smooth form -2x ln x - 2x(1-x) collapses to 2(x - x^2) at the
-    # fixed point ln theta = 2 theta - 2
-    assert g(theta()) == pytest.approx(g_theta(), abs=1e-15)
+    # the smooth form g(x) = -2x ln x - 2x(1-x) collapses to 2(x - x^2) at
+    # the fixed point ln theta = 2 theta - 2
+    th = theta()
+    assert -2.0 * th * math.log(th) - 2.0 * th * (1.0 - th) == pytest.approx(g_theta(), abs=1e-15)
 
 
 def test_g_stationary_at_theta():
@@ -217,3 +217,14 @@ def test_with_estimates_known_is_noop():
     rep = best_cutoff(Variant.BEST_OR_WORST, Known(30))
     assert with_estimates(rep) == rep
     assert with_estimates(rep).estimators == ()
+
+
+@pytest.mark.parametrize("model", [Uniform(1000), Poisson(100.0)])
+def test_with_estimates_only_for_the_two_sided_rules(model):
+    # the estimators approximate the bw and pd cutoff; a classic report
+    # carries none of them
+    assert with_estimates(best_cutoff(Variant.CLASSIC, model)).estimators == ()
+    for variant in (Variant.BEST_OR_WORST, Variant.POSTDOC):
+        rep = with_estimates(best_cutoff(variant, model))
+        assert len(rep.estimators) == (3 if isinstance(model, Uniform) else 2)
+        assert all(c.agrees for c in rep.estimators), (variant, rep.estimators)

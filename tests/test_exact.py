@@ -31,7 +31,6 @@ from secstop.core_model import (
     Poisson,
     Uniform,
     Variant,
-    accept_success_known,
     explicit_from_dict,
     poisson_k_max,
     support,
@@ -47,7 +46,6 @@ from secstop.exact import (
     _exact_value,
     best_cutoff,
     closed_form_uniform,
-    poisson_fstar_and_f,
     poisson_smoothing_coefficients,
     positive_cutoff,
     step_accept_prob,
@@ -55,6 +53,8 @@ from secstop.exact import (
     success_curve,
 )
 from secstop.specfun import harmonic, harmonic_numbers
+
+from oracles import accept_success_known, poisson_fstar_and_f
 
 V = Variant
 
@@ -723,11 +723,19 @@ def _assert_window_route_is_the_full_curve(model):
     # the same cutoff; the same bits of P for the two-sided rules, whose
     # scan reads F where the curve does, and P within 2e-15 for classic,
     # which takes H_{k_0-2} - H_{M-1} from harmonic_gap where the curve sums
-    # 1/s below the first support point
+    # 1/s below the first support point.  On Poisson the band of the whole
+    # curve takes M - 1 at a knife edge, where F(M) exceeds F(M - 1) by less
+    # than the band: there the scan's M is certified, for bw and pd by the
+    # 50-digit signs of ΔF at M - 1 and M, for classic by F(M) > F(M - 1)
     for variant in V:
         rep = best_cutoff(variant, model)
         m, p = _full_curve_cutoff(variant, model)
-        if variant is V.CLASSIC:
+        if isinstance(model, Poisson) and rep.cutoff == m + 1:
+            assert p < rep.prob <= p + _TIE_REL * p, (variant, model)
+            if variant is not V.CLASSIC:
+                assert _mp_two_sided_delta(model.lam, m) > 1e-30, (variant, model)
+                assert _mp_two_sided_delta(model.lam, m + 1) < -1e-30, (variant, model)
+        elif variant is V.CLASSIC:
             assert rep.cutoff == m and rep.prob == pytest.approx(p, rel=2e-15, abs=0.0), (variant, model)
         else:
             assert (rep.cutoff, rep.prob.hex()) == (m, p.hex()), (variant, model)
@@ -736,9 +744,12 @@ def _assert_window_route_is_the_full_curve(model):
 # k_0 is 1 at 746, so the window is the whole curve; the parabola's vertex
 # lies in the window up to 4821 and below k_0 - 1 from 4822.  The knife
 # edges 3*10^6 and 10^7, where the band of the whole curve takes a cutoff
-# below the argmax, are test_window_cutoff_keeps_the_knife_edges
+# below the argmax, are test_window_cutoff_keeps_the_knife_edges; the
+# seeded sample holds three more, at 972315.19 and 1348185.06 (bw, pd) and
+# 1905043.55 (all three rules)
 _WINDOW_RATES = [746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1]
-_WINDOW_RATES += [math.exp(random.Random(20).uniform(math.log(746), math.log(2e6))) for _ in range(40)]
+_SAMPLE = random.Random(20)
+_WINDOW_RATES += [math.exp(_SAMPLE.uniform(math.log(746), math.log(2e6))) for _ in range(40)]
 
 
 @pytest.mark.parametrize("lam", _WINDOW_RATES)

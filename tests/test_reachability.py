@@ -1,0 +1,120 @@
+"""Every top-level name of `src/secstop` (function, class or constant) is
+reached from the command line, the package's exports or the benchmark's
+contract, and the exports are exactly what the package imports.
+
+The roots are `cli.main`, the names of `secstop.__all__`, the names that
+`bench/workloads.py` and `bench/worker.py` import from secstop, and the
+functions that `bench/tracer.py::TRACED` patches.  From them the walk
+follows every name a reached top-level definition mentions (body,
+decorators, defaults, annotations) across the modules' relative imports,
+and `module.name` where module is a module imported as a name.  A local
+variable that shadows a top-level name counts as a use of it, so the walk
+can only reach too much, never too little.  Code that only tests read
+belongs under `tests/`; `bench/` is read, never changed.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import secstop
+
+_SRC = Path(secstop.__file__).resolve().parent
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+class _Module:
+    def __init__(self, tree: ast.Module) -> None:
+        self.defs: dict[str, list[ast.stmt]] = {}  # top-level name -> statements binding it
+        self.imports: dict[str, tuple[str, str | None]] = {}  # local -> (module, name or None)
+        self.loose: list[ast.stmt] = []  # statements run on import that bind no name
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                self.defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    self.defs.setdefault(name.id, []).append(node)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = (node.module, alias.name) if node.module else (alias.name, None)
+                    self.imports[alias.asname or alias.name] = target
+            else:
+                self.loose.append(node)
+
+
+def _package() -> dict[str, _Module]:
+    return {p.stem: _Module(ast.parse(p.read_text())) for p in _SRC.glob("*.py")}
+
+
+def _resolve(mods: dict[str, _Module], mod: str, name: str) -> tuple[str, str | None] | None:
+    """(module, name) of the definition that name means in mod, (module,
+    None) for a module, or None for a builtin, a local or a third-party
+    name."""
+    while name not in mods[mod].defs:
+        if name not in mods[mod].imports:
+            return None
+        mod, name = mods[mod].imports[name]
+        if name is None:
+            return mod, None
+    return mod, name
+
+
+def _uses(mods: dict[str, _Module], mod: str, nodes) -> set[tuple[str, str]]:
+    out = set()
+    for node in (n for top in nodes for n in ast.walk(top)):
+        ref = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            ref = _resolve(mods, mod, node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            base = _resolve(mods, mod, node.value.id)
+            if base is not None and base[1] is None:
+                ref = _resolve(mods, base[0], node.attr)
+        if ref is not None and ref[1] is not None:
+            out.add(ref)
+    return out
+
+
+def _bench_roots(mods: dict[str, _Module]) -> set[tuple[str, str]]:
+    """The names the benchmark imports from secstop, read as
+    tests/test_trace_contract.py reads them, and the functions it traces."""
+    roots = set()
+    for path in (_BENCH / "workloads.py", _BENCH / "worker.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "secstop":
+                mod = node.module.partition(".")[2] or "__init__"
+                refs = (_resolve(mods, mod, alias.name) for alias in node.names)
+                roots |= {ref for ref in refs if ref is not None and ref[1] is not None}
+    spec = importlib.util.spec_from_file_location("bench_tracer", _BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return roots | {(mod, fn) for mod, fn, _span in tracer.TRACED}
+
+
+def _reached(mods: dict[str, _Module]) -> set[tuple[str, str]]:
+    exported = {_resolve(mods, "__init__", name) for name in secstop.__all__}
+    todo = {("cli", "main"), ("__init__", "__all__")} | exported | _bench_roots(mods)
+    for mod, module in mods.items():
+        todo |= _uses(mods, mod, module.loose)
+    seen: set[tuple[str, str]] = set()
+    while todo:
+        ref = todo.pop()
+        if ref not in seen:
+            seen.add(ref)
+            todo |= _uses(mods, ref[0], mods[ref[0]].defs.get(ref[1], ()))
+    return seen
+
+
+def test_every_top_level_name_is_reached():
+    mods = _package()
+    reached = _reached(mods)
+    unreached = sorted(
+        f"{mod}.{name}" for mod, module in mods.items() for name in module.defs if (mod, name) not in reached
+    )
+    assert not unreached, f"reached by no CLI path, export or benchmark use: {unreached}"
+
+
+def test_all_lists_exactly_what_the_package_imports():
+    imported = list(_package()["__init__"].imports)
+    assert sorted(secstop.__all__) == sorted(imported)
+    assert len(set(secstop.__all__)) == len(secstop.__all__)

@@ -33,7 +33,6 @@ from secstop.specfun import (
     harmonic_gap_ratio,
     harmonic_numbers,
     lambert_w0,
-    poisson_pmf,
     poisson_pmf_array,
     poisson_tail,
     series,
@@ -240,12 +239,17 @@ def test_lambert_against_scipy_grid():
         assert abs(lambert_w0(float(x)) - ref) < 1e-11 * max(1.0, abs(ref))
 
 
+def _pmf(k: int, lam: float) -> float:
+    """p(X = k) from a window of one k, as poisson_tail reads it."""
+    return float(poisson_pmf_array(lam, k, k)[0])
+
+
 def test_poisson_pmf_values():
-    assert abs(poisson_pmf(0, 1.0) - math.exp(-1.0)) < 1e-16
-    assert abs(poisson_pmf(1, 1.0) - math.exp(-1.0)) < 1e-16
+    assert abs(_pmf(0, 1.0) - math.exp(-1.0)) < 1e-16
+    assert abs(_pmf(1, 1.0) - math.exp(-1.0)) < 1e-16
     ref = stats.poisson.pmf(200, 200)
-    assert abs(poisson_pmf(200, 200.0) - ref) < 1e-14
-    assert abs(poisson_pmf(200, 200.0) - 0.0281977276859208) < 1e-12
+    assert abs(_pmf(200, 200.0) - ref) < 1e-14
+    assert abs(_pmf(200, 200.0) - 0.0281977276859208) < 1e-12
 
 
 def test_poisson_pmf_array_normalizes():
@@ -326,8 +330,6 @@ def test_poisson_window_from_tail_bounds_bit_equal_to_the_guarded_window(lam):
     ref_ks, ref_ps = _guarded_window(lam)
     assert np.array_equal(ks, ref_ks) and ps.tobytes() == ref_ps.tobytes()
     assert poisson_tail(poisson_k_max(lam) + 1, lam) < 1e-30
-    for k in (0, 1, 50):
-        assert poisson_pmf(k, lam) == poisson_pmf_array(lam, k, k)[0]
 
 
 def test_poisson_pmf_array_window_bit_equal_to_the_full_table():
@@ -372,11 +374,12 @@ def test_poisson_pmf_against_mpmath(lam):
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 37.3, 1000.0, 1e5])
 def test_poisson_pmf_scalar_equals_the_array(lam):
-    # the scalar that starts poisson_tail's series has the array's bits at
-    # every k of the window, near and far from the rate
+    # the one mass that starts poisson_tail's series, a window of one k,
+    # has the support's bits at every k of the window, near and far from
+    # the rate, where the short near part is summed one k at a time
     ks, ps = support(Poisson(lam))
     for k, p in zip(ks.tolist(), ps.tolist()):
-        assert poisson_pmf(k, lam) == p, (lam, k)
+        assert _pmf(k, lam) == p, (lam, k)
 
 
 @pytest.mark.parametrize("lam", [2.0, 1e5])
@@ -405,7 +408,7 @@ def test_poisson_tail_values():
 )
 @settings(max_examples=150, deadline=None)
 def test_poisson_tail_complement(r, lam):
-    head = sum(poisson_pmf(k, lam) for k in range(r))
+    head = sum(_pmf(k, lam) for k in range(r))
     assert abs(poisson_tail(r, lam) + head - 1.0) < 1e-12
 
 
@@ -510,7 +513,7 @@ def _loop_poisson_tail(r: int, lam: float) -> float:
         return max(0.0, 1.0 - acc)
     acc = 0.0
     c = 0.0
-    term = poisson_pmf(r, lam)
+    term = _pmf(r, lam)
     if term == 0.0:
         return 0.0  # leading term underflowed: the whole tail is < 1e-300
     k = r
