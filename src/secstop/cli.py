@@ -6,8 +6,8 @@ digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
 error; 3 numeric failure (a series past its cap of 10^6 terms, a lost
-bracket, a pmf whose float masses miss 1 by more than a table allows) or out
-of memory.
+bracket, a pmf whose float masses miss 1 by more than a table allows, a
+Poisson mass window past 2*10^7 points) or out of memory.
 """
 
 from __future__ import annotations
@@ -132,10 +132,9 @@ def _records_to_human(records: list[dict]) -> str:
     if not records:
         return ""
     keys = list(records[0])
-    widths = {k: max(len(k), *(len(_fmt(r[k])) for r in records)) for k in keys}
-    lines = ["  ".join(k.ljust(widths[k]) for k in keys)]
-    for r in records:
-        lines.append("  ".join(_fmt(r[k]).ljust(widths[k]) for k in keys))
+    rows = [keys] + [[_fmt(r[k]) for k in keys] for r in records]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() for row in rows)
     return "\n".join(lines) + "\n"
 
 

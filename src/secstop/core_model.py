@@ -9,9 +9,10 @@ random order, where only relative ranks are observable and there is no recall:
 
 The number of objects X may itself be random (Known, Uniform[1, n],
 Poisson(lam), or an explicit pmf).  This module carries the model types, the
-"nice candidate" chances nu_t, the two-sided factor (2 for best-or-worst, 1
-for postdoc) and the fixed-n closed forms used as building blocks by the exact
-and simulation engines; F(0) = sum_k p(k) nu_k for every count model.
+"nice candidate" chances nu_t = c/t past t = 1, whose c (2 for best-or-worst,
+1 otherwise) is also the factor of every cutoff success, and the fixed-n
+closed forms used as building blocks by the exact and simulation engines;
+F(0) = sum_k p(k) nu_k for every count model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from . import specfun
 from .specfun import harmonic_gap, np, poisson_pmf_array, poisson_tail
 
 
@@ -121,14 +121,24 @@ def explicit_from_dict(pmf: dict[int, float]) -> Explicit:
     return Explicit(tuple(sorted(pmf.items())))
 
 
+# the longest Poisson mass window, from `chernoff_point` to `poisson_k_max`,
+# that a support or a step table may hold: 160 MB of masses at about
+# lam = 1.54e11
+_MAX_WINDOW = 2 * 10**7
+
+
 def poisson_k_max(lam: float) -> int:
     """Top of the Poisson support, ceil(lam + t), t = 12 sqrt(lam) + 50:
     Bennett's p(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) is below e^-72 at
-    every rate.  The check against the series tail bound, 1e-15, raises
-    TruncationError near lam = 10^12, before any support-sized table."""
+    every rate, since t^2 - 144 (lam + t/3) = 624 sqrt(lam) + 100 > 0.
+    RuntimeError, before any table is built, where the window from
+    `chernoff_point` up to it is longer than _MAX_WINDOW points."""
     k = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
-    if not poisson_tail(k + 1, lam) < specfun._REL_TOL:
-        raise RuntimeError("could not bound the Poisson support")
+    window = k - chernoff_point(lam) + 1
+    if window > _MAX_WINDOW:
+        raise RuntimeError(
+            f"the mass window of Poisson(lam={lam!r}) holds {window} points, past the cap of {_MAX_WINDOW}"
+        )
     return k
 
 
@@ -197,12 +207,12 @@ def truncate_to_explicit(model: CountModel) -> Explicit:
         ) from None
 
 
-# nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST
+# nu_t = _NICE_NUMERATOR / t for t >= 2; nu_1 is _NICE_FIRST.  The numerator
+# is also the factor c of every cutoff success, c r(k - r)/(k(k - 1)) for
+# the two-sided rules: the postdoc values are the best-or-worst ones halved,
+# which is exact in floats
 _NICE_NUMERATOR = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 2.0, Variant.POSTDOC: 1.0}
 _NICE_FIRST = {Variant.CLASSIC: 1.0, Variant.BEST_OR_WORST: 1.0, Variant.POSTDOC: 0.0}
-# factor on r(k - r)/(k(k - 1)) in the two-sided rules' cutoff success; the
-# postdoc values are the best-or-worst ones halved, which is exact in floats
-_TWO_SIDED = {Variant.BEST_OR_WORST: 2.0, Variant.POSTDOC: 1.0}
 
 
 def nice_probability(variant: Variant, t: int) -> float:
@@ -242,7 +252,7 @@ def threshold_success_known(variant: Variant, n: int, r: int) -> float:
         return 0.0
     if variant is Variant.CLASSIC:
         return (r / n) * harmonic_gap(n - 1, r - 1)[0]
-    return _TWO_SIDED[variant] * r * (n - r) / (n * (n - 1))
+    return _NICE_NUMERATOR[variant] * r * (n - r) / (n * (n - 1))
 
 
 @dataclass(frozen=True)

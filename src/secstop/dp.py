@@ -192,10 +192,13 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     D = _continue_mass(B, t, c, nu1, buf[:T])
 
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
-    # past it B = D = 0, and so A = C = 0 and no step accepts
+    # past it B = D = 0, and so A = C = 0 and no step accepts; S at the live
+    # steps goes into the spent scratch buffer
     last = len(mom.ps) - 1 - int(np.argmax(mom.ps[::-1] > 0.0))
     L = int(mom.ks[last]) + 1
-    mom.divide_at_steps(mom.S, buf, B[:L], D[:L])
+    S = mom.read(mom.S, 0, buf[:L])
+    B[:L] /= S
+    D[:L] /= S
     A, C = B, D
 
     # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside the

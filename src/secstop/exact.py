@@ -39,7 +39,6 @@ from functools import cached_property
 from .core_model import (
     _NICE_FIRST,
     _NICE_NUMERATOR,
-    _TWO_SIDED,
     CountModel,
     CutoffReport,
     Known,
@@ -127,22 +126,6 @@ class SuffixMoments:
         if self._k0 is None:
             return np.take(table, self.at(np.arange(t0, t0 + len(out))), out=out)
         return _shifted_read(table, t0 - self._k0, out)
-
-    def divide_at_steps(self, table: np.ndarray, buf: np.ndarray, *xs: np.ndarray) -> None:
-        """x[t] /= table[slot of t] at the steps t = 0..n - 1 of each x, all
-        n <= top + 1 long: on contiguous points by table[0] below the first
-        point and by a view of the table from it; with gaps by the table
-        read into buf (n points)."""
-        n = len(xs[0])
-        if self._k0 is None:
-            at_steps = self.read(table, 0, buf[:n])
-            for x in xs:
-                x /= at_steps
-            return
-        h = min(self._k0, n)
-        for x in xs:
-            x[:h] /= table[0]
-            x[h:] /= table[: n - h]
 
     def scratch(self, n: int) -> np.ndarray:
         """The first n slots of the instance's scratch buffer, grown if short.
@@ -279,8 +262,7 @@ class SuffixMoments:
                 y *= u
                 y += Ka
         _times_ramp(out, r0)
-        if variant is not Variant.CLASSIC:
-            out *= _TWO_SIDED[variant]
+        out *= _NICE_NUMERATOR[variant]
 
 
 def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
@@ -365,7 +347,7 @@ def step_reject_prob(variant: Variant, model: CountModel, r: int) -> float:
     _check_step(model, r)
     if isinstance(model, Uniform) and variant is not Variant.CLASSIC:
         n = model.n
-        return float(_TWO_SIDED[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
+        return float(_NICE_NUMERATOR[variant] * r * _uniform_tail_sums(r, n)[1] / (n * (n + 1 - r)))
     mom, t, S = _table_step(model, r)
     F = np.empty(1)
     mom.cutoff_values(variant, r, F)
@@ -389,7 +371,7 @@ def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.nd
     K = SuffixMoments._suffix(T)[:r_max]  # K(2), ..., K(r_max + 1) less K(a)
     K += _uniform_tail_sums(r_max + 1, n)[1] / (n * n)
     np.multiply(K, s, out=values[1:])  # s holds r = 1..r_max
-    values[1:] *= _TWO_SIDED[variant]
+    values[1:] *= _NICE_NUMERATOR[variant]
     return values
 
 
@@ -500,8 +482,8 @@ def _closed_value(variant: Variant, model: Known | Uniform, r: int) -> float:
     if isinstance(model, Known):
         return threshold_success_known(variant, n, r)
     if r == 0:
-        return (_TWO_SIDED[variant] * harmonic(n) - 1.0) / n
-    return 0.5 * _TWO_SIDED[variant] * closed_form_uniform(r, n)
+        return (_NICE_NUMERATOR[variant] * harmonic(n) - 1.0) / n
+    return 0.5 * _NICE_NUMERATOR[variant] * closed_form_uniform(r, n)
 
 
 def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
@@ -518,8 +500,8 @@ def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
             return Fraction(0)
         if variant is Variant.CLASSIC:
             return Fraction(r, n) * gap(n - 1, r - 1)
-        return Fraction(_TWO_SIDED[variant]) * r * (n - r) / (n * (n - 1))
-    c = Fraction(_TWO_SIDED[variant])
+        return Fraction(_NICE_NUMERATOR[variant]) * r * (n - r) / (n * (n - 1))
+    c = Fraction(_NICE_NUMERATOR[variant])
     if r == 0:
         return (c * gap(n, 0) - 1) / n
     return c * r * (n * gap(n - 1, r - 1) - n + r) / (n * n)

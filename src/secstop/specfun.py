@@ -23,7 +23,6 @@ it, and a command that stays on the scalar paths never loads it.
 
 from __future__ import annotations
 
-import functools
 import importlib.util
 import math
 import sys
@@ -317,11 +316,6 @@ _BD0_Q = tuple(2.0 / (2 * j + 3) for j in range(15, -1, -1))
 _TWO_PI = 2.0 * math.pi
 # masses are evaluated this many k at a time, so every temporary is a block
 _PMF_BLOCK = 8192
-# -stirlerr(k) and sqrt(2 pi k) are kept for k below this, built once
-_HEAD = 1024
-# a near part of at most this many k is summed one k at a time, where its
-# forty array calls would cost more than its points
-_SHORT_NEAR = 12
 
 
 def _stirlerr_series(x):
@@ -330,42 +324,21 @@ def _stirlerr_series(x):
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / xx) / xx) / xx) / xx) / x
 
 
-@functools.cache
-def _head() -> np.ndarray:
-    """-stirlerr(k) (the table, then the series) and sqrt(2 pi k), the two
-    rows, for k < _HEAD: the values a block computes, built once."""
-    head = np.empty((2, _HEAD))
-    x = np.arange(_HEAD, dtype=float)
-    head[0, : len(_STIRLERR)] = _STIRLERR
-    head[0, len(_STIRLERR) :] = _stirlerr_series(x[len(_STIRLERR) :])
-    np.negative(head[0], out=head[0])
-    x *= _TWO_PI
-    np.sqrt(x, out=head[1])
-    head.flags.writeable = False
-    return head
-
-
-@functools.cache
-def _bd0_q_arrays() -> tuple:
-    """_BD0_Q as 0-d arrays, which numpy takes faster than floats."""
-    return tuple(map(np.array, _BD0_Q))
-
-
-def _bd0_near(x, lam, q):
+def _bd0_near(x, lam):
     """bd0(x, lam) = x ln(x/lam) + lam - x for lam/2 < x < 2 lam, where
     |v| < 1/3 and x - lam is exact, as two parts (tail, lead): lead =
-    (x - lam)^2/(x + lam) and tail = x v w q(w), with q's coefficients q
-    (_BD0_Q for a float, `_bd0_q_arrays` for an array).  Nothing cancels,
-    and the caller takes the large lead last, so that it is rounded once."""
+    (x - lam)^2/(x + lam) and tail = x v w q(w), q's coefficients _BD0_Q.
+    Nothing cancels, and the caller takes the large lead last, so that it
+    is rounded once."""
     d = x - lam
     s = x + lam
     v = d / s
     w = v * v
-    acc = w * q[0]
-    for c in q[1:-1]:
+    acc = w * _BD0_Q[0]
+    for c in _BD0_Q[1:-1]:
         acc += c
         acc *= w
-    acc += q[-1]
+    acc += _BD0_Q[-1]
     acc *= w
     v *= x
     acc *= v
@@ -380,42 +353,33 @@ def _bd0_far(x, lam):
 
 
 def _pmf_block(lam: float, a: int, out: np.ndarray) -> None:
-    """The masses at k = a, ..., a + len(out) - 1 (a >= 1), into out.  The
-    head and stirlerr's series, and bd0's direct and near forms, each cover
-    a contiguous slice of k; the direct form is taken once over the span of
-    its slices below and above the near one."""
+    """The masses at k = a, ..., a + len(out) - 1 (a >= 1), into out, as
+    exp(-stirlerr(k) - bd0(k, lam))/sqrt(2 pi k) over the whole block.
+    stirlerr's table (k < 16) and series, and bd0's direct and near forms,
+    each cover a contiguous slice of k; the direct form is taken once over
+    the span of its slices below and above the near one."""
     n = len(out)
     x = np.arange(a, a + n, dtype=float)
-    cut = min(max(_HEAD - a, 0), n)  # out[:cut] is in the head
-    if cut:
-        out[:cut] = _head()[0, a : a + cut]
-    if cut < n:
-        np.negative(_stirlerr_series(x[cut:]), out=out[cut:])
-    rate = np.array(lam)  # numpy takes a 0-d array faster than a float
+    cut = min(max(len(_STIRLERR) - a, 0), n)  # out[:cut] is in the table
+    out[:cut] = _STIRLERR[a : a + cut]
+    out[cut:] = _stirlerr_series(x[cut:])
+    np.negative(out, out=out)
     # lam/2 < k < 2 lam: near_lo <= k - a < near_hi
     near_lo = min(max(math.floor(lam / 2) + 1 - a, 0), n)
     near_hi = min(max(math.ceil(2 * lam) - a, near_lo), n)
     far = [(lo, hi) for lo, hi in ((0, near_lo), (near_hi, n)) if lo < hi]
     if far:
         first = far[0][0]
-        bd0 = _bd0_far(x[first : far[-1][1]], rate)
+        bd0 = _bd0_far(x[first : far[-1][1]], lam)
         for lo, hi in far:
             out[lo:hi] -= bd0[lo - first : hi - first]
-    near = slice(near_lo, near_hi)
-    if near_hi - near_lo > _SHORT_NEAR:
-        tail, lead = _bd0_near(x[near], rate, _bd0_q_arrays())
-        out[near] -= tail
-        out[near] -= lead
-    elif near_lo < near_hi:
-        parts = (_bd0_near(float(k), lam, _BD0_Q) for k in range(a + near_lo, a + near_hi))
-        out[near] = [(e - tail) - lead for e, (tail, lead) in zip(out[near].tolist(), parts)]
+    if near_lo < near_hi:
+        tail, lead = _bd0_near(x[near_lo:near_hi], lam)
+        out[near_lo:near_hi] -= tail
+        out[near_lo:near_hi] -= lead
     np.exp(out, out=out)
-    if cut:
-        out[:cut] /= _head()[1, a : a + cut]
-    if cut < n:
-        root = x[cut:]
-        root *= _TWO_PI
-        out[cut:] /= np.sqrt(root, out=root)
+    x *= _TWO_PI
+    out /= np.sqrt(x, out=x)
 
 
 def poisson_pmf_array(lam: float, k_max: int, k_lo: int = 0) -> np.ndarray:

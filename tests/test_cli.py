@@ -552,9 +552,12 @@ def test_truncation_flags_are_gone(capsys, flag):
 
 
 def test_exit_numeric_failure(capsys, monkeypatch):
+    # the truncation for `dp` folds the tail past k_max through the series of
+    # poisson_tail; `cutoff` sums no series, its window top is a closed bound
     monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
-    code, _, err = run(capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10000")
+    code, _, err = run(capsys, "dp", "--variant", "bw", "--model", "poisson:lambda=10000")
     assert code == 3 and "numeric failure" in err
+    assert run(capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10000")[0] == 0
 
 
 def test_exit_out_of_memory(capsys, monkeypatch):

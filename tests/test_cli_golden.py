@@ -61,6 +61,9 @@ _MORE_COMMANDS = [
     "cutoff --variant bw --model poisson:lambda=1e7",
     # classic over the mass window of Poisson(10^9), without a curve from r = 1
     "cutoff --variant classic --model poisson:lambda=1e9",
+    # a mass window of 5.1*10^7 points, past the cap of 2*10^7: refused
+    # before any table
+    "cutoff --variant bw --model poisson:lambda=1e12",
 ]
 
 def _commands() -> list[list[str]]:

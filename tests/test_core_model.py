@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secstop import core_model
+from secstop import core_model, exact
 from secstop.core_model import (
     CutoffReport,
     EstimatorCheck,
@@ -21,6 +21,7 @@ from secstop.core_model import (
     ThresholdPolicy,
     Uniform,
     Variant,
+    chernoff_point,
     explicit_from_dict,
     nice_probabilities,
     nice_probability,
@@ -303,6 +304,26 @@ def test_poisson_k_max_is_a_closed_bound_of_the_rate():
         assert poisson_k_max(lam) == math.ceil(lam + t)
         assert t * t > 144.0 * lam + 48.0 * t
     assert support(Poisson(2.0))[0][-1] == poisson_k_max(2.0) == 69
+
+
+def test_poisson_window_cap_is_checked_before_any_table(monkeypatch):
+    # adjacent floats: the window from chernoff_point to k_max holds 2*10^7
+    # points at the first and one more at the second
+    last_fit, first_past = 153863572741.30637, 153863572741.3064
+    assert first_past == math.nextafter(last_fit, math.inf)
+    assert poisson_k_max(last_fit) - chernoff_point(last_fit) + 1 == core_model._MAX_WINDOW
+    message = r"Poisson\(lam=153863572741\.3064\) holds 20000001 points, past the cap of 20000000$"
+    with pytest.raises(RuntimeError, match=message):
+        poisson_k_max(first_past)
+
+    def no_table(*_):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(core_model, "poisson_pmf_array", no_table)
+    monkeypatch.setattr(np, "arange", no_table)
+    for table in (lambda: support(Poisson(first_past)), lambda: exact._poisson_step_table(first_past, 1)):
+        with pytest.raises(RuntimeError, match="past the cap"):
+            table()
 
 
 def test_truncate_to_explicit_preserves_mass():

@@ -1,6 +1,7 @@
 """Every top-level name of `src/secstop` (function, class or constant) is
 reached from the command line, the package's exports or the benchmark's
-contract, and the exports are exactly what the package imports.
+contract, the exports are exactly what the package imports, and no module
+but `__init__.py` imports a name that it never reads.
 
 The roots are `cli.main`, the names of `secstop.__all__`, the names that
 `bench/workloads.py` and `bench/worker.py` import from secstop, and the
@@ -118,3 +119,26 @@ def test_all_lists_exactly_what_the_package_imports():
     imported = list(_package()["__init__"].imports)
     assert sorted(secstop.__all__) == sorted(imported)
     assert len(set(secstop.__all__)) == len(secstop.__all__)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that the module's top-level imports bind and that nothing
+    else in the module reads."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to export, which test_all_lists_exactly_what_the_package_imports checks
+    unused = [
+        f"{p.stem}.{name}"
+        for p in sorted(_SRC.glob("*.py"))
+        if p.name != "__init__.py"
+        for name in _unused_imports(ast.parse(p.read_text()))
+    ]
+    assert not unused, f"imported and never read: {unused}"
