@@ -5,9 +5,9 @@ Every command renders flat key -> value records in one of three formats
 digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
-error; 3 numeric failure (a series past its cap of 10^6 terms, a lost
-bracket, a pmf whose float masses miss 1 by more than a table allows, a
-Poisson mass window past 2*10^7 points) or out of memory.
+error; 3 numeric failure (an estimator's series past its cap of 10^6
+terms, a lost bracket, a pmf whose float masses miss 1 by more than a table
+allows, a Poisson mass window past 2*10^7 points) or out of memory.
 """
 
 from __future__ import annotations
@@ -207,7 +207,9 @@ def cmd_curve(args) -> int:
         span = (args.to - args.from_) / args.step
         if not span <= _MAX_SWEEP_RATES - 1:  # also inf and nan
             raise ModelSpecError(f"--sweep lambda is capped at {_MAX_SWEEP_RATES} rates")
-        count = int(round(span)) + 1
+        # the rates up to --to, whose span may round a few ulps short of a
+        # whole number: 0.1 to 0.7 by 0.1 (span 5.999999999999999) ends at 0.7
+        count = math.floor(span * (1.0 + 2.0**-50)) + 1
         records = []
         for i in range(count):
             lam = args.from_ + i * args.step
@@ -367,6 +369,8 @@ _ESTIMATOR_FLAGS = {
 def cmd_scan_failures(args) -> int:
     if not 1 <= args.from_ <= args.to <= _MAX_SWEEP_RATES:  # also inf and nan
         raise ModelSpecError(f"scan-failures needs 1 <= --from <= --to <= {_MAX_SWEEP_RATES}")
+    if not (args.from_.is_integer() and args.to.is_integer()):
+        raise ModelSpecError(f"scan-failures needs whole-number bounds, got --from {args.from_} --to {args.to}")
     scan = scan_estimator_failures(
         _ESTIMATOR_FLAGS[args.estimator], int(args.from_), int(args.to)
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .specfun import harmonic_gap, np, poisson_pmf_array, poisson_tail
+from .specfun import chernoff_point, harmonic_gap, np, poisson_k_max, poisson_pmf_array, poisson_tail
 
 
 class Variant(str, Enum):
@@ -119,32 +119,6 @@ CountModel = Union[Known, Uniform, Poisson, Explicit]
 
 def explicit_from_dict(pmf: dict[int, float]) -> Explicit:
     return Explicit(tuple(sorted(pmf.items())))
-
-
-# the longest Poisson mass window, from `chernoff_point` to `poisson_k_max`,
-# that a support or a step table may hold: 160 MB of masses at about
-# lam = 1.54e11
-_MAX_WINDOW = 2 * 10**7
-
-
-def poisson_k_max(lam: float) -> int:
-    """Top of the Poisson support, ceil(lam + t), t = 12 sqrt(lam) + 50:
-    Bennett's p(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) is below e^-72 at
-    every rate, since t^2 - 144 (lam + t/3) = 624 sqrt(lam) + 100 > 0.
-    RuntimeError, before any table is built, where the window from
-    `chernoff_point` up to it is longer than _MAX_WINDOW points."""
-    k = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
-    window = k - chernoff_point(lam) + 1
-    if window > _MAX_WINDOW:
-        raise RuntimeError(
-            f"the mass window of Poisson(lam={lam!r}) holds {window} points, past the cap of {_MAX_WINDOW}"
-        )
-    return k
-
-
-def chernoff_point(lam: float) -> int:
-    """max(0, floor(lam - sqrt(1520 lam))), below which p(k) <= e^-760 is 0.0."""
-    return max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
 
 
 def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:

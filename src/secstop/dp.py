@@ -177,7 +177,7 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.nda
 
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     if isinstance(model, Poisson):
-        raise ValueError("Poisson support is infinite; truncate_to_explicit first")
+        raise ValueError("Poisson's tail past its window must be folded in; truncate_to_explicit first")
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
     buf = mom.scratch(T + 1)  # before the U table's weights, so it is not regrown

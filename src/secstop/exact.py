@@ -31,7 +31,6 @@ difference inside it is a tie that goes to the smaller cutoff.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -45,9 +44,7 @@ from .core_model import (
     Poisson,
     Uniform,
     Variant,
-    chernoff_point,
     nice_probabilities,
-    poisson_k_max,
     support,
     threshold_success_known,
 )
@@ -57,6 +54,7 @@ from .specfun import (
     harmonic_gap,
     harmonic_gap_ratio,
     np,
+    poisson_step_table,
 )
 
 # the unit roundoff; the relative error bound of the float ΔF and F of
@@ -277,22 +275,6 @@ def _shifted_read(table: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poisson_step_table(lam: float, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ks, ps): the law of Poisson(lam) given X >= r, up to a constant: 1
-    at a = max(r, floor(lam)), then the pmf ratios p(k - 1) = p(k) k/lam
-    down to max(r, `chernoff_point`) and p(k + 1) = p(k) lam/(k + 1) up to
-    b + L, b = max(r, k_max).  No value passes 1, so steps far past k_max
-    do not overflow.  With q = lam/(b + 1), the rest past b + L is below
-    p(b) q^(L + 1)/(1 - q) < 2^-60 p(b) at L = ceil(ln(2^-60 (1 - q))/ln q)."""
-    lo, b = max(r, chernoff_point(lam)), max(r, poisson_k_max(lam))
-    q, i = lam / (b + 1), max(r, math.floor(lam)) - lo  # i: the slot of a
-    ks = np.arange(lo, b + math.ceil(math.log(2.0**-60 * (1.0 - q)) / math.log(q)) + 1)
-    ps = np.ones(len(ks))
-    np.cumprod(ks[i:0:-1] / lam, out=ps[:i][::-1])
-    np.cumprod(lam / ks[i + 1 :], out=ps[i + 1 :])
-    return ks, ps
-
-
 def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
     """(sum_{k=r..n} 1/k, sum_{k=r..n-1} (n-k)/k) for 1 <= r <= n.
 
@@ -310,7 +292,7 @@ def _uniform_tail_sums(r: int, n: int) -> tuple[float, float]:
 def _table_step(model: CountModel, r: int) -> tuple[SuffixMoments, np.ndarray, np.ndarray]:
     """(moments, [r], [S(r)]) on the model's support, or on Poisson's step
     table; ConditioningError where p(X >= r) = 0."""
-    table = _poisson_step_table(model.lam, r) if isinstance(model, Poisson) else support(model)
+    table = poisson_step_table(model.lam, r) if isinstance(model, Poisson) else support(model)
     mom = SuffixMoments(*table)
     S = mom.read(mom.S, r, np.empty(1))
     if not S[0] > 0.0:

@@ -1,21 +1,25 @@
 """Scalar special functions backing the closed forms used everywhere else.
 
-All arithmetic is 64-bit float.  Every Poisson-side infinite sum (the upper
-Poisson tail, I(lam) and the sinh integral) goes through one kernel,
-`series`: a Kahan-compensated sum of positive terms t_{k+1} = t_k *
-ratio(k), stopped by one rule, a relative tail bound of 1e-15, and capped
-at 10^6 terms, past which it raises TruncationError rather than return a
-short sum.  The compensated harmonic numbers H_0..H_10^4 are one table that
-grows once per process and is sliced by every later call.  The Poisson
-pmf is Loader's saddle-point form, exp(-stirlerr(k) - bd0(k, lam)) /
-sqrt(2 pi k): stirlerr, the error of Stirling's formula, from a table and a
-five-term series, and bd0 = k ln(k/lam) + lam - k from a series without
+All arithmetic is 64-bit float.  The two infinite sums of the estimators,
+I(lam) and the sinh integral, go through one kernel, `series`: a
+Kahan-compensated sum of positive terms t_{k+1} = t_k * ratio(k), stopped
+by one rule, a relative tail bound of 1e-15, and capped at 10^6 terms,
+past which it raises TruncationError rather than return a short sum.  The
+compensated harmonic numbers H_0..H_10^4 are one table that grows once per
+process and is sliced by every later call.  The Poisson pmf is Loader's
+saddle-point form, exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k):
+stirlerr, the error of Stirling's formula, from a table and a five-term
+series, and bd0 = k ln(k/lam) + lam - k from a series without
 cancellation for lam/2 < k < 2 lam and directly elsewhere.  Each mass is
 within 4e-15 of exact wherever p(k) >= 1e-6 p(mode), and within 4e-13 down
 to the smallest normal float.  `poisson_pmf_array` evaluates it over the
 window of k it is asked for, in blocks of k, so a Poisson table costs the
-length of its window, not of 0..k_max, and a window of one k, which starts
-the series of `poisson_tail`, has that k's bits in every table.
+length of its window, not of 0..k_max, and a window of one k has that k's
+bits in every table.  The Poisson mass window lives here too: from the
+`chernoff_point`, below which every mass is 0.0, to Bennett's
+`poisson_k_max`, at most _MAX_WINDOW points; so do the step table of the
+law of X given X >= r, by pmf ratios, and the tail p(X >= r), one mass
+times that table's sum.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -53,10 +57,9 @@ EULER_GAMMA = 0.5772156649015329
 _HARMONIC_EXACT_LIMIT = 10_000
 
 
-# Every infinite series stops once its estimated remainder is below _REL_TOL
-# times the sum (the Poisson support is cut where its tail is), and gives up
-# with TruncationError after _MAX_TERMS terms.  Both are read at call time,
-# so a test can lower the cap to reach that error.
+# `series` stops once its estimated remainder is below _REL_TOL times the
+# sum, and gives up with TruncationError after _MAX_TERMS terms.  Both are
+# read at call time, so a test can lower the cap to reach that error.
 _REL_TOL = 1e-15
 _MAX_TERMS = 1_000_000
 
@@ -419,32 +422,62 @@ def series(term: float, ratio, k: int = 0) -> float:
     raise TruncationError(f"series did not converge within {_MAX_TERMS} terms")
 
 
+# the longest Poisson mass window, from `chernoff_point` to `poisson_k_max`,
+# that a support or a step table may hold: 160 MB of masses at about
+# lam = 1.54e11
+_MAX_WINDOW = 2 * 10**7
+
+
+def chernoff_point(lam: float) -> int:
+    """max(0, floor(lam - sqrt(1520 lam))), below which p(k) <= e^-760 is 0.0."""
+    return max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
+
+
+def poisson_k_max(lam: float) -> int:
+    """Top of the Poisson support, ceil(lam + t), t = 12 sqrt(lam) + 50:
+    Bennett's p(X >= lam + t) <= exp(-t^2/(2(lam + t/3))) is below e^-72 at
+    every rate, since t^2 - 144 (lam + t/3) = 624 sqrt(lam) + 100 > 0.
+    RuntimeError, before any table is built, where the window from
+    `chernoff_point` up to it is longer than _MAX_WINDOW points."""
+    k = int(math.ceil(lam + 12.0 * math.sqrt(lam) + 50.0))
+    window = k - chernoff_point(lam) + 1
+    if window > _MAX_WINDOW:
+        raise RuntimeError(
+            f"the mass window of Poisson(lam={lam!r}) holds {window} points, past the cap of {_MAX_WINDOW}"
+        )
+    return k
+
+
+def poisson_step_table(lam: float, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ks, ps): the law of Poisson(lam) given X >= r, up to a constant: 1
+    at a = max(r, floor(lam)), then the pmf ratios p(k - 1) = p(k) k/lam
+    down to max(r, `chernoff_point`) and p(k + 1) = p(k) lam/(k + 1) up to
+    b + L, b = max(r, k_max).  No value passes 1, so steps far past k_max
+    do not overflow.  With q = lam/(b + 1), the rest past b + L is below
+    p(b) q^(L + 1)/(1 - q) < 2^-60 p(b) at L = ceil(ln(2^-60 (1 - q))/ln q)."""
+    lo, b = max(r, chernoff_point(lam)), max(r, poisson_k_max(lam))
+    q, i = lam / (b + 1), max(r, math.floor(lam)) - lo  # i: the slot of a
+    ks = np.arange(lo, b + math.ceil(math.log(2.0**-60 * (1.0 - q)) / math.log(q)) + 1)
+    ps = np.ones(len(ks))
+    np.cumprod(ks[i:0:-1] / lam, out=ps[:i][::-1])
+    np.cumprod(lam / ks[i + 1 :], out=ps[i + 1 :])
+    return ks, ps
+
+
 def poisson_tail(r: int, lam: float) -> float:
-    """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam)."""
+    """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam): 1.0 up to the
+    `chernoff_point` g, where the head is below g e^-760 and rounds away,
+    and p(a) times the sum of `poisson_step_table` above it, a = max(r,
+    floor(lam)) the table's anchor, clipped to 1."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
-    if r == 0:
+    if r <= chernoff_point(lam):
         return 1.0
-    if r <= lam + 1.0:
-        # complement of a short head sum: better conditioned than the tail
-        term = math.exp(-lam)
-        if term < sys.float_info.min:
-            # exp(-lam) is subnormal or 0 (lam > 708.4): sum down from k = r - 1
-            top = float(poisson_pmf_array(lam, r - 1, r - 1)[0])
-            return max(0.0, 1.0 - series(top, lambda j: (r - 1 - j) / lam))
-        acc = 0.0
-        c = 0.0
-        for k in range(r):
-            y = term - c
-            t = acc + y
-            c = (t - acc) - y
-            acc = t
-            term *= lam / (k + 1.0)
-        return max(0.0, 1.0 - acc)
-    # an underflowed leading term ends the series at 0: the tail is < 1e-300
-    return series(float(poisson_pmf_array(lam, r, r)[0]), lambda k: lam / (k + 1.0), r)
+    ps = poisson_step_table(lam, r)[1]
+    a = max(r, math.floor(lam))
+    return min(1.0, float(poisson_pmf_array(lam, a, a)[0]) * float(np.sum(ps)))
 
 
 def ein_series(lam: float) -> float:

@@ -19,7 +19,7 @@ import pytest
 
 import secstop
 from conftest import run_limited
-from secstop import cli, core_model, specfun
+from secstop import cli, core_model
 from secstop.core_model import Poisson, Uniform, Variant
 from secstop.exact import best_cutoff
 
@@ -239,6 +239,25 @@ def test_curve_lambda_sweep(capsys):
     ps = [float(r["P"]) for r in rows]
     assert max(ps) == pytest.approx(0.726445022099, abs=1e-9)  # interior peak
     assert ps.index(max(ps)) not in (0, len(ps) - 1)
+
+
+@pytest.mark.parametrize(
+    "bounds,last",
+    [(("0.5", "2.8", "0.5"), "2.5"), (("0.1", "0.7", "0.1"), "0.7"), (("0.1", "0.3", "0.1"), "0.3")],
+)
+def test_curve_sweep_stops_at_to(capsys, bounds, last):
+    # the count is the floor of the span, not its rounding, which stepped
+    # to 3 past --to 2.8; a span a few ulps short of a whole number, as
+    # (0.7 - 0.1)/0.1 = 5.999999999999999, still reaches --to
+    start, to, step = bounds
+    code, out, _ = run(
+        capsys, "curve", "--variant", "bw", "--sweep", "lambda",
+        "--from", start, "--to", to, "--step", step, "--format", "csv",
+    )
+    assert code == 0
+    lams = [r["lambda"] for r in parse_csv(out)]
+    assert lams[-1] == last and all(float(lam) <= float(to) for lam in lams)
+    assert len(lams) == 1 + round((float(last) - float(start)) / float(step))
 
 
 def test_curve_sweep_requires_bounds(capsys):
@@ -494,6 +513,14 @@ def test_scan_failures_needs_finite_bounds_within_the_cap(capsys, bounds):
     assert err == "error: scan-failures needs 1 <= --from <= --to <= 10000\n"
 
 
+@pytest.mark.parametrize("start,to", [("2.9", "3.5"), ("4.5", "5.99"), ("2", "3.5")])
+def test_scan_failures_needs_whole_number_bounds(capsys, start, to):
+    # int() truncated these, and scanned n = 2..3 for 2.9..3.5
+    code, out, err = run(capsys, "scan-failures", "--estimator", "affinetheta", "--from", start, "--to", to)
+    assert code == 2 and out == ""
+    assert err == f"error: scan-failures needs whole-number bounds, got --from {float(start)} --to {float(to)}\n"
+
+
 # ----------------------------------------------------------------- verify
 
 @pytest.mark.parametrize(
@@ -551,13 +578,13 @@ def test_truncation_flags_are_gone(capsys, flag):
         assert err.startswith("usage: ") and f"unrecognized arguments: {flag} 64" in err, argv
 
 
-def test_exit_numeric_failure(capsys, monkeypatch):
-    # the truncation for `dp` folds the tail past k_max through the series of
-    # poisson_tail; `cutoff` sums no series, its window top is a closed bound
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
-    code, _, err = run(capsys, "dp", "--variant", "bw", "--model", "poisson:lambda=10000")
-    assert code == 3 and "numeric failure" in err
-    assert run(capsys, "cutoff", "--variant", "bw", "--model", "poisson:lambda=10000")[0] == 0
+def test_exit_numeric_failure(capsys):
+    # the truncation for `dp` builds the mass window, which at 10^12 is past
+    # its cap: refused before any table
+    code, out, err = run(capsys, "dp", "--variant", "bw", "--model", "poisson:lambda=1e12")
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: the mass window of Poisson(lam=1000000000000.0)")
+    assert err.endswith("past the cap of 20000000\n") and err.count("\n") == 1
 
 
 def test_exit_out_of_memory(capsys, monkeypatch):

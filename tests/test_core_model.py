@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from secstop import core_model, exact
+from secstop import core_model, specfun
 from secstop.core_model import (
     CutoffReport,
     EstimatorCheck,
@@ -21,17 +21,15 @@ from secstop.core_model import (
     ThresholdPolicy,
     Uniform,
     Variant,
-    chernoff_point,
     explicit_from_dict,
     nice_probabilities,
     nice_probability,
-    poisson_k_max,
     support,
     tail_prob,
     threshold_success_known,
     truncate_to_explicit,
 )
-from secstop.specfun import digamma, harmonic_gap, harmonic_gap_ratio
+from secstop.specfun import chernoff_point, digamma, harmonic_gap, harmonic_gap_ratio, poisson_k_max
 
 from oracles import KnownOptimum, accept_success_known, pbw_known
 
@@ -311,7 +309,7 @@ def test_poisson_window_cap_is_checked_before_any_table(monkeypatch):
     # points at the first and one more at the second
     last_fit, first_past = 153863572741.30637, 153863572741.3064
     assert first_past == math.nextafter(last_fit, math.inf)
-    assert poisson_k_max(last_fit) - chernoff_point(last_fit) + 1 == core_model._MAX_WINDOW
+    assert poisson_k_max(last_fit) - chernoff_point(last_fit) + 1 == specfun._MAX_WINDOW
     message = r"Poisson\(lam=153863572741\.3064\) holds 20000001 points, past the cap of 20000000$"
     with pytest.raises(RuntimeError, match=message):
         poisson_k_max(first_past)
@@ -320,10 +318,21 @@ def test_poisson_window_cap_is_checked_before_any_table(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(core_model, "poisson_pmf_array", no_table)
+    monkeypatch.setattr(specfun, "poisson_pmf_array", no_table)
     monkeypatch.setattr(np, "arange", no_table)
-    for table in (lambda: support(Poisson(first_past)), lambda: exact._poisson_step_table(first_past, 1)):
+    tables = (
+        lambda: support(Poisson(first_past)),
+        lambda: specfun.poisson_step_table(first_past, 1),
+        lambda: specfun.poisson_tail(int(first_past), first_past),
+    )
+    for table in tables:
         with pytest.raises(RuntimeError, match="past the cap"):
             table()
+
+    # the cap is read at call time, where it is defined
+    monkeypatch.setattr(specfun, "_MAX_WINDOW", 69)
+    with pytest.raises(RuntimeError, match="holds 70 points, past the cap of 69$"):
+        poisson_k_max(2.0)
 
 
 def test_truncate_to_explicit_preserves_mass():

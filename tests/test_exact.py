@@ -32,7 +32,6 @@ from secstop.core_model import (
     Uniform,
     Variant,
     explicit_from_dict,
-    poisson_k_max,
     support,
     threshold_success_known,
     truncate_to_explicit,
@@ -52,7 +51,7 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop.specfun import harmonic, harmonic_numbers
+from secstop.specfun import harmonic, harmonic_numbers, poisson_k_max
 
 from oracles import accept_success_known, poisson_fstar_and_f
 

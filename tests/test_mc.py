@@ -339,3 +339,13 @@ def test_poisson_trial_steps_from_the_tail_matches_support_dot(lam):
         dot = 3 * float(np.dot(np.maximum(ks - r, 0), ps))
         assert steps == pytest.approx(dot, rel=1e-9, abs=0.0), r
     assert trial_steps(_config(Variant.BEST_OR_WORST, Poisson(lam), 0, 1)) == lam
+
+
+def test_poisson_trial_steps_far_below_a_large_rate():
+    # `simulate --variant bw --model poisson:lambda=7221394.6112189265
+    # --cutoff 7119871` exited 3: the tail's series from p(r - 1) never
+    # ended on its subnormal first term.  Both tails are 1 here, 37 standard
+    # deviations below the rate, so E[(X - r)+] is lam - r
+    lam, r = 7221394.6112189265, 7119871
+    steps = trial_steps(_config(Variant.BEST_OR_WORST, Poisson(lam), r, 10))
+    assert steps == pytest.approx(10 * (lam - r), rel=1e-9)

@@ -142,3 +142,17 @@ def test_no_module_imports_a_name_it_never_reads():
         for name in _unused_imports(ast.parse(p.read_text()))
     ]
     assert not unused, f"imported and never read: {unused}"
+
+
+def test_every_relative_import_names_the_defining_module():
+    # `from .m import x` reads x where it is defined, not through a module
+    # that imports it in turn; __init__.py re-exports by design
+    mods = _package()
+    indirect = [
+        f"{mod}: from .{src} import {name}"
+        for mod, module in mods.items()
+        if mod != "__init__"
+        for src, name in module.imports.values()
+        if name is not None and name not in mods[src].defs
+    ]
+    assert not indirect, f"imported through a module that does not define it: {indirect}"

@@ -7,10 +7,12 @@ The one same-algorithm comparisons are the bit-identity checks of the
 series kernel against the loops it replaced, of a Poisson mass window
 against the same routine's table from k = 0 and against the window of the
 bisection guard, of the scalar pmf against the array, and of the in-place
-harmonic table against the concatenated one, kept below as references.
+harmonic table against the concatenated one, and the 1e-14 check of the
+Poisson tail against the loop it replaced, kept below as references.
 """
 
 import math
+import time
 from decimal import Context, localcontext
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
 
 from secstop import specfun
-from secstop.core_model import Poisson, poisson_k_max, support
+from secstop.core_model import Poisson, support
 from secstop.specfun import (
     EULER_GAMMA,
     TruncationError,
@@ -33,6 +35,7 @@ from secstop.specfun import (
     harmonic_gap_ratio,
     harmonic_numbers,
     lambert_w0,
+    poisson_k_max,
     poisson_pmf_array,
     poisson_tail,
     series,
@@ -374,9 +377,9 @@ def test_poisson_pmf_against_mpmath(lam):
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 37.3, 1000.0, 1e5])
 def test_poisson_pmf_scalar_equals_the_array(lam):
-    # the one mass that starts poisson_tail's series, a window of one k,
-    # has the support's bits at every k of the window, near and far from
-    # the rate, where the short near part is summed one k at a time
+    # the one mass that poisson_tail scales its step table by, a window of
+    # one k, has the support's bits at every k of the window, near and far
+    # from the rate, where the short near part is summed one k at a time
     ks, ps = support(Poisson(lam))
     for k, p in zip(ks.tolist(), ps.tolist()):
         assert _pmf(k, lam) == p, (lam, k)
@@ -414,7 +417,7 @@ def test_poisson_tail_complement(r, lam):
 
 def _head_cutoffs(lam: float) -> list[int]:
     """r = 1, lam/2, lam - 3 sqrt(lam), floor(lam) and floor(lam) + 1: every
-    one at or below lam + 1, where the tail is the complement of a head sum."""
+    one at or below lam + 1, where the tail is close to 1."""
     f = math.floor(lam)
     return [1, int(lam / 2), int(lam - 3.0 * math.sqrt(lam)), f, f + 1]
 
@@ -422,18 +425,32 @@ def _head_cutoffs(lam: float) -> list[int]:
 @pytest.mark.parametrize("lam", [701.0, 720.0, 1000.0, 5000.0])
 def test_poisson_tail_head_at_large_rates_against_mpmath(lam):
     # exp(-lam) is subnormal from lam = 708 and 0 from 746 on, so a head sum
-    # started at k = 0 gives exactly 1.0 at (1001, 1000), where the tail is
-    # 0.4916; the regularized lower gamma P(r, lam) is p(X >= r)
+    # started at k = 0 would give exactly 1.0 at (1001, 1000), where the
+    # tail is 0.4916; the regularized lower gamma P(r, lam) is p(X >= r)
     for r in _head_cutoffs(lam):
         with mpmath.workdps(40):
             ref = float(mpmath.gammainc(r, 0, lam, regularized=True))
         assert abs(poisson_tail(r, lam) - ref) <= 5e-11 * ref, (r, lam)
 
 
-def test_poisson_tail_truncation_error(monkeypatch):
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 64)
-    with pytest.raises(TruncationError):
-        poisson_tail(120, 100.0)
+def test_poisson_tail_just_above_the_chernoff_point_of_a_large_rate():
+    # the series summed down from p(r - 1), a subnormal term here, never
+    # ended and ran out of its 10^6 terms
+    start = time.perf_counter()
+    assert poisson_tail(7119870, 7221394.6112189265) == 1.0
+    assert time.perf_counter() - start < 0.1
+
+
+def test_poisson_tail_at_the_mean_of_large_rates():
+    # p(X >= n) = 1/2 + 1/(3 sqrt(2 pi n)) + O(1/n) at an integer mean n;
+    # the series ran out of its 10^6 terms at 10^11, and gave
+    # 0.5000013298076031 at 10^10
+    for lam in (1e10, 1e11):
+        start = time.perf_counter()
+        got = poisson_tail(int(lam), lam)
+        assert time.perf_counter() - start < 1.0
+        assert abs(got - (0.5 + 1.0 / (3.0 * math.sqrt(2.0 * math.pi * lam)))) < 1e-10
+    assert poisson_tail(10**10, 1e10) == pytest.approx(0.5000013298076031, rel=1e-14)
 
 
 def _ein(lam: float) -> float:
@@ -488,7 +505,8 @@ def test_series_kernel():
 # ------------------- references: the series loops before the shared kernel
 #
 # Verbatim copies of the loops that `series` replaced; the kernel must give
-# the same bits wherever they return a value.
+# the same bits wherever they return a value.  The Poisson tail, now one
+# mass times the sum of a step table, is held to 1e-14 of its loop.
 
 
 def _loop_poisson_tail(r: int, lam: float) -> float:
@@ -589,8 +607,11 @@ def kernel_cutoffs(lam: float) -> list[int]:
 
 
 def test_series_match_the_loops_bit_for_bit():
+    # a subnormal tail holds fewer bits than 1e-14 asks: there the two
+    # routes may part by two units of 2^-1074
     for lam in KERNEL_RATES:
         assert _ein(lam) == _loop_ein_integral(lam)
         assert sinh_integral(lam) == _loop_sinh_integral(lam)
         for r in kernel_cutoffs(lam):
-            assert poisson_tail(r, lam) == _loop_poisson_tail(r, lam), (r, lam)
+            ref = _loop_poisson_tail(r, lam)
+            assert abs(poisson_tail(r, lam) - ref) <= 1e-14 * ref + 2 * 2.0**-1074, (r, lam)
