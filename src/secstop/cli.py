@@ -204,12 +204,13 @@ def cmd_curve(args) -> int:
             raise ModelSpecError(f"--step must be positive, got {args.step}")
         if args.to < args.from_:
             raise ModelSpecError(f"--to {args.to} is below --from {args.from_}")
-        span = (args.to - args.from_) / args.step
-        if not span <= _MAX_SWEEP_RATES - 1:  # also inf and nan
-            raise ModelSpecError(f"--sweep lambda is capped at {_MAX_SWEEP_RATES} rates")
         # the rates up to --to, whose span may round a few ulps short of a
-        # whole number: 0.1 to 0.7 by 0.1 (span 5.999999999999999) ends at 0.7
-        count = math.floor(span * (1.0 + 2.0**-50)) + 1
+        # whole number: 0.1 to 0.7 by 0.1 (span 5.999999999999999) ends at 0.7;
+        # floor(span) + 1 rates are at most the cap where span < cap
+        span = (args.to - args.from_) / args.step * (1.0 + 2.0**-50)
+        if not span < _MAX_SWEEP_RATES:  # also inf and nan
+            raise ModelSpecError(f"--sweep lambda is capped at {_MAX_SWEEP_RATES} rates")
+        count = math.floor(span) + 1
         records = []
         for i in range(count):
             lam = args.from_ + i * args.step
@@ -357,13 +358,7 @@ def cmd_convergents(args) -> int:
     return 0
 
 
-_ESTIMATOR_FLAGS = {
-    "roundntheta": EstimatorId.ROUND_N_THETA,
-    "affinetheta": EstimatorId.AFFINE_THETA,
-    "lambertuniform": EstimatorId.LAMBERT_UNIFORM,
-    "halflambdaminusone": EstimatorId.HALF_LAMBDA_MINUS_ONE,
-    "rstarlambda": EstimatorId.R_STAR_LAMBDA,
-}
+_ESTIMATOR_FLAGS = {e.value.lower(): e for e in EstimatorId}
 
 
 def cmd_scan_failures(args) -> int:

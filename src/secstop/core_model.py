@@ -201,10 +201,10 @@ def nice_probability(variant: Variant, t: int) -> float:
     return _NICE_FIRST[variant] if t == 1 else _NICE_NUMERATOR[variant] / t
 
 
-def nice_probabilities(variant: Variant, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def nice_probabilities(variant: Variant, t: np.ndarray) -> np.ndarray:
     """nice_probability(variant, t) at each step of the integer array t, bit
-    for bit; 0.0 at t = 0.  Written into out when given."""
-    nu = np.maximum(t, 1.0, out=out)
+    for bit; 0.0 at t = 0."""
+    nu = np.maximum(t, 1.0)
     np.divide(_NICE_NUMERATOR[variant], nu, out=nu)
     low = np.flatnonzero(t <= 1)
     nu[low] = np.where(t[low] == 1, _NICE_FIRST[variant], 0.0)

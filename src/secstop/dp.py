@@ -24,14 +24,12 @@ or 50-digit mpmath on Known and Uniform up to 10^6.  B and the accept mask
 are whole-array numpy expressions; nu_t = c/t is formed window by window.
 The live steps, where S > 0, are the prefix up to the last point with mass,
 and the reachable ones a range of it, so A = B/S, C = D/S, the accept mask
-and the classification read slices; S is read at the steps as a view where
-the support is contiguous.  Besides the support and its S and U tables, the
-induction holds one float array of the steps, the tables' scratch buffer
-(the U weights, then the recursion's weights, then C (1 - _ACCEPT_REL)),
-B, which becomes A, D, which becomes C, and the accept mask.  On a
-threshold model C(t) is the best curve value past t over S(t),
-max_{r >= t} F(r)/S(t).  The policy holds A, C and the accept mask as
-read-only arrays.
+and the classification read slices.  Besides the support and its S and U
+tables, the induction holds one float array of the steps (after the
+recursion, S at the live steps and then C (1 - _ACCEPT_REL)), B, which
+becomes A, D, which becomes C, and the accept mask.  On a threshold model
+C(t) is the best curve value past t over S(t), max_{r >= t} F(r)/S(t).
+The policy holds A, C and the accept mask as read-only arrays.
 """
 
 from __future__ import annotations
@@ -89,7 +87,7 @@ def _first(mask: np.ndarray) -> int | None:
     return j if mask[j] else None
 
 
-def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.ndarray) -> np.ndarray:
+def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float) -> np.ndarray:
     """D(t) = S(t) C(t) for t = 0..T, with B(t) = S(t) A(t): D(T) = 0 and
 
         D(t) = D(t+1) + nu_{t+1} max(B(t+1) - D(t+1), 0),
@@ -105,8 +103,8 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.nda
         D(t)/w(t) = D(u)/w(u) + sum_{s = t+1..u} nu_s B(s)/w(s-1),
 
     a suffix sum of positive terms (`SuffixMoments._suffix`) written
-    straight into D's slice, with the weights in buf (T points).  The run
-    ends at the last step below u with B <= D.  Both kinds of run are
+    straight into D's slice, its weights in one array of T points.  The
+    run ends at the last step below u with B <= D.  Both kinds of run are
     solved on windows that double down from the run's top, so each costs
     O(its length + _RUN_WINDOW) and the pass O(T).  The steps s <= c, where
     w(s - 1) = 0 and nu_1 is the variant's first-step chance, are scalar.
@@ -117,7 +115,7 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float, buf: np.nda
     1.7e-11 at 10^6 steps.
     """
     T = len(B) - 1
-    D = np.empty(T + 1)
+    D, buf = np.empty(T + 1), np.empty(T)
     D[T] = 0.0
     p = T  # D(p) is solved; steps s > p are done
     while p > c:
@@ -180,7 +178,6 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         raise ValueError("Poisson's tail past its window must be folded in; truncate_to_explicit first")
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
-    buf = mom.scratch(T + 1)  # before the U table's weights, so it is not regrown
     t = np.arange(T + 1, dtype=float)
     c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
 
@@ -189,14 +186,14 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         # k = 1: the object is both best and worst, value 1; else 2/k
         i = mom.at(1)
         B[1] = 2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)
-    D = _continue_mass(B, t, c, nu1, buf[:T])
+    D = _continue_mass(B, t, c, nu1)
 
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
     # past it B = D = 0, and so A = C = 0 and no step accepts; S at the live
-    # steps goes into the spent scratch buffer
+    # steps goes into the steps t, which nothing reads past the recursion
     last = len(mom.ps) - 1 - int(np.argmax(mom.ps[::-1] > 0.0))
     L = int(mom.ks[last]) + 1
-    S = mom.read(mom.S, 0, buf[:L])
+    S = mom.read(mom.S, 0, t[:L])
     B[:L] /= S
     D[:L] /= S
     A, C = B, D
@@ -204,9 +201,9 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside the
     # float bound is a tie, and ties resolve to accept (odd-n Known models
     # tie A and C exactly at step (n+1)/2); C(t) (1 - _ACCEPT_REL) goes into
-    # the spent scratch buffer
+    # the steps t after S
     accept = np.zeros(T + 1, dtype=bool)
-    floor = np.multiply(C[1:L], 1.0 - _ACCEPT_REL, out=buf[: L - 1])
+    floor = np.multiply(C[1:L], 1.0 - _ACCEPT_REL, out=t[: L - 1])
     np.greater_equal(A[1:L], floor, out=accept[1:L])
 
     # Classify the policy by its reachable decisions only: the live steps

@@ -97,21 +97,17 @@ class SuffixMoments:
 
     on a `support` or a Poisson step table, U1 without k = 0 and U2 without
     k <= 1, each with a trailing 0 and built on first use by `_suffix`.
-    Their weights p(k)/d(k) go into the instance's one scratch buffer,
-    zeroed only below the first point; F(0)'s nu, the T of `step_tables`,
-    the parabola of `cutoff_values`, the postdoc weights of `accept_mass`
-    and the induction in `dp` reuse it.  The slot of a step t is the first point >= t.
-    read(table, t0, out) reads a table at the steps t0, t0 + 1, ...: on
-    contiguous points (Known, Uniform, Poisson, a gapless table) a head
-    fill, a slice copy and a tail fill; with gaps a gather at searched
-    slots.  at(t) gives single slots.
+    Every table a method returns is its own array.  The slot of a step t is
+    the first point >= t.  read(table, t0, out) reads a table at the steps
+    t0, t0 + 1, ...: on contiguous points (Known, Uniform, Poisson, a
+    gapless table) a head fill, a slice copy and a tail fill; with gaps a
+    gather at searched slots.  at(t) gives single slots.
     """
 
     def __init__(self, ks: np.ndarray, ps: np.ndarray) -> None:
         self.ks, self.ps = ks, ps
         n = len(self.ks)
         self._k0 = int(self.ks[0]) if n and self.ks[-1] - self.ks[0] == n - 1 else None
-        self._buf = np.empty(0)
 
     def at(self, t) -> np.ndarray:
         if self._k0 is None:
@@ -124,14 +120,6 @@ class SuffixMoments:
         if self._k0 is None:
             return np.take(table, self.at(np.arange(t0, t0 + len(out))), out=out)
         return _shifted_read(table, t0 - self._k0, out)
-
-    def scratch(self, n: int) -> np.ndarray:
-        """The first n slots of the instance's scratch buffer, grown if short.
-        Its contents are whatever the last user left; building a table
-        overwrites it."""
-        if len(self._buf) < n:
-            self._buf = np.empty(max(n, len(self.ks)))
-        return self._buf[:n]
 
     @staticmethod
     def _suffix(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -166,13 +154,9 @@ class SuffixMoments:
         return out
 
     def _weights(self, k_min: int) -> tuple[np.ndarray, slice]:
-        """(w, s): the scratch buffer over the support, zeroed below k_min,
-        and the slice of its points k >= k_min, where each table writes its
-        p(k)/d(k)."""
-        w = self.scratch(len(self.ks))
-        i = int(self.at(k_min))
-        w[:i] = 0.0
-        return w, slice(i, None)
+        """(w, s): zeros over the support and the slice of its points k >=
+        k_min, where each table writes its p(k)/d(k)."""
+        return np.zeros(len(self.ks)), slice(int(self.at(k_min)), None)
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -199,8 +183,8 @@ class SuffixMoments:
         convention: t U1(t), or t(t-1) U2(t) for postdoc; 0 where p(X >= t)
         = 0, since both U tables are 0 there."""
         if variant is Variant.POSTDOC:
-            table = self.U2  # built before the scratch holds the weights
-            weight = np.subtract(t, 1.0, out=self.scratch(len(t)))
+            table = self.U2
+            weight = np.subtract(t, 1.0)
             np.maximum(weight, 0.0, out=weight)  # a +0 weight at t = 0, as in integers
             weight *= t
         else:
@@ -211,17 +195,16 @@ class SuffixMoments:
 
     def step_tables(self, variant: Variant, a: int) -> tuple[np.ndarray, np.ndarray, float]:
         """(T, K, u) at the integer steps s = a..top, a >= 2, gaps included:
-        T(s) = U2(s) (bw, pd) or U1(s)/(s - 1) (classic) in the scratch
-        buffer, K(t) = sum_{s >= t} T(s) (its `_suffix`, K(top + 1) = 0), and
-        u = U2(a) or U1(a), 0.0 where a > top.  For all three rules F(r) = c
-        r K(r + 1), c = 2 (bw) or 1, as sum_{s=r+1..k} 1/(s - 1) = H_{k-1} -
-        H_{r-1}; so ΔF(r) = F(r + 1) - F(r) = c [K(r + 2) - r T(r + 1)].
+        T(s) = U2(s) (bw, pd) or U1(s)/(s - 1) (classic), K(t) = sum_{s >=
+        t} T(s) (its `_suffix`, K(top + 1) = 0), and u = U2(a) or U1(a), 0.0
+        where a > top.  For all three rules F(r) = c r K(r + 1), c = 2 (bw)
+        or 1, as sum_{s=r+1..k} 1/(s - 1) = H_{k-1} - H_{r-1}; so ΔF(r) =
+        F(r + 1) - F(r) = c [K(r + 2) - r T(r + 1)].
         Both U tables are constant below the first support point k_0, so
         there T(s) = u (bw, pd) or u/(s - 1) (classic), from a >= k_0 down."""
         top = int(self.ks[-1])
         classic = variant is Variant.CLASSIC
-        table = self.U1 if classic else self.U2  # built before the scratch holds T
-        T = self.read(table, a, self.scratch(max(top - a + 1, 0)))
+        T = self.read(self.U1 if classic else self.U2, a, np.empty(max(top - a + 1, 0)))
         u = float(T[0]) if len(T) else 0.0
         if classic:
             T /= np.arange(a - 1, top, dtype=float)
@@ -358,9 +341,8 @@ def _uniform_prefix_curve(variant: Variant, model: Uniform, r_max: int) -> np.nd
 
 
 def _first_value(variant: Variant, mom: SuffixMoments) -> float:
-    """F(0) = sum_k p(k) nu_k, a dot with nu in the scratch buffer."""
-    nu = nice_probabilities(variant, mom.ks, out=mom.scratch(len(mom.ks)))
-    return float(np.dot(nu, mom.ps))
+    """F(0) = sum_k p(k) nu_k, a dot."""
+    return float(np.dot(nice_probabilities(variant, mom.ks), mom.ps))
 
 
 def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:

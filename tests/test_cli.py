@@ -300,6 +300,16 @@ def test_curve_sweep_cap_counts_rates(capsys, monkeypatch):
     assert code == 2 and "capped at 3 rates" in err
 
 
+def test_curve_sweep_cap_takes_a_span_short_of_the_cap(capsys, monkeypatch):
+    # a span in (cap - 1, cap) asks for floor(span) + 1 = cap rates: allowed
+    monkeypatch.setattr(cli, "_MAX_SWEEP_RATES", 4)
+    sweep = ("curve", "--variant", "bw", "--sweep", "lambda", "--from", "1", "--step", "1", "--format", "csv")
+    code, out, _ = run(capsys, *sweep, "--to", "4.5")
+    assert code == 0 and [row["lambda"] for row in parse_csv(out)] == ["1", "2", "3", "4"]
+    code, out, err = run(capsys, *sweep, "--to", "5.5")
+    assert code == 2 and out == "" and "capped at 4 rates" in err
+
+
 # --------------------------------------------------------------- simulate
 
 def test_simulate_deterministic_and_calibrated(capsys):

@@ -43,6 +43,7 @@ from secstop.exact import (
     SuffixMoments,
     _closed_value,
     _exact_value,
+    _first_value,
     best_cutoff,
     closed_form_uniform,
     poisson_smoothing_coefficients,
@@ -1136,6 +1137,21 @@ def test_read_bit_equal_to_the_gather():
                     want = tab[mom.at(np.arange(t0, t0 + m))]
                     got = mom.read(tab, t0, np.full(m, np.nan))
                     assert got.tobytes() == want.tobytes(), (model, name, t0, m)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "model", [Uniform(50), Poisson(30), explicit_from_dict({3: 0.2, 4: 0.1, 9: 0.3, 20: 0.4})], ids=str
+)
+def test_a_table_keeps_its_value_after_later_reads(variant, model):
+    # each table a SuffixMoments instance returns is its own array: reading
+    # F(0)'s nu and the accept masses on the same instance leaves T as it was
+    mom = SuffixMoments(*support(model))
+    T = mom.step_tables(variant, 2)[0]
+    before = T.copy()
+    _first_value(variant, mom)
+    mom.accept_mass(variant, np.arange(int(mom.ks[-1]) + 1, dtype=float))
+    assert T.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("model, r_maxes", [(Uniform(10**6), (None,)), (Known(20_000), (None, 7, 20_002))])

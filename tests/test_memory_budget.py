@@ -39,11 +39,11 @@ def _peak_units(fn, n: int = N) -> float:
 @pytest.mark.parametrize(
     "model, budget",
     [
-        # ks, ps, the U2 and K tables, the scratch buffer (T) and the values,
-        # which hold the cutoffs r before F: about 6.2 units
+        # ks, ps, the U2 table (its weights are freed once summed), T, K and
+        # the values, which hold the cutoffs r before F: about 6.2 units
         (Uniform(N), 6.5),
-        # the values and a chunk of the scratch buffer for the parabola below
-        # the one support point; T and K are a point long: about 1 unit
+        # the values, which hold the parabola below the one support point,
+        # and a chunk of its steps; T and K are a point long: about 1 unit
         (Known(N), 1.25),
     ],
 )
@@ -75,12 +75,12 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
 
 
 def test_backward_induction_budget():
-    # ks, ps, the S and U1 tables, the float steps, the scratch buffer (the
-    # U1 weights, then the recursion's weights, then the accept test's
-    # C(t) (1 - _ACCEPT_REL)), B, which becomes A, and D, which the
-    # recursion fills run by run in place and which becomes C, and the
-    # accept mask: about 8.2 units
-    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 8.5
+    # ks, ps, the U1 table, the float steps, B, which becomes A, D, which
+    # the recursion fills run by run in place and which becomes C, and the
+    # recursion's weights; after it the S table and the accept mask, with S
+    # at the steps and then the accept test's C(t) (1 - _ACCEPT_REL) in the
+    # float steps: about 7.2 units
+    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 7.5
 
 
 @pytest.mark.parametrize(
@@ -124,8 +124,8 @@ def test_poisson_curve_below_the_window_is_linear_in_the_window():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_two_sided_poisson_cutoff_is_linear_in_the_window(variant):
-    # the scan of the sign of ΔF: ks, ps, the U table, the scratch buffer
-    # (T, then r T(r + 1)), K and the rise mask over the window, and for
+    # the scan of the sign of ΔF: ks, ps, the U table, T (which becomes
+    # r T(r + 1)), K and the rise mask over the window, and for
     # classic the steps that T is divided by: about 5.4 windows for every
     # rule.  M lies below the window (near 500,000 for bw and pd, 368,000
     # for classic), where ΔF is bisected in scalars.  The whole curve from

@@ -1,7 +1,8 @@
 """Every top-level name of `src/secstop` (function, class or constant) is
 reached from the command line, the package's exports or the benchmark's
-contract, the exports are exactly what the package imports, and no module
-but `__init__.py` imports a name that it never reads.
+contract, the exports are exactly what the package imports, no module but
+`__init__.py` imports a name that it never reads, and every parameter with
+a default is passed by some call in `src/` or `bench/`.
 
 The roots are `cli.main`, the names of `secstop.__all__`, the names that
 `bench/workloads.py` and `bench/worker.py` import from secstop, and the
@@ -156,3 +157,54 @@ def test_every_relative_import_names_the_defining_module():
         if name is not None and name not in mods[src].defs
     ]
     assert not indirect, f"imported through a module that does not define it: {indirect}"
+
+
+def _defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of every parameter with a default:
+    the position among the arguments a call passes, so after `self` or
+    `cls` in a method that is not a staticmethod, and None for a
+    keyword-only one.  `__init__` is named by its class, which calls name."""
+    bound = {}  # id of a method's node -> its class
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and "staticmethod" not in {
+                d.id for d in fn.decorator_list if isinstance(d, ast.Name)
+            }:
+                bound[id(fn)] = cls.name
+    out = []
+    for fn in (n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+        args = fn.args.posonlyargs + fn.args.args
+        shift = 1 if id(fn) in bound else 0
+        name = bound[id(fn)] if fn.name == "__init__" and shift else fn.name
+        first = len(args) - len(fn.args.defaults)
+        out += [(name, a.arg, i - shift) for i, a in enumerate(args) if i >= first]
+        out += [(name, a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether call may pass the parameter: by keyword, by position, or
+    through a *args or **kwargs."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args[: position + 1]) or len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # an option that no call sets is a fixed value: fold it into the body
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*_SRC.glob("*.py"), *_BENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{p.stem}.{fn}({param})"
+        for p in sorted(_SRC.glob("*.py"))
+        for fn, param, position in _defaulted_params(ast.parse(p.read_text()))
+        if not any(_passes(call, param, position) for call in calls.get(fn, ()))
+    ]
+    assert not unset, f"defaulted parameters that no call in src/ or bench/ passes: {unset}"
