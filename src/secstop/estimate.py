@@ -24,7 +24,7 @@ from .core_model import (
     Variant,
 )
 from .exact import best_cutoff, poisson_smoothing_coefficients
-from .specfun import digamma, ein_series, lambert_w0
+from .specfun import EULER_GAMMA, ein_series, harmonic, lambert_w0
 
 
 class EstimatorId(str, Enum):
@@ -80,12 +80,13 @@ def uniform_cutoff_estimates(n: int) -> list[tuple[EstimatorId, float]]:
 
     RoundNTheta is the bare first-order term n*theta; AffineTheta adds the
     constant correction; LambertUniform keeps the full finite-n maximizer
-    -(n/2) W(-2 e^{psi(n) - 2}/n) of the smoothed curve.
+    -(n/2) W(-2 e^{psi(n) - 2}/n) of the smoothed curve, psi(n) = H_{n-1} -
+    gamma.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     th = theta()
-    lam_arg = -2.0 * math.exp(-2.0 + digamma(n)) / n
+    lam_arg = -2.0 * math.exp(-2.0 + (harmonic(n - 1) - EULER_GAMMA)) / n
     return [
         (EstimatorId.ROUND_N_THETA, n * th),
         (EstimatorId.AFFINE_THETA, n * th + affine_shift()),

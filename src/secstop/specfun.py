@@ -5,8 +5,10 @@ I(lam) and the sinh integral, go through one kernel, `series`: a
 Kahan-compensated sum of positive terms t_{k+1} = t_k * ratio(k), stopped
 by one rule, a relative tail bound of 1e-15, and capped at 10^6 terms,
 past which it raises TruncationError rather than return a short sum.  The
-compensated harmonic numbers H_0..H_10^4 are one table that grows once per
-process and is sliced by every later call.  The Poisson pmf is Loader's
+harmonic numbers H_0..H_10^4 are one compensated table that grows once per
+process; past it, H_m is the table's H_1000 plus H_m - H_1000 from the one
+float expansion of a harmonic gap, which `harmonic_gap` takes for every gap
+from H_1000 up.  The Poisson pmf is Loader's
 saddle-point form, exp(-stirlerr(k) - bd0(k, lam)) / sqrt(2 pi k):
 stirlerr, the error of Stirling's formula, from a table and a five-term
 series, and bd0 = k ln(k/lam) + lam - k from a series without
@@ -52,10 +54,6 @@ np = _lazy_numpy()
 
 EULER_GAMMA = 0.5772156649015329
 
-# Below this the digamma/harmonic values come from an exact compensated sum;
-# above it the asymptotic expansion is already accurate to < 1e-18.
-_HARMONIC_EXACT_LIMIT = 10_000
-
 
 # `series` stops once its estimated remainder is below _REL_TOL times the
 # sum, and gives up with TruncationError after _MAX_TERMS terms.  Both are
@@ -68,11 +66,18 @@ class TruncationError(RuntimeError):
     """Raised when a series reaches its term cap before its tail bound."""
 
 
-# Growing cache of harmonic numbers H_0, H_1, ... summed with a Kahan carry,
-# which is kept per entry: _H[m] - _H_CARRY[m] undoes the rounding of the
-# running sum, which `harmonic_gap` needs where two cached values cancel.
+# Growing cache of harmonic numbers H_0, H_1, ..., H_10^4 at most, summed
+# with a Kahan carry, which is kept per entry: _H[m] - _H_CARRY[m] undoes the
+# rounding of the running sum, which `harmonic_gap` needs where two cached
+# values cancel.  Past the cache, H_m is the cached H_1000 plus the
+# expansion of H_m - H_1000, `_expansion_gap`.
 _H = array("d", [0.0])
 _H_CARRY = array("d", [0.0])
+_CACHE_TOP = 10_000
+# 2^-52: |x - fl(x)| <= eps |x| / 2 for every rounding of a double
+_EPS = 2.0**-52
+# the expansion of H_a - H_b is taken from this b on
+_EXPANSION_FROM = 1000
 
 
 def _grow_harmonic(limit: int) -> None:
@@ -88,74 +93,57 @@ def _grow_harmonic(limit: int) -> None:
 
 
 def harmonic(m: int) -> float:
-    """H_m = 1 + 1/2 + ... + 1/m (H_0 = 0): exact summation up to 10^4,
-    psi(m + 1) + gamma from the asymptotic expansion above."""
+    """H_m = 1 + 1/2 + ... + 1/m (H_0 = 0): the compensated sum up to 10^4,
+    the cached H_1000 plus `_expansion_gap(m, 1000)` above."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m > _HARMONIC_EXACT_LIMIT:
-        return digamma(m + 1) + EULER_GAMMA
+    if m > _CACHE_TOP:
+        return harmonic(_EXPANSION_FROM) + _expansion_gap(m, _EXPANSION_FROM)
     if m >= len(_H):
         _grow_harmonic(m)
     return _H[m]
 
 
 def harmonic_numbers(limit: int) -> np.ndarray:
-    """Array [H_0, H_1, ..., H_limit]: the compensated cache up to 10^4, the
-    expansion of `harmonic` past it, written in place into the result in the
-    order of operations of `_psi_asymptotic`."""
-    head = min(limit, _HARMONIC_EXACT_LIMIT)
-    if head >= len(_H):
-        _grow_harmonic(head)
-    out = np.empty(limit + 1)
-    out[: head + 1] = _H[: head + 1]
-    tail = out[head + 1 :]
-    inv = np.arange(head + 2, limit + 2, dtype=float)  # m + 1 for m past the cache
-    np.log(inv, out=tail)
-    np.divide(1.0, inv, out=inv)
-    tmp = np.multiply(0.5, inv)
-    tail -= tmp
-    inv2 = np.multiply(inv, inv, out=inv)
-    tail -= np.divide(inv2, 12.0, out=tmp)
-    inv2 *= inv2
-    inv2 /= 120.0
-    tail += inv2
-    tail += EULER_GAMMA
-    return out
+    """Array [H_0, H_1, ..., H_limit], each entry `harmonic`'s."""
+    return np.fromiter(map(harmonic, range(limit + 1)), float, limit + 1)
 
 
-# 2^-52: |x - fl(x)| <= eps |x| / 2 for every rounding of a double
-_EPS = 2.0**-52
-# harmonic_gap takes H_a - H_b from the expansion from this b on
-_GAP_EXPANSION_FROM = 1000
+def _expansion_gap(a: int, b: int) -> float:
+    """H_a - H_b for a >= b >= 1000: log1p((a - b)/b) plus the differences
+    of the expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one
+    correctly rounded integer quotient, so nothing cancels; within 4 eps
+    (1 + d) of exact, d the result, which covers the rounded quotient, two
+    ulps of log1p, the sum and the omitted 1/(252 b^6) < 4e-21."""
+    a2, b2 = a * a, b * b
+    return math.log1p((a - b) / b) + (
+        (b - a) / (2 * a * b) + (a2 - b2) / (12 * a2 * b2) + (b2 * b2 - a2 * a2) / (120 * a2 * a2 * b2 * b2)
+    )
 
 
 def harmonic_gap(a: int, b: int) -> tuple[float, float]:
     """(d, e): d = H_a - H_b for a >= b >= 0 in floats, and a bound e on its
     error, |d - (H_a - H_b)| <= e.
 
-    With b >= 1000, d is log1p((a - b)/b) plus the differences of the
-    expansion's 1/(2m), 1/(12m^2) and 1/(120m^4) terms, each one correctly
-    rounded integer quotient, so nothing cancels: e = 4 eps (1 + d) covers
-    the rounded quotient, two ulps of log1p, the sum and the omitted
-    1/(252 b^6) < 4e-21.  Otherwise, up to a = 10^4, d is the difference of
-    two cached sums less the difference of their Kahan carries, so the
-    cancelling leading bits drop out; past the cache it is H_a from the
-    expansion of `harmonic` (within 4 eps H) less the cached H_b.  Each
-    cached sum is within 0.53 eps H of exact and each carry below eps H, so
-    e = 8 eps H_a holds in both cases.
+    With b >= 1000, d is `_expansion_gap(a, b)` and e = 4 eps (1 + d).
+    Otherwise, up to a = 10^4, d is the difference of two cached sums less
+    the difference of their Kahan carries, so the cancelling leading bits
+    drop out; each cached sum is within 0.53 eps H of exact and each carry
+    below eps H, so e = 8 eps H_a.  Past the cache, d is that gap up to
+    1000 plus `_expansion_gap(a, 1000)`, and e is the sum of their two
+    bounds and eps d for the rounding of the sum.
     """
     if not 0 <= b <= a:
         raise ValueError("need 0 <= b <= a")
-    if b >= _GAP_EXPANSION_FROM:
-        a2, b2 = a * a, b * b
-        d = math.log1p((a - b) / b) + (
-            (b - a) / (2 * a * b) + (a2 - b2) / (12 * a2 * b2) + (b2 * b2 - a2 * a2) / (120 * a2 * a2 * b2 * b2)
-        )
+    if b >= _EXPANSION_FROM:
+        d = _expansion_gap(a, b)
         return d, 4.0 * _EPS * (1.0 + d)
+    if a > _CACHE_TOP:
+        h, e = harmonic_gap(_EXPANSION_FROM, b)
+        x = _expansion_gap(a, _EXPANSION_FROM)
+        return h + x, e + 4.0 * _EPS * (1.0 + x) + _EPS * (h + x)
     ha = harmonic(a)
-    if a <= _HARMONIC_EXACT_LIMIT:
-        return (ha - _H[b]) - (_H_CARRY[a] - _H_CARRY[b]), 8.0 * _EPS * ha
-    return ha - harmonic(b), 8.0 * _EPS * ha
+    return (ha - _H[b]) - (_H_CARRY[a] - _H_CARRY[b]), 8.0 * _EPS * ha
 
 
 def harmonic_gap_ratio(a: int, b: int) -> tuple[int, int]:
@@ -182,7 +170,6 @@ def harmonic_gap_ratio(a: int, b: int) -> tuple[int, int]:
 _DEC_PREC = 40
 _DEC_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
 _DEC_BERNOULLI = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760), (1, 12))
-_DEC_DIRECT = 1000
 # longest sum of 1/k that harmonic_form_sign takes as an exact ratio before
 # trying 40 digits: about 0.05 s of integer products
 _RATIO_TERMS = 20_000
@@ -190,7 +177,7 @@ _RATIO_TERMS = 20_000
 
 def _harmonic_decimal(m: int) -> Decimal:
     """H_m in the current decimal context."""
-    if m < _DEC_DIRECT:
+    if m < _EXPANSION_FROM:
         return sum((1 / Decimal(k) for k in range(1, m + 1)), Decimal(0))
     x = Decimal(m)
     inv2 = 1 / (x * x)
@@ -227,57 +214,18 @@ def harmonic_form_sign(A: int, a: int, b: int, B: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _psi_asymptotic(m: int) -> float:
-    """ln m - 1/(2m) - 1/(12m^2) + 1/(120m^4): psi(m) for m > 10^4."""
-    inv = 1.0 / m
-    inv2 = inv * inv
-    return math.log(m) - 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
-
-
-def digamma(m: int) -> float:
-    """psi(m) at a positive integer: H_{m-1} - gamma.
-
-    Exact harmonic summation up to the cache limit, then the standard
-    asymptotic expansion (`_psi_asymptotic`).
-    """
-    if m < 1:
-        raise ValueError("digamma defined here for positive integers only")
-    if m <= _HARMONIC_EXACT_LIMIT:
-        return harmonic(m - 1) - EULER_GAMMA
-    return _psi_asymptotic(m)
-
-
-_BRANCH_POINT = -math.exp(-1.0)
-
-
 def lambert_w0(x: float) -> float:
-    """Principal branch of w*e^w = x, the unique real solution with w >= -1.
-
-    Halley iteration from a branch-aware initial guess; near the branch point
-    x = -1/e the series in p = sqrt(2(e*x + 1)) is used directly.
-    """
-    if x < _BRANCH_POINT:
-        # allow for the representation error of -1/e itself
-        if x < _BRANCH_POINT - 1e-12:
-            raise ValueError("lambert_w0 requires x >= -1/e")
-        x = _BRANCH_POINT
-    if x == 0.0:
-        return 0.0
+    """The principal branch of w e^w = x for -1/e < x < 0, where -1 < w < 0
+    (ValueError outside): the series about the branch point in p = sqrt(2(e
+    x + 1)), as it is where p^2 < 1e-6, so close to -1/e that Halley would
+    divide by about 0, and refined by Halley iteration elsewhere."""
+    if not -math.exp(-1.0) < x < 0.0:
+        raise ValueError("lambert_w0 requires -1/e < x < 0")
     p2 = 2.0 * (math.e * x + 1.0)
-    if p2 <= 0.0:
-        return -1.0
+    p = math.sqrt(p2)
+    w = -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0
     if p2 < 1e-6:
-        # so close to the branch point that Halley would divide by ~0
-        p = math.sqrt(p2)
-        return -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0
-    if x < 0.0:
-        p = math.sqrt(p2)
-        w = -1.0 + p - p2 / 3.0 + 11.0 * p * p2 / 72.0
-    elif x < math.e:
-        w = x / (1.0 + x)  # crude but inside the basin
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        return w
     for _ in range(64):
         ew = math.exp(w)
         f = w * ew - x

@@ -49,6 +49,13 @@ def test_parse_model_kinds(tmp_path):
     assert expl.items == ((2, 0.25), (5, 0.5), (8, 0.25))
 
 
+def test_parse_model_skips_blank_rows(tmp_path):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("k,p\n5,0.9\n30,0.1\n")
+    blank.write_text("k,p\n5,0.9\n\n30,0.1\n\n")
+    assert cli.parse_model(f"table:{blank}") == cli.parse_model(f"table:{plain}")
+
+
 @pytest.mark.parametrize(
     "spec",
     [

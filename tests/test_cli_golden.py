@@ -64,6 +64,11 @@ _MORE_COMMANDS = [
     # a mass window of 5.1*10^7 points, past the cap of 2*10^7: refused
     # before any table
     "cutoff --variant bw --model poisson:lambda=1e12",
+    # README's example: the Poisson branch of the default r_max
+    "curve --variant pd --model poisson:lambda=10 --format csv",
+    # a negative cutoff and a negative r_max: usage errors from the library
+    "simulate --variant bw --model uniform:n=50 --cutoff -1 --trials 10",
+    "curve --variant bw --model known:n=5 --rmax -1",
 ]
 
 def _commands() -> list[list[str]]:

@@ -29,7 +29,7 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
-from secstop.specfun import chernoff_point, digamma, harmonic_gap, harmonic_gap_ratio, poisson_k_max
+from secstop.specfun import EULER_GAMMA, chernoff_point, harmonic, harmonic_gap, harmonic_gap_ratio, poisson_k_max
 
 from oracles import KnownOptimum, accept_success_known, pbw_known
 
@@ -147,7 +147,8 @@ def test_threshold_success_formula_examples():
 
 def _branched_threshold_success_known(variant: Variant, n: int, r: int) -> float:
     """threshold_success_known as it was before F(0) became nu_n and the
-    two-sided rules shared one factor, kept verbatim."""
+    two-sided rules shared one factor, kept verbatim but for psi(m), which
+    is H_{m-1} - gamma."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if r < 0:
@@ -157,7 +158,7 @@ def _branched_threshold_success_known(variant: Variant, n: int, r: int) -> float
             return 1.0 / n
         if r >= n:
             return 0.0
-        return (r / n) * (digamma(n) - digamma(r))
+        return (r / n) * ((harmonic(n - 1) - EULER_GAMMA) - (harmonic(r - 1) - EULER_GAMMA))
     # best-or-worst core value; postdoc is exactly half of it
     if r == 0:
         bw = 1.0 if n == 1 else 2.0 / n
@@ -279,6 +280,8 @@ def test_model_validation():
     # k = 0 with explicit mass is allowed
     m = Explicit(((0, 0.25), (3, 0.75)))
     assert tail_prob(m, 1) == pytest.approx(0.75)
+    # items out of order are sorted by k
+    assert Explicit(((10, 0.5), (5, 0.5))).items == ((5, 0.5), (10, 0.5))
 
 
 def test_support_and_tail():
@@ -292,6 +295,8 @@ def test_support_and_tail():
     assert ks[0] == 0
     assert ps.sum() == pytest.approx(1.0, abs=1e-12)
     assert tail_prob(Poisson(5.0), 1) == pytest.approx(1.0 - math.exp(-5.0), abs=1e-13)
+    for model in (Known(7), Uniform(4), Poisson(5.0), Explicit(((0, 0.25), (3, 0.75)))):
+        assert tail_prob(model, 0) == 1.0
 
 
 def test_poisson_k_max_is_a_closed_bound_of_the_rate():

@@ -85,6 +85,17 @@ def test_uniform_estimates_n100():
     assert best_cutoff(Variant.BEST_OR_WORST, Uniform(100)).cutoff == 20
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 10**4, 10**4 + 1, 10**6, 10**18])
+def test_lambert_estimate_against_mpmath(n):
+    # the argument -2 e^{psi(n) - 2}/n of W lies in (-2/e^2, -0.15] for
+    # every n >= 1, since psi(n) < ln n; it comes closest to -2/e^2 at n =
+    # 10^18
+    with mpmath.workdps(40):
+        ref = -(mpmath.mpf(n) / 2) * mpmath.lambertw(-2 * mpmath.exp(mpmath.digamma(n) - 2) / n)
+        got = _by_id(uniform_cutoff_estimates(n), EstimatorId.LAMBERT_UNIFORM)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_round_n_theta_fails_at_8():
     # round(8 * theta) = 2, but the exact argmax over positive cutoffs is 1
     est = round_half_away(_by_id(uniform_cutoff_estimates(8), EstimatorId.ROUND_N_THETA))

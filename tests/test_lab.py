@@ -95,8 +95,9 @@ def test_theta_convergents_match_through_6462():
 
 
 def test_deep_horizons_past_the_exact_harmonic_range():
-    # past H_10000 the harmonic table comes from the digamma expansion; the
-    # argmax at q = 57907 against 40-digit harmonic numbers near r = q theta
+    # past H_10000 a harmonic number is the cached H_1000 plus the expansion
+    # of the gap from it; the argmax at q = 57907 against 40-digit harmonic
+    # numbers near r = q theta
     n = 57907
     rows = verify_convergent_cutoffs(Variant.BEST_OR_WORST, [Convergent(11766, n, 9)])
     with mpmath.workdps(40):
