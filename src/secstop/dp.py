@@ -20,14 +20,16 @@ an accept run D/w has a closed form, a suffix sum of positive terms, with
 w(t) = t or t(t - 1) the summation factor of nu_t = 1/t or 2/t.  The pass
 is O(T) whatever the number of runs, one run on a threshold model and a few
 on islands of mass; A = B/S and C = D/S are within 1e-13 of exact fractions
-or 50-digit mpmath on Known and Uniform up to 10^6.  B and the accept mask
-are whole-array numpy expressions; nu_t = c/t is formed window by window.
-The live steps, where S > 0, are the prefix up to the last point with mass,
-and the reachable ones a range of it, so A = B/S, C = D/S, the accept mask
-and the classification read slices.  Besides the support and its S and U
-tables, the induction holds one float array of the steps (after the
-recursion, S at the live steps and then C (1 - _ACCEPT_REL)), B, which
-becomes A, D, which becomes C, and the accept mask.  On a threshold model
+or 50-digit mpmath on Known and Uniform up to 10^6.  B is read _CHUNK
+steps at a time and nu_t = c/t window by window, so no float array of the
+steps is built.  The live steps, where S > 0, are the prefix up to the last
+point with mass, and the reachable ones a range of it, so A = B/S, C = D/S,
+the accept mask and the classification read slices.  The induction holds
+four arrays of the horizon at most: the support and B while the U table,
+and after it the S table, is summed; then, the U table and the support
+gone, B, S, D and an accept window's steps and weights; B and D become A
+and C in place; and once S is gone, C (1 - _ACCEPT_REL) and the accept
+mask.  On a threshold model
 C(t) is the best curve value past t over S(t), max_{r >= t} F(r)/S(t).
 The policy holds A, C and the accept mask as read-only arrays.
 """
@@ -49,7 +51,7 @@ from .core_model import (
     nice_probability,
     support,
 )
-from .exact import SuffixMoments
+from .exact import _CHUNK, SuffixMoments
 from .specfun import np
 
 # steps in the first window of a run; each further window is twice as long
@@ -87,27 +89,27 @@ def _first(mask: np.ndarray) -> int | None:
     return j if mask[j] else None
 
 
-def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float) -> np.ndarray:
+def _continue_mass(B: np.ndarray, c: int, nu1: float) -> np.ndarray:
     """D(t) = S(t) C(t) for t = 0..T, with B(t) = S(t) A(t): D(T) = 0 and
 
         D(t) = D(t+1) + nu_{t+1} max(B(t+1) - D(t+1), 0),
 
     the recursion for C times S(t), nu_1 = nu1, nu_s = c/s for s >= 2 and
-    c = 1 or 2, t the float steps 0..T.  It runs one run of steps at a time
-    from the top.  Over a reject run, B(s) <= D(s), D is constant, and the
-    run ends at the last step below with B > D.  Over an accept run, B(s) >
-    D(s), D(t) = (1 - nu_{t+1}) D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s =
-    w(s-1)/w(s) with w(t) = t (c = 1) or t(t - 1) (c = 2), so from the run's
-    top u
+    c = 1 or 2.  It runs one run of steps at a time from the top.  Over a
+    reject run, B(s) <= D(s), D is constant, and the run ends at the last
+    step below with B > D.  Over an accept run, B(s) > D(s), D(t) = (1 -
+    nu_{t+1}) D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s = w(s-1)/w(s) with
+    w(t) = t (c = 1) or t(t - 1) (c = 2), so from the run's top u
 
         D(t)/w(t) = D(u)/w(u) + sum_{s = t+1..u} nu_s B(s)/w(s-1),
 
     a suffix sum of positive terms (`SuffixMoments._suffix`) written
-    straight into D's slice, its weights in one array of T points.  The
-    run ends at the last step below u with B <= D.  Both kinds of run are
-    solved on windows that double down from the run's top, so each costs
-    O(its length + _RUN_WINDOW) and the pass O(T).  The steps s <= c, where
-    w(s - 1) = 0 and nu_1 is the variant's first-step chance, are scalar.
+    straight into D's slice.  The run ends at the last step below u with B
+    <= D.  Both kinds of run are solved on windows that double down from
+    the run's top, so each costs O(its length + _RUN_WINDOW) and the pass
+    O(T); an accept window builds its own float steps and weights, two
+    arrays of its length.  The steps s <= c, where w(s - 1) = 0 and nu_1 is
+    the variant's first-step chance, are scalar.
     D is within 2e-15 relative of the exact recursion on its float inputs,
     and within 1.4e-14 where a run sums hundreds of equal terms (postdoc
     between support points: the drift of `_suffix`'s block cumsums); the
@@ -115,7 +117,7 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float) -> np.ndarr
     1.7e-11 at 10^6 steps.
     """
     T = len(B) - 1
-    D, buf = np.empty(T + 1), np.empty(T)
+    D = np.empty(T + 1)
     D[T] = 0.0
     p = T  # D(p) is solved; steps s > p are done
     while p > c:
@@ -124,20 +126,20 @@ def _continue_mass(B: np.ndarray, t: np.ndarray, c: int, nu1: float) -> np.ndarr
             u = p
             while True:
                 lo = max(u - width, c)
-                g = buf[: u - lo]  # nu_s B(s)/w(s-1), s = lo+1..u
-                np.divide(c, t[lo + 1 : u + 1], out=g)
+                s = np.arange(lo - 1, u + 1, dtype=float)  # the steps lo - 1..u
+                g = np.divide(c, s[2:])  # nu_s B(s)/w(s-1), s = lo+1..u
                 g *= B[lo + 1 : u + 1]
-                g /= t[lo:u]
+                g /= s[1:-1]
                 if c == 2:
-                    g /= t[lo - 1 : u - 1]
+                    g /= s[:-2]
                 top = D[u]
                 g[-1] += top / (u * (u - 1) if c == 2 else u)
                 run = D[lo:u]
                 SuffixMoments._suffix(g, out=D[lo : u + 1])
                 D[u] = top
-                run *= t[lo:u]
+                run *= s[1:-1]
                 if c == 2:
-                    run *= t[lo - 1 : u - 1]
+                    run *= s[:-2]
                 # the first reject step below u, down to c + 1 (the slices
                 # run downward, so argmax finds the highest)
                 a = max(lo, c + 1)
@@ -178,33 +180,43 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         raise ValueError("Poisson's tail past its window must be folded in; truncate_to_explicit first")
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
-    t = np.arange(T + 1, dtype=float)
     c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
 
-    B = mom.accept_mass(variant, t)
+    # B, _CHUNK steps at a time so that no float array of the steps is
+    # built; the U table first, so that B is not held while it is summed
+    mom.accept_mass(variant, np.zeros(1))
+    B = np.empty(T + 1)
+    for i in range(0, T + 1, _CHUNK):
+        B[i : i + _CHUNK] = mom.accept_mass(variant, np.arange(i, min(i + _CHUNK, T + 1), dtype=float))
     if variant is Variant.BEST_OR_WORST and T >= 1:
         # k = 1: the object is both best and worst, value 1; else 2/k
         i = mom.at(1)
         B[1] = 2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)
-    D = _continue_mass(B, t, c, nu1)
 
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
-    # past it B = D = 0, and so A = C = 0 and no step accepts; S at the live
-    # steps goes into the steps t, which nothing reads past the recursion
+    # past it B = D = 0, and so A = C = 0 and no step accepts.  S at the
+    # live steps is, on contiguous points, S(0) below the first point h and
+    # a view of the S table from h on; with gaps, a gather (h = 0)
     last = len(mom.ps) - 1 - int(np.argmax(mom.ps[::-1] > 0.0))
     L = int(mom.ks[last]) + 1
-    S = mom.read(mom.S, 0, t[:L])
-    B[:L] /= S
-    D[:L] /= S
+    mom = SuffixMoments(mom.ks, mom.ps)  # the U table goes before S is built
+    if mom._k0 is None:
+        h, S = 0, mom.read(mom.S, 0, np.empty(L))
+    else:
+        h, S = mom._k0, mom.S[: L - mom._k0]
+    del mom  # and the support after
+    D = _continue_mass(B, c, nu1)
+    for X in (B, D):
+        X[:h] /= S[0]
+        X[h:L] /= S
     A, C = B, D
+    del S  # before the accept test forms its floor
 
     # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside the
     # float bound is a tie, and ties resolve to accept (odd-n Known models
-    # tie A and C exactly at step (n+1)/2); C(t) (1 - _ACCEPT_REL) goes into
-    # the steps t after S
+    # tie A and C exactly at step (n+1)/2)
     accept = np.zeros(T + 1, dtype=bool)
-    floor = np.multiply(C[1:L], 1.0 - _ACCEPT_REL, out=t[: L - 1])
-    np.greater_equal(A[1:L], floor, out=accept[1:L])
+    np.greater_equal(A[1:L], C[1:L] * (1.0 - _ACCEPT_REL), out=accept[1:L])
 
     # Classify the policy by its reachable decisions only: the live steps
     # from the first whose nice-probability is positive (step 1, or 2 for

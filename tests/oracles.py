@@ -1,6 +1,6 @@
 """Reference forms that only the tests read: the fixed-n accept value, the
-closed-form optimum of a known count, and the split of the Poisson bw curve
-by the smoothing identity F(r) = f*(r) - f(r)."""
+closed-form optimum of a known count, the split of the Poisson bw curve by
+the smoothing identity F(r) = f*(r) - f(r), and a whole-array table of H_m."""
 
 from dataclasses import dataclass
 
@@ -8,6 +8,7 @@ import numpy as np
 
 from secstop.core_model import Poisson, Variant, support
 from secstop.exact import poisson_smoothing_coefficients
+from secstop.specfun import _CACHE_TOP, _EXPANSION_FROM, harmonic
 
 
 def accept_success_known(variant: Variant, n: int, r: int) -> float:
@@ -62,3 +63,19 @@ def poisson_fstar_and_f(r: int, lam: float) -> tuple[float, float]:
     keep = (ks >= 2) & (ks <= r)
     k = ks[keep].astype(float)
     return fstar, float(np.dot(2.0 * r * (k - r) / (k * (k - 1.0)), p[keep]))
+
+
+def harmonic_table(limit: int) -> np.ndarray:
+    """[H_0, H_1, ..., H_limit]: `harmonic`'s own values up to 10^4, and past
+    them H_1000 plus the terms of `_expansion_gap(m, 1000)` in floats,
+    within a few eps H_m of `harmonic` (tests/test_specfun.py), where one
+    scalar call per entry costs about 2 us past 10^4."""
+    top = min(limit, _CACHE_TOP)
+    head = np.fromiter(map(harmonic, range(top + 1)), float, top + 1)
+    if limit <= _CACHE_TOP:
+        return head
+    a = np.arange(_CACHE_TOP + 1, limit + 1, dtype=float)
+    b = float(_EXPANSION_FROM)
+    a2, b2 = a * a, b * b
+    gap = np.log1p((a - b) / b) + ((b - a) / (2 * a * b) + (a2 - b2) / (12 * a2) / b2 + (1 / (a2 * a2) - 1 / (b2 * b2)) / 120)
+    return np.concatenate([head, harmonic(_EXPANSION_FROM) + gap])

@@ -390,3 +390,22 @@ def test_dp_on_zero_support_mass():
         for r in range(4)
     )
     assert pol.value == pytest.approx(best, abs=1e-13)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize(
+    "model",
+    [Uniform(50), Known(17), explicit_from_dict({2: 0.25, 5: 0.25, 9: 0.5}), explicit_from_dict({3: 0.0, 4: 1.0, 5: 0.0})],
+    ids=str,
+)
+def test_policy_arrays_are_read_only_values_not_views(variant, model):
+    # A and C are divided in place and the mask written through a slice, yet
+    # each array the policy holds is its own read-only memory
+    pol = backward_induction(variant, model)
+    arrays = (pol.accept_at, pol.value_accept, pol.value_reject)
+    for a in arrays:
+        assert not a.flags.writeable and a.flags.owndata
+        assert len(a) == pol.horizon + 1
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)

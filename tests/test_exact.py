@@ -52,9 +52,9 @@ from secstop.exact import (
     step_reject_prob,
     success_curve,
 )
-from secstop.specfun import harmonic, harmonic_numbers, poisson_k_max
+from secstop.specfun import harmonic, poisson_k_max
 
-from oracles import accept_success_known, poisson_fstar_and_f
+from oracles import accept_success_known, harmonic_table, poisson_fstar_and_f
 
 V = Variant
 
@@ -395,7 +395,7 @@ def _abcd_success_curve(variant, model, r_max):
     if r_max >= 1:
         r = np.arange(1, r_max + 1, dtype=float)
         if variant is Variant.CLASSIC:
-            hs = harmonic_numbers(max(top, r_max))
+            hs = harmonic_table(max(top, r_max))
             with np.errstate(divide="ignore", invalid="ignore"):
                 w_c = np.where(kf >= 1, hs[np.maximum(ks - 1, 0)] * ps / np.maximum(kf, 1.0), 0.0)
                 w_d = np.where(kf >= 1, ps / np.maximum(kf, 1.0), 0.0)
@@ -1033,7 +1033,7 @@ class _SearchedMoments:
 
     @property
     def W(self):
-        h = harmonic_numbers(int(self.ks.max(initial=0)))[np.maximum(self.ks - 1, 0)]
+        h = harmonic_table(int(self.ks.max(initial=0)))[np.maximum(self.ks - 1, 0)]
         return self._suffix(np.where(self._k >= 1, h * self.ps / np.maximum(self._k, 1.0), 0.0))
 
 
@@ -1046,7 +1046,7 @@ def _whole_array_curve(variant, model, r_max=None):
         i = mom.at(np.arange(2, r_max + 2))
         r = np.arange(1, r_max + 1, dtype=float)
         if variant is Variant.CLASSIC:
-            h = harmonic_numbers(r_max)[:-1]
+            h = harmonic_table(r_max)[:-1]
             values[1:] = r * (mom.W[i] - h * mom.U1[i])
         else:
             values[1:] = (2 if variant is Variant.BEST_OR_WORST else 1) * r * (mom.V[i] - r * mom.U2[i])
@@ -1066,7 +1066,7 @@ def _cancellation_bound(variant, model, r_max):
     i = mom.at(np.arange(2, r_max + 2))
     r = np.arange(1, r_max + 1, dtype=float)
     if variant is Variant.CLASSIC:
-        terms = r * mom.W[i], r * harmonic_numbers(r_max)[:-1] * mom.U1[i]
+        terms = r * mom.W[i], r * harmonic_table(r_max)[:-1] * mom.U1[i]
     else:
         c = 2 if variant is Variant.BEST_OR_WORST else 1
         terms = c * r * mom.V[i], c * r * r * mom.U2[i]

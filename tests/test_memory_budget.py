@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from secstop.core_model import Known, Poisson, Uniform, Variant, support
+from secstop.core_model import Known, Poisson, Uniform, Variant, explicit_from_dict, support
 from secstop.dp import backward_induction
 from secstop.exact import best_cutoff, success_curve
 
@@ -74,13 +74,24 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
     assert _peak_units(lambda: success_curve(Variant.POSTDOC, Uniform(10 * N), r_max)) <= 6 * r_max / N
 
 
-def test_backward_induction_budget():
-    # ks, ps, the U1 table, the float steps, B, which becomes A, D, which
-    # the recursion fills run by run in place and which becomes C, and the
-    # recursion's weights; after it the S table and the accept mask, with S
-    # at the steps and then the accept test's C(t) (1 - _ACCEPT_REL) in the
-    # float steps: about 7.2 units
-    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(N))) <= 7.5
+@pytest.mark.parametrize(
+    "variant, model, budget",
+    [
+        # ks, ps and B while the S table is summed (the U table before it,
+        # with its weights in B's place), and a quarter array of `_suffix`'s
+        # block scratch: about 4.2 units for every rule.  The recursion then
+        # holds B, S, D and an accept window's steps and weights
+        *[(v, Uniform(N), 4.25) for v in Variant],
+        # a one-point support: A, C, the accept test's C(t) (1 - _ACCEPT_REL)
+        # and the accept mask, about 3.05 units
+        (Variant.BEST_OR_WORST, Known(N), 3.1),
+        # B and the gather of S at the steps (its steps and slots), then B, S,
+        # D and an accept window's steps and weights: about 3.9 units
+        (Variant.BEST_OR_WORST, explicit_from_dict({5: 0.9, N: 0.1}), 3.95),
+    ],
+)
+def test_backward_induction_budget(variant, model, budget):
+    assert _peak_units(lambda: backward_induction(variant, model)) <= budget
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,8 @@ from secstop.specfun import (
     sinh_integral,
 )
 
+from oracles import harmonic_table
+
 
 def test_harmonic_small_values():
     assert harmonic(0) == 0.0
@@ -72,6 +74,17 @@ def test_harmonic_numbers_past_the_cache_match_scalar():
     assert np.array_equal(hs[:10_001], harmonic_numbers(10_000))
     for m in (10_001, 10_002, 12_345, 33_333, 59_999, 60_000):
         assert hs[m] == harmonic(m)
+
+
+def test_the_oracles_harmonic_table_matches_scalar():
+    # the test forms' vectorised H: harmonic's values up to 10^4, then within
+    # 4 eps H_m of it at 200 sampled m up to 10^6
+    hs = harmonic_table(10**6)
+    assert len(hs) == 10**6 + 1
+    assert np.array_equal(hs[:10_001], [harmonic(m) for m in range(10_001)])
+    ms = np.random.default_rng(26).integers(10_001, 10**6 + 1, 196).tolist() + [10_001, 10_002, 999_999, 10**6]
+    for m in ms:
+        assert abs(hs[m] - harmonic(m)) <= 4 * np.finfo(float).eps * harmonic(m), m
 
 
 def test_one_harmonic_past_the_cache_grows_it_to_h_1000(monkeypatch):
