@@ -6,11 +6,11 @@ index) and never of how trials are batched: partitioning a run across
 workers or chunks changes nothing.  Per trial, draw index 0 picks the
 candidate count X by cdf inversion and draw s >= 1 yields the relative rank
 of the s-th arrival among the first s — a uniform random permutation needs
-nothing more.  After acceptance the accepted object's running rank among
-the arrivals so far is tracked online.  `simulate` draws nothing at or
-before the cutoff, and a trial leaves its step loop once its count is
-reached or once its accepted object can no longer win; `run_episode` walks
-one trial's steps 1..X in full and is the scalar reference for it.
+nothing more.  `simulate` sorts a chunk's trials by X and walks steps past
+the cutoff on the prefix still going, with one state byte per trial and
+integer rank thresholds on the raw 64-bit draws; a trial leaves once its
+count is reached or its accepted object can no longer win.  `run_episode`
+tracks one trial's accepted rank over steps 1..X, the scalar reference.
 """
 
 from __future__ import annotations
@@ -124,80 +124,79 @@ def run_episode(variant: Variant, k: int, r: int, rng_state: int) -> bool:
     return accepted_rank == 2
 
 
-# Trials per pass: at 2^16 a step's arrays stay inside one core's L2 cache.
+# Trials per pass: on the criterion-9 grid at 10^6 trials (a Xeon with 2 MB
+# of L2 per core) 2^15 and 2^16 tie at 2.2 s, and 2^14 takes 15 % longer.
 _CHUNK = 1 << 16
+
+
+def _top(s: int, a: int) -> int:
+    """The largest 64-bit draw z whose arrival at step s ranks a or better,
+    -1 if none.  The rank is 1 + floor(q), q = fl(z53 (s 2^-53)) rising with
+    z53 = z >> 11: rank <= a, i.e. q < a, holds just below the least z53 with
+    q >= a, a few steps of that float product up from a 2^53 / s."""
+    c = s * _INV_2_53
+    t = max(a * (1 << 53) // s - 2, 0)
+    while t * c < a:
+        t += 1
+    return min(t << 11, 1 << 64) - 1
 
 
 def simulate(config: SimConfig) -> SimReport:
     ks, ps = support(config.model)
-    cdf = np.cumsum(ps)
-    ks = ks.astype(np.int64)
+    edges = np.ceil(np.append(0.0, np.cumsum(ps)[:-1]) * 2.0**53).astype(np.uint64)
     r = config.policy.cutoff
     variant = config.variant
-    seed = config.seed
+    first = int(np.searchsorted(ks, r, side="right"))  # the first point past r
 
-    successes = 0
-    zeros = 0
-    done = 0
+    successes = zeros = done = 0
+    draw, tmp = np.empty((2, min(_CHUNK, config.trials)), np.uint64)  # a step's draws, mix scratch
     while done < config.trials:
         m = min(_CHUNK, config.trials - done)
-        t_abs = np.arange(
+        base = np.arange(
             config.trial_offset + done, config.trial_offset + done + m, dtype=np.uint64
-        )
+        )  # the absolute trial indices, then their stream bases
         base = _mix_array(
-            np.uint64(seed & _MASK) + np.uint64(_GAMMA) * (t_abs + np.uint64(1))
+            np.uint64(config.seed & _MASK) + np.uint64(_GAMMA) * (base + np.uint64(1)), tmp[:m]
         )
-
-        bits = _mix_array(base + np.uint64(_GAMMA)) >> np.uint64(11)
-        u0 = bits.view(np.int64) * _INV_2_53  # int64 converts faster than uint64
-        idx = np.minimum(np.searchsorted(cdf, u0, side="right"), len(ks) - 1)
-        X = ks[idx]
-        zeros += int(np.count_nonzero(X == 0))
-
-        # Only trials that reach past the cutoff can accept, and steps 1..r
-        # need no draw: each draw is a pure function of (trial, step).
-        live = X > r
-        base, X = base[live], X[live]
-        # accepted object's running rank, 0 = none; float, so q < acc needs no cast
-        acc = np.zeros(X.size)
-        draw, tmp, scaled = np.empty_like(base), np.empty_like(base), np.empty(X.size)
-        s = r
-        while X.size:
-            s += 1
-            n = X.size
-            z = np.add(base, np.uint64((_GAMMA * (s + 1)) & _MASK), out=draw[:n])
+        z = _mix_array(np.add(base, np.uint64(_GAMMA), out=draw[:m]), tmp[:m])
+        z >>= np.uint64(11)
+        # X = ks[min(#{cdf <= u0}, K - 1)] for u0 = z 2^-53, so in falling order
+        # of z the trials with X >= ks[j] are a prefix, of length L[j] =
+        # #{u0 >= cdf[j - 1]} = #{z >= edges[j] = ceil(cdf[j - 1] 2^53)}.  Steps
+        # 1..r need no draw (each is a pure function of (trial, step)), so
+        # only trials with X > r stay; a one-point support needs no order.
+        L = np.append(m - np.searchsorted(np.sort(z), edges), 0)
+        zeros += int(L[0] - L[1]) if ks[0] == 0 else 0
+        base = base[np.argsort(z)[::-1][: L[first]]] if len(ks) > 1 else base[: L[first]]
+        # A state byte per trial: 1 once lost (ranks only grow, so for good),
+        # above 2 while holding a winner, else waiting.  The arrival's rank
+        # gives bits nb, and state ^= nb & (state - 1) moves all states.
+        # Classic: rank 1 is 3; pd: rank 2 is 3, rank 1 is 2; both take a
+        # waiting 2 to 3 and a held 3 to 1.  bw: rank 1 is 3, rank s is 5 (7
+        # at s = 1), taking a waiting 0 to best 3, worst 5 or only 7; a role
+        # goes as its bits fire (7 to 5 or 3 at s = 2).
+        state = np.full(base.size, 0 if variant is Variant.BEST_OR_WORST else 2, np.uint8)
+        j, s = first, r + 1  # ks[j] is the first support point >= s
+        while L[j]:
+            n = L[j]
+            z = np.add(base[:n], np.uint64((_GAMMA * (s + 1)) & _MASK), out=draw[:n])
             _mix_array(z, tmp[:n])
-            z >>= np.uint64(11)
-            # q = u * s for the step's uniform u = z / 2^53, with one rounding
-            # as s / 2^53 is exact; u <= 1 - 2^-53 keeps q below s after it.
-            # So the relative rank 1 + min(floor(q), s - 1) is 1 + floor(q):
-            # rank <= a  <=>  q < a, and rank >= a  <=>  q >= a - 1.
-            q = np.multiply(z.view(np.int64), s * _INV_2_53, out=scaled[:n])
-            acc += q < acc  # the new arrival ranks above the accepted object
-            waiting = acc == 0
-            if variant is Variant.CLASSIC:
-                acc[waiting & (q < 1)] = 1
-                winning = acc == 1
+            nb = (z <= _top(s, 2 if variant is Variant.POSTDOC else 1)).view(np.uint8) * 3
+            if variant is Variant.POSTDOC:
+                nb -= (z <= _top(s, 1)).view(np.uint8)
             elif variant is Variant.BEST_OR_WORST:
-                best = q < 1
-                take = waiting & (best | (q >= s - 1))
-                acc[take] = np.where(best[take], 1.0, s)
-                winning = (acc == 1) | (acc == s)
-            else:
-                acc[waiting & (q >= 1) & (q < 2)] = 2
-                winning = acc == 2
-            # `winning` is the final win rule with X read as s.  A trial is
-            # done once X == s, and lost once it accepted and is not winning:
-            # ranks only grow, and a bw rank that is neither 1 nor s can never
-            # again be 1 or the last step.  Done and lost trials never count
-            # again, so they are dropped only once they are an eighth of the
-            # arrays: one gather then serves many steps.
-            successes += int(np.count_nonzero(winning & (X == s)))
-            keep = (X > s) & (winning | waiting)
-            k = int(np.count_nonzero(keep))
-            if 8 * k < 7 * n:
-                kept = np.flatnonzero(keep)
-                base, X, acc = base[kept], X[kept], acc[kept]
+                nb |= (z > _top(s, s - 1)).view(np.uint8) * 5
+            state[:n] ^= nb & (state[:n] - 1)
+            if ks[j] == s:  # the trials with X = s end here, the prefix's tail
+                successes += int(np.count_nonzero(state[L[j + 1] : n] > 2))
+                j += 1
+            s += 1
+            # Lost trials never count again, so they are dropped only once
+            # they are an eighth of the prefix: one gather serves many steps.
+            n = L[j]
+            if 8 * np.count_nonzero(state[:n] == 1) > n:
+                kept = np.flatnonzero(state[:n] != 1)
+                base, state, L = base[kept], state[kept], np.searchsorted(kept, L)
         done += m
 
     return _report(config, successes, zeros)

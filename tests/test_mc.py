@@ -25,6 +25,7 @@ from secstop.mc import (
     SimConfig,
     SimReport,
     _mix_array,
+    _top,
     draw_uniform,
     merge,
     run_episode,
@@ -222,6 +223,61 @@ def test_simulate_matches_loop_reference(variant, model):
         for seed, offset in ((3, 0), (4, 0), (3, 987_654)):
             cfg = _config(variant, model, r, 2_000, seed=seed, offset=offset)
             assert simulate(cfg) == _loop_simulate(cfg), (r, seed, offset)
+
+
+def test_rank_thresholds_agree_with_the_float_rank_at_their_edges():
+    # simulate tests rank <= a as z <= _top(s, a) on the step's 64-bit draw z,
+    # where run_episode and the float loop compute the rank from
+    # q = z53 (s 2^-53), z53 = z >> 11.  Both sides of every threshold T
+    # (z53 = T - 1 and T, each with the low 11 bits all clear and all set),
+    # where random trials almost never land, must agree
+    checked = 0
+    for s in [*range(1, 5001), 10**6, 2**31]:
+        for a in {1, 2, s - 1}:
+            top = _top(s, a)
+            if top == -1:  # rank <= 0 never holds
+                assert a == 0
+                words = [0]
+            elif top == _MASK:  # always holds, as at s = 1
+                assert s <= a or s == 1
+                words = [_MASK]
+            else:
+                t = (top + 1) >> 11
+                assert (top + 1) & 2047 == 0 and 0 < t < 1 << 53
+                words = [(t - 1) << 11, (t << 11) - 1, t << 11, (t << 11) | 2047]
+            z = np.array(words, dtype=np.uint64)
+            q = (z >> np.uint64(11)).view(np.int64) * (s * _INV_2_53)
+            float_test = q < a
+            assert np.array_equal(float_test, z <= top), (s, a)
+            for word, below in zip(words, float_test):
+                u = (word >> 11) * _INV_2_53
+                assert (1 + min(int(u * s), s - 1) <= a) == below, (s, a, word)
+            if len(words) == 4:
+                assert float_test.tolist() == [True, True, False, False], (s, a)
+            checked += len(words)
+    assert checked > 50_000
+
+
+@pytest.mark.parametrize(
+    "variant, model, r",
+    [
+        (Variant.CLASSIC, Uniform(300), 5),
+        (Variant.BEST_OR_WORST, Poisson(40.0), 3),
+        (Variant.POSTDOC, Explicit(((0, 0.1), (5, 0.4), (200, 0.5))), 2),
+        (Variant.BEST_OR_WORST, Uniform(6), 0),
+    ],
+)
+def test_compaction_and_prefix_lengths_match_the_loop_reference(monkeypatch, variant, model, r):
+    # trials that end at many steps and are often lost: each chunk drops its
+    # lost trials several times and rebuilds the prefix lengths each time
+    gathers = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: gathers.append(a.size) or flatnonzero(a))
+    monkeypatch.setattr(mc, "_CHUNK", 700)
+    for seed, offset in ((1, 0), (2, 12_345)):
+        cfg = _config(variant, model, r, 2_500, seed=seed, offset=offset)
+        assert simulate(cfg) == _loop_simulate(cfg), (seed, offset)
+    assert len(gathers) >= 16  # two a chunk on average
 
 
 # ------------------------------------------- scalar path replays vector path

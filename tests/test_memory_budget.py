@@ -16,7 +16,8 @@ import tracemalloc
 
 import pytest
 
-from secstop.core_model import Known, Poisson, Uniform, Variant, explicit_from_dict, support
+from secstop import mc
+from secstop.core_model import Known, Poisson, ThresholdPolicy, Uniform, Variant, explicit_from_dict, support
 from secstop.dp import backward_induction
 from secstop.exact import best_cutoff, success_curve
 
@@ -142,3 +143,25 @@ def test_two_sided_poisson_cutoff_is_linear_in_the_window(variant):
     # for classic), where ΔF is bisected in scalars.  The whole curve from
     # r = 1 peaked at 45.7 windows for bw and 63.9 for classic
     assert _peak_units(lambda: best_cutoff(variant, Poisson(1e6)), _WINDOW) <= 6.5
+
+
+@pytest.mark.parametrize(
+    "variant, model, r, budget",
+    [
+        # the step's draws and their mix scratch, the stream bases, the sorted
+        # X draws (then their order) and the gathered bases while a chunk is
+        # set up: about 4.9 chunk arrays; the step loop holds the bases, the
+        # two buffers and the state bytes, and a compaction the kept positions
+        # and their bases, up to 7/8 of an array each
+        (Variant.BEST_OR_WORST, Uniform(100), 20, 5.0),
+        # every trial goes on to X = 50, so the last compaction's kept
+        # positions, 0.9 arrays, live on into the next chunk: about 5.8
+        (Variant.CLASSIC, Known(50), 18, 6.0),
+        (Variant.POSTDOC, Poisson(10.0), 4, 5.0),
+    ],
+)
+def test_simulate_budget(variant, model, r, budget):
+    # in units of one uint64 array of a chunk, over four chunks: per-trial
+    # float or int64 temporaries of the step loop would each add a unit
+    config = mc.SimConfig(variant, model, ThresholdPolicy(r), 2 * 10**5, seed=3)
+    assert _peak_units(lambda: mc.simulate(config), mc._CHUNK) <= budget
