@@ -96,22 +96,39 @@ class Explicit:
     items: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        ks, ps = zip(*self.items) if self.items else ((), ())
-        keys = sorted(set(ks))
-        if len(keys) != len(ks):
-            raise ValueError("Explicit pmf has duplicate support points")
-        if keys and keys[0] < 0:
-            raise ValueError("support points must be >= 0")
-        # fsum keeps few partials over masses in falling order: 0.8 ms with
-        # the sort on the window of Poisson(10^5), 16 ms in the order of k
-        falling = sorted(ps, reverse=True)
-        if not all(map(math.isfinite, ps)) or (falling and falling[-1] < 0.0):
-            raise ValueError("probabilities must be finite and >= 0")
-        miss = math.fsum(falling) - 1.0
-        if abs(miss) > _MASS_TOL:
-            raise MassMissError(miss)
-        if keys != list(ks):
+        # two comprehensions, not zip(*items): that builds an iterator per
+        # pair, which sets off the cyclic collector on long tables
+        ks, ps = [k for k, _ in self.items], [p for _, p in self.items]
+        if not _in_order(ks, ps):
             object.__setattr__(self, "items", tuple(sorted(self.items)))
+
+    @classmethod
+    def _from_columns(cls, ks: list[int], ps: list[float]) -> Explicit:
+        """The table of points ks and masses ps, checked as the constructor
+        checks its pairs but without taking them apart again."""
+        table = object.__new__(cls)
+        items = zip(ks, ps)
+        object.__setattr__(table, "items", tuple(items) if _in_order(ks, ps) else tuple(sorted(items)))
+        return table
+
+
+def _in_order(ks: list, ps: list) -> bool:
+    """Whether the points ks are already sorted; raises where `Explicit`
+    refuses the table of ks and masses ps."""
+    keys = sorted(ks)
+    if len(set(keys)) != len(keys):
+        raise ValueError("Explicit pmf has duplicate support points")
+    if keys and keys[0] < 0:
+        raise ValueError("support points must be >= 0")
+    # fsum keeps few partials over masses in falling order: 0.6 ms with the
+    # sort on the window of Poisson(10^5), 16 ms in the order of k
+    falling = sorted(ps, reverse=True)
+    if not all(map(math.isfinite, falling)) or (falling and falling[-1] < 0.0):
+        raise ValueError("probabilities must be finite and >= 0")
+    miss = math.fsum(falling) - 1.0
+    if abs(miss) > _MASS_TOL:
+        raise MassMissError(miss)
+    return keys == ks
 
 
 CountModel = Union[Known, Uniform, Poisson, Explicit]
@@ -128,21 +145,37 @@ def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:
     lam = 745), found from the `chernoff_point` g (the error of the exponent
     -stirlerr - bd0 is far below the 15 between -760 and -745.13).  Never
     includes k with zero structural mass except explicit zeros the caller
-    put there."""
+    put there.  The last rate's window is kept, read-only, and returned
+    again for that rate until another rate replaces it; `poisson_k_max`
+    checks the window cap on every call first.  Known, Uniform and explicit
+    supports are fresh arrays on each call."""
     if isinstance(model, Known):
         return np.array([model.n]), np.array([1.0])
     if isinstance(model, Uniform):
         ks = np.arange(1, model.n + 1)
         return ks, np.full(model.n, 1.0 / model.n)
     if isinstance(model, Poisson):
-        lam = model.lam
-        k_max, g = poisson_k_max(lam), chernoff_point(lam)
-        ps = poisson_pmf_array(lam, k_max, g)
-        k_lo = g if ps[0] > 0.0 else g + int(np.argmax(ps > 0.0))
-        return np.arange(k_lo, k_max + 1), ps[k_lo - g :]
+        return _poisson_window(model.lam, poisson_k_max(model.lam))
     ks = np.array([k for k, _ in model.items], dtype=int)
     ps = np.array([p for _, p in model.items])
     return ks, ps
+
+
+# the last Poisson rate's mass window, (lam, ks, ps) with read-only arrays
+_last_window: tuple[float, np.ndarray, np.ndarray] | None = None
+
+
+def _poisson_window(lam: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    global _last_window
+    if _last_window is None or _last_window[0] != lam:
+        _last_window = None  # free the last rate's window before building this one
+        g = chernoff_point(lam)
+        ps = poisson_pmf_array(lam, k_max, g)
+        k_lo = g if ps[0] > 0.0 else g + int(np.argmax(ps > 0.0))
+        ks, ps = np.arange(k_lo, k_max + 1), ps[k_lo - g :]
+        ks.flags.writeable = ps.flags.writeable = False
+        _last_window = lam, ks, ps
+    return _last_window[1], _last_window[2]
 
 
 def tail_prob(model: CountModel, r: int) -> float:
@@ -171,10 +204,12 @@ def truncate_to_explicit(model: CountModel) -> Explicit:
     ks, ps = support(model)
     # fold p(X > top), 0 for finite tables, not 1 - sum(head): for Poisson the
     # head sum's rounding (~1e-15) would dwarf the true tail (~1e-60) and plant
-    # a phantom atom that poisons conditional tails
-    ps[-1] += tail_prob(model, int(ks[-1]) + 1)
+    # a phantom atom that poisons conditional tails.  The fold goes into the
+    # list of masses, as the support may be Poisson's shared window
+    masses = ps.tolist()
+    masses[-1] += tail_prob(model, int(ks[-1]) + 1)
     try:
-        return Explicit(tuple(zip(ks.tolist(), ps.tolist())))
+        return Explicit._from_columns(ks.tolist(), masses)
     except MassMissError as exc:
         raise PmfMassError(
             f"the pmf of {model} sums to 1 {exc.miss:+.1e} in floats; a table allows {_MASS_TOL:g}"

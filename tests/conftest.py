@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import secstop
+from secstop import core_model
 
 _LIMITED_CHILD = (
     "import resource, sys\n"
@@ -25,3 +28,13 @@ def run_limited(argv, cwd=None, **env) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", **env)
     return subprocess.run([sys.executable, "-c", _LIMITED_CHILD, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_poisson_window():
+    """Every test starts and ends without a memoised Poisson window, so a
+    test that patches `poisson_pmf_array` or the window cap neither reads a
+    window built before its patch nor leaves a patched one behind."""
+    core_model._last_window = None
+    yield
+    core_model._last_window = None

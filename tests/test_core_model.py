@@ -392,6 +392,109 @@ def test_truncate_to_explicit_keeps_the_poisson_mass_window():
     assert [p for _, p in m.items[:-1]] == ps[:-1].tolist()
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0, 100.0, 745.0, 746.0, 1e4, 1e5, 1e7])
+def test_poisson_window_is_kept_per_rate_bit_for_bit(lam):
+    # the same arrays again for the same rate, and a fresh build has their
+    # bits; the window starts at 0 up to lam = 745, where exp(-lam) is
+    # still a subnormal, and above 0 from 746 on
+    ks, ps = support(Poisson(lam))
+    again = support(Poisson(lam))
+    assert again[0] is ks and again[1] is ps
+    core_model._last_window = None
+    fresh_ks, fresh_ps = support(Poisson(lam))
+    assert fresh_ps is not ps
+    assert fresh_ks.tobytes() == ks.tobytes() and fresh_ps.tobytes() == ps.tobytes()
+    assert (ks[0] == 0) == (lam <= 745.0)
+
+
+def test_poisson_window_is_read_only():
+    ks, ps = support(Poisson(100.0))
+    with pytest.raises(ValueError, match="read-only"):
+        ps[-1] += 1e-3
+    with pytest.raises(ValueError, match="read-only"):
+        ks[0] = 1
+    # the other models' supports are the caller's own arrays
+    for model in (Known(3), Uniform(3), Explicit(((1, 0.5), (4, 0.5)))):
+        ks, ps = support(model)
+        ps[0] = 0.0
+        assert support(model)[1][0] != 0.0
+
+
+def test_poisson_window_is_replaced_by_the_next_rate():
+    first = support(Poisson(10.0))
+    second = support(Poisson(20.0))
+    assert support(Poisson(20.0))[1] is second[1]
+    assert support(Poisson(10.0))[1] is not first[1]
+
+
+def test_truncation_leaves_the_poisson_window_as_it_was():
+    ks, ps = support(Poisson(1000.0))
+    before = ps.tobytes()
+    a, b = truncate_to_explicit(Poisson(1000.0)), truncate_to_explicit(Poisson(1000.0))
+    assert a.items == b.items
+    assert a.items[-1][1] > ps[-1]  # the tail went into the table's last mass
+    assert support(Poisson(1000.0))[1] is ps and ps.tobytes() == before
+
+
+def test_one_poisson_window_serves_the_cutoffs_and_curves_of_a_rate(monkeypatch):
+    from secstop.exact import best_cutoff, success_curve
+
+    builds = []
+    true_pmf = core_model.poisson_pmf_array
+
+    def counted(*args):
+        builds.append(args)
+        return true_pmf(*args)
+
+    monkeypatch.setattr(core_model, "poisson_pmf_array", counted)
+    model = Poisson(1e5)
+    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+        best_cutoff(variant, model)
+    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+        success_curve(variant, model, 50_000)
+    assert len(builds) == 1
+
+
+def test_poisson_window_cap_holds_for_a_kept_window(monkeypatch):
+    # the cap is checked on every call, before the kept window is looked up
+    ks, _ = support(Poisson(1e4))
+    window = poisson_k_max(1e4) - chernoff_point(1e4) + 1
+    monkeypatch.setattr(specfun, "_MAX_WINDOW", window - 1)
+    with pytest.raises(RuntimeError, match=f"holds {window} points, past the cap of {window - 1}$"):
+        support(Poisson(1e4))
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        ((1, 0.5), (1, 0.5)),
+        ((-1, 0.5), (2, 0.5)),
+        ((1, 0.5), (-1, 0.5), (1, 0.0)),
+        ((1, 0.4), (2, 0.7)),
+        ((1, math.nan), (2, 1.0)),
+        ((1, math.inf), (2, -math.inf)),
+        ((1, -0.5), (2, 1.5)),
+        ((1, 1e308), (2, 1e308)),
+        ((10, 0.5), (5, 0.5)),
+        ((0, 0.25), (3, 0.75)),
+        (),
+    ],
+)
+def test_a_table_from_columns_is_checked_as_its_pairs(items):
+    # truncations build their table from the columns of a support; the
+    # checks, their order and their messages are the constructor's
+    ks, ps = [k for k, _ in items], [p for _, p in items]
+    try:
+        expected = Explicit(items)
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as info:
+            Explicit._from_columns(ks, ps)
+        assert str(info.value) == str(exc)
+    else:
+        table = Explicit._from_columns(ks, ps)
+        assert table == expected and table.items == expected.items
+
+
 def test_report_types_round_trip():
     rep = CutoffReport(
         model=Uniform(10),

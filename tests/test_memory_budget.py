@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from secstop import mc
+from secstop import core_model, mc
 from secstop.core_model import Known, Poisson, ThresholdPolicy, Uniform, Variant, explicit_from_dict, support
 from secstop.dp import backward_induction
 from secstop.exact import best_cutoff, success_curve
@@ -28,6 +28,7 @@ _FIXED_BYTES = 2**16
 def _peak_units(fn, n: int = N) -> float:
     """The peak of one call, in float arrays of n points."""
     fn()  # warm: imports and process-wide caches are not the call's own
+    core_model._last_window = None  # but a Poisson mass window is: build it again
     tracemalloc.start()
     try:
         fn()
@@ -126,6 +127,21 @@ def test_poisson_support_is_the_mass_window():
     # was 20 windows long
     assert len(support(Poisson(1e6))[0]) == _WINDOW
     assert _peak_units(lambda: support(Poisson(1e6)), _WINDOW) <= 3
+
+
+def test_the_next_poisson_rate_frees_the_last_window_before_its_build():
+    # the kept window of Poisson(10^6), ks and ps, is 2 windows; built while
+    # it was still held, the next rate's window would peak near 4
+    support(Poisson(2e6))
+    tracemalloc.start()
+    try:
+        support(Poisson(1e6))
+        tracemalloc.reset_peak()
+        support(Poisson(1e6 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - _FIXED_BYTES) / (8 * _WINDOW) <= 3
 
 
 def test_poisson_curve_below_the_window_is_linear_in_the_window():
