@@ -197,6 +197,7 @@ def simulate(config: SimConfig) -> SimReport:
             if 8 * np.count_nonzero(state[:n] == 1) > n:
                 kept = np.flatnonzero(state[:n] != 1)
                 base, state, L = base[kept], state[kept], np.searchsorted(kept, L)
+                del kept  # not alive into the next chunk's set-up
         done += m
 
     return _report(config, successes, zeros)

@@ -17,11 +17,10 @@ within 4e-15 of exact wherever p(k) >= 1e-6 p(mode), and within 4e-13 down
 to the smallest normal float.  `poisson_pmf_array` evaluates it over the
 window of k it is asked for, in blocks of k, so a Poisson table costs the
 length of its window, not of 0..k_max, and a window of one k has that k's
-bits in every table.  The Poisson mass window lives here too: from the
-`chernoff_point`, below which every mass is 0.0, to Bennett's
-`poisson_k_max`, at most _MAX_WINDOW points; so do the step table of the
-law of X given X >= r, by pmf ratios, and the tail p(X >= r), one mass
-times that table's sum.
+bits in every table.  The Poisson mass window lives here too, from the
+`chernoff_point` to Bennett's `poisson_k_max`, each end leaving out at most
+e^-72 of the mass, at most _MAX_WINDOW points; so do the step table of X
+given X >= r, by pmf ratios, and the tail p(X >= r), one mass times its sum.
 
 numpy is imported on first use: `np` here is the package's one binding of
 it, and a command that stays on the scalar paths never loads it.
@@ -370,15 +369,16 @@ def series(term: float, ratio, k: int = 0) -> float:
     raise TruncationError(f"series did not converge within {_MAX_TERMS} terms")
 
 
-# the longest Poisson mass window, from `chernoff_point` to `poisson_k_max`,
-# that a support or a step table may hold: 160 MB of masses at about
-# lam = 1.54e11
+# the longest Poisson mass window, `chernoff_point` to `poisson_k_max`, that a
+# support or a step table may hold: 160 MB of masses at about lam = 6.94e11
 _MAX_WINDOW = 2 * 10**7
 
 
 def chernoff_point(lam: float) -> int:
-    """max(0, floor(lam - sqrt(1520 lam))), below which p(k) <= e^-760 is 0.0."""
-    return max(0, math.floor(lam - math.sqrt(1520.0 * lam)))
+    """g = max(0, floor(lam - t)), t = 12 sqrt(lam): p(X < g) <= p(X <= lam - t)
+    <= exp(-t^2/(2 lam)) = e^-72 by Chernoff, the top's bound.  The mass at g
+    is above e^-146 at every rate the cap admits (e^-lam at g = 0): never 0.0."""
+    return max(0, math.floor(lam - 12.0 * math.sqrt(lam)))
 
 
 def poisson_k_max(lam: float) -> int:
@@ -414,9 +414,9 @@ def poisson_step_table(lam: float, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 def poisson_tail(r: int, lam: float) -> float:
     """Psi(r, lam) = p(X >= r) for X ~ Poisson(lam): 1.0 up to the
-    `chernoff_point` g, where the head is below g e^-760 and rounds away,
-    and p(a) times the sum of `poisson_step_table` above it, a = max(r,
-    floor(lam)) the table's anchor, clipped to 1."""
+    `chernoff_point` g, where the head is below e^-72 and 1 - e^-72 rounds
+    to 1.0, and p(a) times the sum of `poisson_step_table` above it, a =
+    max(r, floor(lam)) the table's anchor, clipped to 1."""
     if r < 0:
         raise ValueError("r must be >= 0")
     if lam <= 0.0:

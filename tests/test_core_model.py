@@ -312,10 +312,10 @@ def test_poisson_k_max_is_a_closed_bound_of_the_rate():
 def test_poisson_window_cap_is_checked_before_any_table(monkeypatch):
     # adjacent floats: the window from chernoff_point to k_max holds 2*10^7
     # points at the first and one more at the second
-    last_fit, first_past = 153863572741.30637, 153863572741.3064
+    last_fit, first_past = 694440890106.5913, 694440890106.5914
     assert first_past == math.nextafter(last_fit, math.inf)
     assert poisson_k_max(last_fit) - chernoff_point(last_fit) + 1 == specfun._MAX_WINDOW
-    message = r"Poisson\(lam=153863572741\.3064\) holds 20000001 points, past the cap of 20000000$"
+    message = r"Poisson\(lam=694440890106\.5914\) holds 20000001 points, past the cap of 20000000$"
     with pytest.raises(RuntimeError, match=message):
         poisson_k_max(first_past)
 
@@ -383,11 +383,13 @@ def test_mass_check_takes_the_exact_sum_of_a_long_table():
 
 
 def test_truncate_to_explicit_keeps_the_poisson_mass_window():
-    # Poisson(1000) has no float mass below k = 71: the table starts there,
-    # with the masses of support() and the tail folded into its top
+    # Poisson(1000)'s window starts at its Chernoff point, k = 620: the table
+    # starts there, with the masses of support() and the tail folded into
+    # its top, and nothing folded into its first point
     ks, ps = support(Poisson(1000.0))
     m = truncate_to_explicit(Poisson(1000.0))
-    assert m.items[0][0] == int(ks[0]) == 71
+    assert m.items[0][0] == int(ks[0]) == chernoff_point(1000.0) == 620
+    assert m.items[0][1] == ps[0]
     assert [k for k, _ in m.items] == ks.tolist()
     assert [p for _, p in m.items[:-1]] == ps[:-1].tolist()
 
@@ -395,8 +397,8 @@ def test_truncate_to_explicit_keeps_the_poisson_mass_window():
 @pytest.mark.parametrize("lam", [0.5, 2.0, 100.0, 745.0, 746.0, 1e4, 1e5, 1e7])
 def test_poisson_window_is_kept_per_rate_bit_for_bit(lam):
     # the same arrays again for the same rate, and a fresh build has their
-    # bits; the window starts at 0 up to lam = 745, where exp(-lam) is
-    # still a subnormal, and above 0 from 746 on
+    # bits; the window starts at 0 below lam = 146, where lam - 12 sqrt(lam)
+    # is still below 1, and above 0 from 146 on
     ks, ps = support(Poisson(lam))
     again = support(Poisson(lam))
     assert again[0] is ks and again[1] is ps
@@ -404,7 +406,7 @@ def test_poisson_window_is_kept_per_rate_bit_for_bit(lam):
     fresh_ks, fresh_ps = support(Poisson(lam))
     assert fresh_ps is not ps
     assert fresh_ks.tobytes() == ks.tobytes() and fresh_ps.tobytes() == ps.tobytes()
-    assert (ks[0] == 0) == (lam <= 745.0)
+    assert (ks[0] == 0) == (lam < 146.0)
 
 
 def test_poisson_window_is_read_only():

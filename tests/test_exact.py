@@ -430,7 +430,7 @@ def _dot_step_accept(variant, model, r):
     return float(np.dot(_accept_weight(variant, r, ks[mask]), ps[mask]) / ps[mask].sum())
 
 
-# the truncation of Poisson(1000) is its mass window, k = 71..1430; the last
+# the truncation of Poisson(1000) is its mass window, k = 620..1430; the last
 # mixed model is that table written out from k = 0 with explicit zero
 # masses below the window, a large table with leading zeros
 _POISSON_1000_WINDOW = truncate_to_explicit(Poisson(1000.0))
@@ -741,13 +741,14 @@ def _assert_window_route_is_the_full_curve(model):
             assert (rep.cutoff, rep.prob.hex()) == (m, p.hex()), (variant, model)
 
 
-# k_0 is 1 at 746, so the window is the whole curve; the parabola's vertex
-# lies in the window up to 4821 and below k_0 - 1 from 4822.  The knife
-# edges 3*10^6 and 10^7, where the band of the whole curve takes a cutoff
-# below the argmax, are test_window_cutoff_keeps_the_knife_edges; the
-# seeded sample holds three more, at 972315.19 and 1348185.06 (bw, pd) and
-# 1905043.55 (all three rules)
-_WINDOW_RATES = [746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1]
+# k_0 is 0 below 146 and 1 at 146, so the window is the whole curve; the
+# parabola's vertex lies in the window up to 578 and below k_0 - 1 from 579
+# (746, 1520 and 4821-4822 were those edges of the window that ran down to
+# the float underflow).  The knife edges 3*10^6 and 10^7, where the band of
+# the whole curve takes a cutoff below the argmax, are
+# test_window_cutoff_keeps_the_knife_edges; the seeded sample holds three
+# more, at 972315.19 and 1348185.06 (bw, pd) and 1905043.55 (all three rules)
+_WINDOW_RATES = [145, 146, 578, 579, 746, 1000, 1519, 1520, 1521, 3000, 4821, 4822, 1e4, 1e5, 1e5 + 1, 1e6, 1e6 + 1]
 _SAMPLE = random.Random(20)
 _WINDOW_RATES += [math.exp(_SAMPLE.uniform(math.log(746), math.log(2e6))) for _ in range(40)]
 

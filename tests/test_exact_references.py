@@ -18,12 +18,28 @@ import mpmath
 import numpy as np
 import pytest
 
-from secstop.core_model import Known, Poisson, Uniform, Variant, support
+from secstop.core_model import Explicit, Known, Poisson, Uniform, Variant, support
 from secstop.dp import backward_induction
 from secstop.exact import positive_cutoff, step_accept_prob, step_reject_prob, success_curve
+from secstop.specfun import poisson_pmf_array, poisson_tail
 
 from test_dp import _MODELS as _DP_MODELS
 from test_exact import _MIXED_MODELS, _POISSON_1000_WINDOW
+
+
+def _poisson_1000_deep() -> Explicit:
+    """Every mass of Poisson(1000) above 0.0 in the table from k = 0, k =
+    71..1430, with the tail folded into the top: masses over about 1000
+    binary orders, down to subnormals, where the mass window starts at k =
+    620 and its least mass is about 1e-38."""
+    ps = poisson_pmf_array(1000.0, 1430)
+    k0 = int(np.argmax(ps > 0.0))
+    masses = ps[k0:].tolist()
+    masses[-1] += poisson_tail(1431, 1000.0)
+    return Explicit(tuple(zip(range(k0, 1431), masses)))
+
+
+_POISSON_1000 = [_poisson_1000_deep(), _POISSON_1000_WINDOW]
 
 V = Variant
 REL = 1e-13
@@ -171,7 +187,7 @@ def _cutoffs(model) -> list[int]:
 
 
 @pytest.mark.parametrize("variant", list(V))
-@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + [_POISSON_1000_WINDOW], ids=_model_id)
+@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + _POISSON_1000, ids=_model_id)
 def test_curve_against_exact_fractions(variant, model):
     values = success_curve(variant, model).values
     closed = _Closed(model, exact=True) if isinstance(model, (Known, Uniform)) else None
@@ -227,13 +243,13 @@ def _poisson_window_sums(lam: float) -> tuple[int, mpmath.mpf, mpmath.mpf, mpmat
 
 @pytest.mark.parametrize("variant", list(V))
 def test_poisson_curve_below_the_mass_window_against_mpmath(variant):
-    # Poisson(10^5) has float masses on k >= 88096 only.  Below that every
-    # k of the window exceeds r, so F(r) = c r (sum p/k - (r - 1) sum
+    # Poisson(10^5)'s window starts at its Chernoff point, k = 96205.  Below
+    # that every k of the window exceeds r, so F(r) = c r (sum p/k - (r - 1) sum
     # p/(k(k-1))) for the two-sided rules and r (sum p H_{k-1}/k - H_{r-1}
     # sum p/k) for classic; the curve holds each within 4e-15 (bw and pd
     # were 7.5-8.4e-15 off when K summed the zero masses below the window)
     k_lo, a, b, w = _poisson_window_sums(1e5)
-    assert k_lo == 88096
+    assert k_lo == 96205
     values = success_curve(variant, Poisson(1e5), 80_000).values
     with mpmath.workdps(50):
         for r in (1, 2, 1000, 36787, 50_000, 80_000):
@@ -246,7 +262,7 @@ def test_poisson_curve_below_the_mass_window_against_mpmath(variant):
 
 # ------------------------------------------------------ (a) step probabilities
 
-_TABLES = [Known(n) for n in (2, 7, 300, 3000)] + _MIXED_MODELS + [_POISSON_1000_WINDOW]
+_TABLES = [Known(n) for n in (2, 7, 300, 3000)] + _MIXED_MODELS + _POISSON_1000
 
 
 @pytest.mark.parametrize("variant", list(V))
@@ -294,7 +310,7 @@ def test_uniform_classic_reject_against_references(model):
 
 
 @pytest.mark.parametrize("variant", list(V))
-@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + [_POISSON_1000_WINDOW], ids=_model_id)
+@pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + _POISSON_1000, ids=_model_id)
 def test_induction_values_against_exact_fractions(variant, model):
     pol = backward_induction(variant, model)
     A, C = _frac_induction(variant, model)

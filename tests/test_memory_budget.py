@@ -117,14 +117,14 @@ def test_best_cutoff_at_a_trillion_in_under_a_millisecond():
     assert statistics.median(times) < 1e-3
 
 
-# Poisson(10^6) has float masses on 50,205 points of k = 0..1,012,050
-_WINDOW = 50_205
+# the mass window of Poisson(10^6), k = 988,000..1,012,050: 24,051 points
+_WINDOW = 24_051
 
 
 def test_poisson_support_is_the_mass_window():
-    # the masses from a guard point a few dozen k below the window, its ln k!
-    # and the values: about 2 arrays of the window, where a table from k = 0
-    # was 20 windows long
+    # the masses with five blocks of the pmf's temporaries, 1.7 windows, then
+    # the points: about 2.7 arrays of the window, where a table from k = 0
+    # was 42 windows long
     assert len(support(Poisson(1e6))[0]) == _WINDOW
     assert _peak_units(lambda: support(Poisson(1e6)), _WINDOW) <= 3
 
@@ -170,9 +170,10 @@ def test_two_sided_poisson_cutoff_is_linear_in_the_window(variant):
         # two buffers and the state bytes, and a compaction the kept positions
         # and their bases, up to 7/8 of an array each
         (Variant.BEST_OR_WORST, Uniform(100), 20, 5.0),
-        # every trial goes on to X = 50, so the last compaction's kept
-        # positions, 0.9 arrays, live on into the next chunk: about 5.8
-        (Variant.CLASSIC, Known(50), 18, 6.0),
+        # every trial goes on to X = 50; the last compaction's kept positions
+        # are freed after its gather, not carried into the next chunk (0.9
+        # arrays more): about 5.1
+        (Variant.CLASSIC, Known(50), 18, 5.2),
         (Variant.POSTDOC, Poisson(10.0), 4, 5.0),
     ],
 )

@@ -28,6 +28,7 @@ from secstop.core_model import Poisson, support
 from secstop.specfun import (
     EULER_GAMMA,
     TruncationError,
+    chernoff_point,
     ein_series,
     harmonic,
     harmonic_form_sign,
@@ -247,31 +248,24 @@ def test_poisson_pmf_array_normalizes():
         assert abs(p[3] - stats.poisson.pmf(3, lam)) < 1e-15
 
 
-@pytest.mark.parametrize("lam", [5.0, 708.0, 745.0, 746.0, 1000.0, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("lam", [5.0, 144.0, 146.0, 708.0, 745.0, 746.0, 1000.0, 1e4, 1e5, 1e6])
 def test_poisson_support_is_the_mass_window_of_the_full_table(lam):
-    # the support drops exactly the 0.0 masses below the first nonzero one,
-    # and every mass it keeps has the bits of the table from k = 0
+    # the support is the table from k = 0 cut at the Chernoff point g: every
+    # mass it keeps has that table's bits, the first is not 0.0, and those
+    # it drops sum to at most e^-72
     ks, ps = support(Poisson(lam))
-    k_lo, k_max = int(ks[0]), int(ks[-1])
+    g, k_max = chernoff_point(lam), int(ks[-1])
     full = poisson_pmf_array(lam, k_max)
-    assert ps.tobytes() == full[k_lo:].tobytes()
-    assert np.array_equal(ks, np.arange(k_lo, k_max + 1))
-    assert ps[0] > 0.0 and not np.any(full[:k_lo])
-    assert k_lo == 0 if lam <= 745 else k_lo > 0
+    assert ps.tobytes() == full[g:].tobytes()
+    assert np.array_equal(ks, np.arange(g, k_max + 1))
+    assert ps[0] > 0.0 and math.fsum(full[:g]) <= math.exp(-72.0)
+    assert (g == 0) == (lam < 146.0)
 
 
-# The Poisson window as it was built before both of its ends came from
-# closed tail bounds, kept verbatim: the log-pmf, the top grown from the
-# first bound until its tail is below 1e-15, and the guard found by
-# bisection over the log-pmf.
-
-
-def _poisson_log_pmf(k: int, lam: float) -> float:
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return k * math.log(lam) - lam - math.lgamma(k + 1.0)
+# The Poisson window as an independent route builds it: the top grown from
+# the first bound until its tail is below 1e-15, as it was built before both
+# ends of the window came from closed tail bounds, and the bottom found by
+# bisection on the exact condition of the Chernoff bound.
 
 
 def _grown_k_max(lam: float) -> int:
@@ -284,14 +278,20 @@ def _grown_k_max(lam: float) -> int:
 
 
 def _poisson_guard(lam: float) -> int:
-    """The last k <= lam whose log-pmf is below -760, or 0, by bisection:
-    the log-pmf rises up to lam and its float error is far below the 15
-    that separate -760 from -745.14, past which exp gives 0.0, so every
-    mass below the guard is 0.0 in floats."""
-    lo, hi = 0, int(lam)
+    """The last k with (lam - k)^2 >= 144 lam and k <= lam, or 0, by
+    bisection in rationals: floor(lam - 12 sqrt(lam)) without a float
+    square root, as (lam - k)^2 falls over k <= lam."""
+    x = Fraction(lam)
+
+    def below(k: int) -> bool:
+        return k <= x and (x - k) ** 2 >= 144 * x
+
+    if not below(0):
+        return 0
+    lo, hi = 0, math.floor(lam) + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _poisson_log_pmf(mid, lam) < -760.0:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -300,9 +300,7 @@ def _poisson_guard(lam: float) -> int:
 
 def _guarded_window(lam: float) -> tuple[np.ndarray, np.ndarray]:
     k_max, guard = _grown_k_max(lam), _poisson_guard(lam)
-    ps = poisson_pmf_array(lam, k_max, guard)
-    k_lo = guard + int(np.argmax(ps > 0.0))
-    return np.arange(k_lo, k_max + 1), ps[k_lo - guard :]
+    return np.arange(guard, k_max + 1), poisson_pmf_array(lam, k_max, guard)
 
 
 _WINDOW_RATES = [5.0, 745.0, 746.0, 1519.0, 1520.0, 1521.0, 1e4, 1e5, 1e6, 1e7]
@@ -312,7 +310,7 @@ _WINDOW_RATES += np.exp(np.random.default_rng(20181).uniform(math.log(0.01), mat
 @pytest.mark.parametrize("lam", _WINDOW_RATES)
 def test_poisson_window_from_tail_bounds_bit_equal_to_the_guarded_window(lam):
     # the Chernoff point and the first Bennett top give the window that the
-    # bisection guard and the grown top gave: k_lo, k_max and every mass
+    # bisection guard and the grown top give: its ends and every mass
     ks, ps = support(Poisson(lam))
     ref_ks, ref_ps = _guarded_window(lam)
     assert np.array_equal(ks, ref_ks) and ps.tobytes() == ref_ps.tobytes()
@@ -423,6 +421,50 @@ def test_poisson_tail_just_above_the_chernoff_point_of_a_large_rate():
     start = time.perf_counter()
     assert poisson_tail(7119870, 7221394.6112189265) == 1.0
     assert time.perf_counter() - start < 0.1
+
+
+_BOUND_RATES = [145.0, 577.0, 1e3, 1e4, 1e6, 1e9]
+
+
+@pytest.mark.parametrize("lam", _BOUND_RATES)
+def test_chernoff_point_leaves_out_at_most_e_minus_72(lam):
+    # p(X < g) = Q(g, lam), the regularized upper incomplete gamma, at 50
+    # digits; 0 at g = 0
+    g = chernoff_point(lam)
+    with mpmath.workdps(50):
+        below = mpmath.gammainc(g, lam, mpmath.inf, regularized=True) if g else mpmath.mpf(0)
+        assert below <= mpmath.exp(-72), (lam, g)
+
+
+# rates up to the last one the window cap admits, densest where the mass at
+# the Chernoff point is least (about e^-146 near lam = 146)
+_CAP_RATES = np.linspace(1.0, 1000.0, 3997).tolist() + np.geomspace(1000.0, 694440890106.5913, 400).tolist()
+
+
+def test_mass_at_the_chernoff_point_is_never_zero():
+    for lam in _CAP_RATES:
+        g = chernoff_point(lam)
+        assert poisson_pmf_array(lam, g, g)[0] > 0.0, lam
+
+
+@pytest.mark.parametrize("lam", [0.5, 145.0, 146.0, 577.0, 1e3 + 0.5, 1e4 + 1, 123456.7, 1e6, 1e7 + 1])
+def test_poisson_window_is_about_24_sqrt_lam_long(lam):
+    # ceil(lam + 12 sqrt(lam) + 50) - floor(lam - 12 sqrt(lam)) + 1 <
+    # 24 sqrt(lam) + 53, where both roundings go up by almost 1: 341 points
+    # at 145 and 629 at 577, each above 24 sqrt(lam) + 52.  This guards the
+    # window's length, which down to the float underflow was about 51 sqrt(lam)
+    assert len(support(Poisson(lam))[0]) < 24.0 * math.sqrt(lam) + 53.0
+
+
+@pytest.mark.parametrize("lam", [146.0, 406.0, 577.0, 1000.5, 3000.0, 1e4 + 1, 1e5, 7221394.6112189265, 1e9])
+def test_poisson_tail_is_one_up_to_the_chernoff_point(lam):
+    # the head below g is at most e^-72, and 1 - e^-72 rounds to 1.0: exactly
+    # 1.0, where a step table's sum gave 0.9999999999999996 at lam = 406 and
+    # r = floor(lam - 20 sqrt(lam))
+    g = chernoff_point(lam)
+    rs = {1, g // 2, max(math.floor(lam - 20.0 * math.sqrt(lam)), 1), g - 1, g}
+    for r in sorted(rs):
+        assert poisson_tail(r, lam) == 1.0, (lam, r)
 
 
 def test_poisson_tail_at_the_mean_of_large_rates():
