@@ -6,8 +6,8 @@ digits, so the CSV and JSON forms carry identical values and round-trip.
 
 Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
 error; 3 numeric failure (an estimator's series past its cap of 10^6
-terms, a pmf whose float masses miss 1 by more than a table allows, a
-Poisson mass window past 2*10^7 points) or out of memory.
+terms, a pmf whose masses miss 1 by more than a table allows, a Poisson
+window past 2*10^7 points, a Uniform support past 2*10^8) or out of memory.
 """
 
 from __future__ import annotations

@@ -66,6 +66,8 @@ class Poisson:
 
 # how far the masses of an explicit pmf may sum from 1
 _MASS_TOL = 1e-12
+# the most points of a Uniform support, built as two arrays of 1.6 GB
+_MAX_POINTS = 2 * 10**8
 
 
 class MassMissError(ValueError):
@@ -144,14 +146,16 @@ def support(model: CountModel) -> tuple[np.ndarray, np.ndarray]:
     lam = 146) to `poisson_k_max`, each end leaving out at most e^-72 of the
     mass.  Never includes k with zero structural mass except explicit zeros
     the caller put there.  The last rate's window is kept, read-only, and
-    returned again for that rate until another rate replaces it;
-    `poisson_k_max` checks the window cap on every call first.  Known,
-    Uniform and explicit supports are fresh arrays on each call."""
+    returned again for that rate until another rate replaces it; a window
+    past its cap (`poisson_k_max`) or an n past _MAX_POINTS is refused before
+    any array.  Known, Uniform and explicit supports are fresh arrays."""
     if isinstance(model, Known):
         return np.array([model.n]), np.array([1.0])
     if isinstance(model, Uniform):
-        ks = np.arange(1, model.n + 1)
-        return ks, np.full(model.n, 1.0 / model.n)
+        if (n := model.n) > _MAX_POINTS:
+            raise RuntimeError(f"the support of Uniform(n={n}) holds {n} points, past the cap of {_MAX_POINTS}")
+        ks = np.arange(1, n + 1)
+        return ks, np.full(n, 1.0 / n)
     if isinstance(model, Poisson):
         return _poisson_window(model.lam, poisson_k_max(model.lam))
     ks = np.array([k for k, _ in model.items], dtype=int)

@@ -13,25 +13,20 @@ overall optimal success probability is C(0), where q_0 = p(X >= 1) absorbs
 any mass at X = 0.
 
 S(t) = p(X >= t) and B(t) = S(t) A(t) = t U1(t) (t(t-1) U2(t) for postdoc)
-are read from the compensated tables of `exact.SuffixMoments` at the steps
-0..T.  The recursion runs on D(t) = S(t) C(t) (`_continue_mass`) one run of
-accept or reject steps at a time: D is constant over a reject run, and over
-an accept run D/w has a closed form, a suffix sum of positive terms, with
-w(t) = t or t(t - 1) the summation factor of nu_t = 1/t or 2/t.  The pass
-is O(T) whatever the number of runs, one run on a threshold model and a few
-on islands of mass; A = B/S and C = D/S are within 1e-13 of exact fractions
-or 50-digit mpmath on Known and Uniform up to 10^6.  B is read _CHUNK
-steps at a time and nu_t = c/t window by window, so no float array of the
-steps is built.  The live steps, where S > 0, are the prefix up to the last
-point with mass, and the reachable ones a range of it, so A = B/S, C = D/S,
-the accept mask and the classification read slices.  The induction holds
-four arrays of the horizon at most: the support and B while the U table,
-and after it the S table, is summed; then, the U table and the support
-gone, B, S, D and an accept window's steps and weights; B and D become A
-and C in place; and once S is gone, C (1 - _ACCEPT_REL) and the accept
-mask.  On a threshold model
-C(t) is the best curve value past t over S(t), max_{r >= t} F(r)/S(t).
-The policy holds A, C and the accept mask as read-only arrays.
+are the compensated suffix sums of `exact.SuffixMoments`.  The recursion
+runs on D(t) = S(t) C(t) (`_continue_mass`) one run of accept or reject
+steps at a time: D is constant over a reject run, and over an accept run
+D/w has a closed form, a suffix sum of positive terms, with w(t) = t or
+t(t - 1) the summation factor of nu_t = 1/t or 2/t.  A = B/S and C = D/S are
+within 1e-13 of exact fractions or 50-digit mpmath on Known and Uniform up
+to 10^6.  The pass runs from the top of the horizon in chunks of
+`exact._CHUNK` steps on one set of chunk buffers (`_steps`), and holds no
+array of the horizon but the support (and with gaps the tables over it): on
+contiguous points the S and U tables are summed a chunk at a time too.
+Each chunk tests A >= C (1 - _ACCEPT_REL) on its live steps, where S > 0,
+and the policy keeps the runs of accepting steps, from which the threshold,
+or a witness against one, is read.  On a threshold model C(t) is the best
+curve value past t over S(t), max_{r >= t} F(r)/S(t).
 """
 
 from __future__ import annotations
@@ -70,109 +65,137 @@ class DPPolicy:
     variant: Variant
     model: CountModel
     horizon: int
-    # read-only step-indexed arrays; slot 0 is a placeholder so accept_at[t]
-    # is step t
-    accept_at: np.ndarray  # bool
-    value_accept: np.ndarray  # A(t)
-    value_reject: np.ndarray  # C(t), indexed 0..T
-    value: float
+    # the maximal runs of accepting steps, (first, last) pairs from the
+    # lowest; a step accepts where A(t) >= C(t) (1 - _ACCEPT_REL)
+    accept_runs: tuple[tuple[int, int], ...]
+    value: float  # C(0)
     is_threshold: bool
     threshold: int | None
     witness: tuple[int, int] | None
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True of mask, or None."""
-    if not len(mask):
-        return None
-    j = int(mask.argmax())
-    return j if mask[j] else None
+def _last(mask: np.ndarray) -> int | None:
+    """Index of the last True of mask, or None."""
+    j = len(mask) - 1 - int(mask[::-1].argmax()) if len(mask) else 0
+    return j if len(mask) and mask[j] else None
 
 
-def _continue_mass(B: np.ndarray, c: int, nu1: float) -> np.ndarray:
-    """D(t) = S(t) C(t) for t = 0..T, with B(t) = S(t) A(t): D(T) = 0 and
+def _steps(mom: SuffixMoments, variant: Variant, m: int):
+    """(base, X, B, a, S) for the chunks of m steps lo = max(base, 0)..hi =
+    base + m - 1 from the top: X[i] = base - 1 + i, B[i] = B(base + i), B[m]
+    = B(hi + 1), S[j] = S(a + j) from a step a >= lo on and S[0] below it.
+    With gaps the chunks gather from the whole tables (a = lo); on
+    contiguous points they sum the S and U tables a chunk, 8 `_suffix`
+    blocks, at a time, with the whole tables' bits, below the first point
+    k_0 holding the value at k_0 (a = max(lo, k_0), or hi + 1)."""
+    ks, ps, k0 = mom.ks, mom.ps, mom._k0
+    T, pd = int(ks[-1]), variant is Variant.POSTDOC
+    X = np.arange(T - m, T + 2, dtype=float)
+    B, S = np.empty(m + 1), np.empty((m if k0 is None else min(m, len(ks))) + 1)
+    u, s, top = [0.0, 0.0, 0.0, 0], [0.0, 0.0, 0.0, 0], 0.0  # the U and S carries, B(hi + 1)
+    for hi in range(T, -1, -m):
+        base = hi - m + 1
+        lo = max(base, 0)
+        a = lo if k0 is None else min(max(lo, k0), hi + 1)
+        if k0 is None:
+            mom.read(mom.U2 if pd else mom.U1, lo, B[lo - base : m])
+            mom.read(mom.S, lo, S[: hi + 1 - lo])
+        elif a <= hi:  # the points a - k0..hi - k0
+            j, n = a - k0, hi - k0 + 1
+            w = SuffixMoments._weights(1 + pd, ks[j:n], ps[j:n], B[a - base : m])
+            SuffixMoments._suffix(w, out=B[a - base :], carry=u)
+            SuffixMoments._suffix(ps[j:n], out=S[: n - j + 1], carry=s)
+            u0 = B[a - base]
+        if lo < a:
+            B[lo - base : a - base] = u0
+        weight = X[lo - base + 1 : m + 1]  # t
+        if pd:
+            weight = np.maximum(X[lo - base : m], 0.0)  # t(t - 1), +0 at t = 0
+            weight *= X[lo - base + 1 : m + 1]
+        B[lo - base : m] *= weight
+        if variant is Variant.BEST_OR_WORST and lo <= 1 <= hi:
+            # k = 1: the object is both best and worst, value 1; else 2/k
+            i = mom.at(1)
+            B[1 - base] = 2.0 * B[1 - base] - (ps[i] if ks[i] == 1 else 0.0)
+        B[m] = top
+        top = B[lo - base]
+        yield base, X, B, a, S[: max(hi + 1 - a, 1)]
+        X -= m
+
+
+def _continue_mass(chunks, c: int, nu1: float):
+    """Each chunk of `_steps` with D(t) = S(t) C(t) at its steps and D(hi +
+    1) in D's top slot, with B(t) = S(t) A(t): D(T) = 0 and
 
         D(t) = D(t+1) + nu_{t+1} max(B(t+1) - D(t+1), 0),
 
     the recursion for C times S(t), nu_1 = nu1, nu_s = c/s for s >= 2 and
-    c = 1 or 2.  It runs one run of steps at a time from the top.  Over a
-    reject run, B(s) <= D(s), D is constant, and the run ends at the last
-    step below with B > D.  Over an accept run, B(s) > D(s), D(t) = (1 -
-    nu_{t+1}) D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s = w(s-1)/w(s) with
-    w(t) = t (c = 1) or t(t - 1) (c = 2), so from the run's top u
+    c = 1 or 2, one run of steps at a time from the top.  Over a reject run,
+    B(s) <= D(s), D is constant, and the run ends at the last step below
+    with B > D.  Over an accept run, B(s) > D(s), D(t) = (1 - nu_{t+1})
+    D(t+1) + nu_{t+1} B(t+1), and 1 - nu_s = w(s-1)/w(s) with w(t) = t (c =
+    1) or t(t - 1) (c = 2), so from the run's top u
 
         D(t)/w(t) = D(u)/w(u) + sum_{s = t+1..u} nu_s B(s)/w(s-1),
 
-    a suffix sum of positive terms (`SuffixMoments._suffix`) written
-    straight into D's slice.  The run ends at the last step below u with B
-    <= D.  Both kinds of run are solved on windows that double down from
-    the run's top, so each costs O(its length + _RUN_WINDOW) and the pass
-    O(T); an accept window builds its own float steps and weights, two
-    arrays of its length.  The steps s <= c, where w(s - 1) = 0 and nu_1 is
-    the variant's first-step chance, are scalar.
-    D is within 2e-15 relative of the exact recursion on its float inputs,
-    and within 1.4e-14 where a run sums hundreds of equal terms (postdoc
-    between support points: the drift of `_suffix`'s block cumsums); the
-    products of q_t = S(t+1)/S(t) in the recursion for C drifted by up to
-    1.7e-11 at 10^6 steps.
+    a suffix sum of positive terms (`SuffixMoments._suffix`) on windows
+    that double down from the run's top, so the pass is O(T); the run ends
+    at the last step below with B <= D.  The chunks cut a window into
+    pieces, summed in place into D and searched from the top, and its
+    `_suffix` carry crosses the chunk edges with D and the open run.  The
+    steps s <= c, where w(s - 1) = 0 and nu_1 is the variant's first-step
+    chance, are scalar.  D is within 2e-15 relative of the exact recursion
+    on its float inputs, and within 1.4e-14 where a run sums hundreds of
+    equal terms (postdoc between support points: the drift of `_suffix`'s
+    block cumsums).
     """
-    T = len(B) - 1
-    D = np.empty(T + 1)
-    D[T] = 0.0
-    p = T  # D(p) is solved; steps s > p are done
-    while p > c:
-        d, width = D[p], _RUN_WINDOW
-        if B[p] > d:
-            u = p
-            while True:
-                lo = max(u - width, c)
-                s = np.arange(lo - 1, u + 1, dtype=float)  # the steps lo - 1..u
-                g = np.divide(c, s[2:])  # nu_s B(s)/w(s-1), s = lo+1..u
-                g *= B[lo + 1 : u + 1]
-                g /= s[1:-1]
-                if c == 2:
-                    g /= s[:-2]
-                top = D[u]
-                g[-1] += top / (u * (u - 1) if c == 2 else u)
-                run = D[lo:u]
-                SuffixMoments._suffix(g, out=D[lo : u + 1])
-                D[u] = top
-                run *= s[1:-1]
-                if c == 2:
-                    run *= s[:-2]
-                # the first reject step below u, down to c + 1 (the slices
-                # run downward, so argmax finds the highest)
+    D = win = None  # the open accept window: [top step, bottom step, width, D at its top, carry]
+    for base, X, B, *S in chunks:
+        lo = max(base, 0)
+        if D is None:  # from a reject step T + 1, D(T + 1) = B(T + 1) = 0
+            D, p, d = np.empty(len(B)), base + len(B) - 1, 0.0
+        D[p - base] = d
+        while p > lo:
+            if p <= c or (win is None and p == c + 1):
+                b = B[p - base]
+                if b > d:
+                    d += (nu1 if p == 1 else c / p) * (b - d)
+                p -= 1
+                D[p - base] = d
+            elif win is None:
                 a = max(lo, c + 1)
-                j = _first(B[u - 1 : a - 1 : -1] <= D[u - 1 : a - 1 : -1])
+                j = _last(B[a - base : p - base] > d)
+                t = a if j is None else a + j
+                D[t - base : p - base] = d
                 if j is not None:
-                    p = u - 1 - j
-                    break
-                if lo == c:
-                    p = c
-                    break
-                u, width = lo, 2 * width
-        else:
-            hi = p
-            while True:
-                lo = max(hi - width, c + 1)
-                j = _first(B[hi - 1 : lo - 1 : -1] > d)
-                if j is not None:
-                    s = hi - 1 - j
-                    D[s:p] = d
-                    p = s
-                    break
-                if lo == c + 1:
-                    D[c:p] = d
-                    p = c
-                    break
-                hi, width = lo, 2 * width
-    d = D[p]
-    for s in range(p, 0, -1):
-        b = B[s]
-        if b > d:
-            d += (nu1 if s == 1 else c / s) * (b - d)
-        D[s - 1] = d
-    return D
+                    win = [t, max(t - _RUN_WINDOW, c), _RUN_WINDOW, d, [0.0, 0.0, 0.0, 0]]
+                p = t
+            else:
+                u, bottom, width, top, carry = win
+                t = max(bottom, lo)  # g_s = nu_s B(s)/w(s-1), s = t+1..p, at s - 1
+                i, e = t - base, p - base
+                g = np.divide(c, X[i + 2 : e + 2], out=D[i:e])
+                g *= B[i + 1 : e + 1]
+                g /= X[i + 1 : e + 1]
+                if c == 2:
+                    g /= X[i:e]
+                if p == u:
+                    g[-1] += top / (u * (u - 1) if c == 2 else u)
+                SuffixMoments._suffix(g, out=D[i : e + 1], carry=carry)
+                D[e] = d
+                g *= X[i + 1 : e + 1]
+                if c == 2:
+                    g *= X[i:e]
+                # the first reject step below p, down to c + 1
+                a = max(t, c + 1)
+                j = _last(B[a - base : e] <= D[a - base : e])
+                p = t if j is None else a + j
+                if j is not None or t == bottom == c:
+                    win = None
+                elif t == bottom:  # the next window, from this one's bottom
+                    win = [t, max(t - 2 * width, c), 2 * width, D[i], [0.0, 0.0, 0.0, 0]]
+                d = D[p - base]
+        yield base, B, D, *S
 
 
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
@@ -181,42 +204,35 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
     c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
-
-    # B, _CHUNK steps at a time so that no float array of the steps is
-    # built; the U table first, so that B is not held while it is summed
-    mom.accept_mass(variant, np.zeros(1))
-    B = np.empty(T + 1)
-    for i in range(0, T + 1, _CHUNK):
-        B[i : i + _CHUNK] = mom.accept_mass(variant, np.arange(i, min(i + _CHUNK, T + 1), dtype=float))
-    if variant is Variant.BEST_OR_WORST and T >= 1:
-        # k = 1: the object is both best and worst, value 1; else 2/k
-        i = mom.at(1)
-        B[1] = 2.0 * mom.U1[i] - (mom.ps[i] if mom.ks[i] == 1 else 0.0)
-
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
-    # past it B = D = 0, and so A = C = 0 and no step accepts.  S at the
-    # live steps is, on contiguous points, S(0) below the first point h and
-    # a view of the S table from h on; with gaps, a gather (h = 0)
-    last = len(mom.ps) - 1 - int(np.argmax(mom.ps[::-1] > 0.0))
+    # past it B = D = 0, and so A = C = 0 and no step accepts
+    last = len(mom.ps) - 1
+    last -= 0 if mom.ps[last] > 0.0 else int(np.argmax(mom.ps[::-1] > 0.0))
     L = int(mom.ks[last]) + 1
-    mom = SuffixMoments(mom.ks, mom.ps)  # the U table goes before S is built
-    if mom._k0 is None:
-        h, S = 0, mom.read(mom.S, 0, np.empty(L))
-    else:
-        h, S = mom._k0, mom.S[: L - mom._k0]
-    del mom  # and the support after
-    D = _continue_mass(B, c, nu1)
-    for X in (B, D):
-        X[:h] /= S[0]
-        X[h:L] /= S
-    A, C = B, D
-    del S  # before the accept test forms its floor
 
-    # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside the
-    # float bound is a tie, and ties resolve to accept (odd-n Known models
-    # tie A and C exactly at step (n+1)/2)
-    accept = np.zeros(T + 1, dtype=bool)
-    np.greater_equal(A[1:L], C[1:L] * (1.0 - _ACCEPT_REL), out=accept[1:L])
+    # the steps t where the accept test flips between t and t + 1, from the
+    # top; above L and at step 0 no step accepts, so they pair up into runs
+    flips, above = [], False
+    for base, B, D, a, S in _continue_mass(_steps(mom, variant, min(_CHUNK, T + 1)), c, nu1):
+        lo, hi = max(base, 1), min(base + len(B) - 2, L - 1)
+        if lo > hi:
+            continue
+        # accept where A(t) >= C(t) - _ACCEPT_REL C(t): a difference inside
+        # the float bound is a tie, and ties resolve to accept (odd-n Known
+        # models tie A and C exactly at step (n+1)/2)
+        A, C = B[lo - base : hi - base + 1], D[lo - base : hi - base + 1]
+        h = min(max(a - lo, 0), hi + 1 - lo)  # the steps below a, where S(t) = S[0]
+        for Y in (A, C):
+            if h:
+                Y[:h] /= S[0]
+            Y[h:] /= S[lo + h - a : hi + 1 - a]
+        C *= 1.0 - _ACCEPT_REL
+        acc = A >= C
+        flips += [hi] * (bool(acc[-1]) != above) + (np.flatnonzero(acc[:-1] != acc[1:])[::-1] + lo).tolist()
+        above = bool(acc[0])
+    value = float(D[-base] / S[0])  # the last chunk holds step 0, which no test divides
+    flips = [0] * above + flips[::-1]
+    runs = [(f + 1, t) for f, t in zip(flips[::2], flips[1::2])]
 
     # Classify the policy by its reachable decisions only: the live steps
     # from the first whose nice-probability is positive (step 1, or 2 for
@@ -228,41 +244,22 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     lo = 1 if nu1 > 0.0 else 2
     hi = L
     for s in range(lo, min(L, c + 1)):
-        if accept[s] and nice_probability(variant, s) >= 1.0:
+        if runs and runs[0][0] <= s <= runs[0][1] and nice_probability(variant, s) >= 1.0:
             hi = s + 1
             break
-    pattern = accept[lo:hi]
-    j = _first(pattern[:-1] > pattern[1:])  # the first accept -> reject
-
-    witness = None
+    # the runs over the reachable steps lo..hi - 1: the first accept ->
+    # reject there is a witness, and without one the first accept step is
+    # one past the threshold
+    reach = [(max(f, lo), l) for f, l in runs if f < hi and l >= lo]
+    witness = next(((l, l + 1) for _, l in reach if l < hi - 1), None)
     threshold = None
-    if j is not None:
-        witness = (lo + j, lo + j + 1)
-    else:
-        first = _first(pattern)
-        if first is not None:
-            r = lo + first - 1
-        else:
-            r = hi - 1 if hi > lo else T
+    if witness is None:
+        r = reach[0][0] - 1 if reach else (hi - 1 if hi > lo else T)
         # canonical form: dropping leading never-nice steps changes nothing
         while r >= 1 and nice_probability(variant, r) == 0.0:
             r -= 1
         threshold = r
-
-    for array in (accept, A, C):
-        array.flags.writeable = False
-    return DPPolicy(
-        variant=variant,
-        model=model,
-        horizon=T,
-        accept_at=accept,
-        value_accept=A,
-        value_reject=C,
-        value=float(C[0]),
-        is_threshold=witness is None,
-        threshold=threshold,
-        witness=witness,
-    )
+    return DPPolicy(variant, model, T, tuple(runs), value, witness is None, threshold, witness)
 
 
 _ORACLE_MAX_K = 9

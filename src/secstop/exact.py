@@ -122,41 +122,68 @@ class SuffixMoments:
         return _shifted_read(table, t0 - self._k0, out)
 
     @staticmethod
-    def _suffix(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _suffix(w: np.ndarray, out: np.ndarray | None = None, carry: list | None = None) -> np.ndarray:
         """[sum w[i:] for i = 0..len(w)], the last 0, into out (len(w) + 1
-        points) when given: a sequential cumsum from the top in blocks of
-        _BLOCK, in place in the reversed output, each block then lifted by
-        the Kahan sum of the totals above it.  On 10^6 flat points S is
-        within 1.2e-14 of exact, where one sequential cumsum drifts by
-        1.3e-11.  Shorter than one block, it is that block's cumsum alone."""
+        points; w may be its head) when given: a sequential cumsum from the
+        top in blocks of _BLOCK, in place in the reversed output, each block
+        then lifted by the Kahan sum of the totals above it.  On 10^6 flat
+        points S is within 1.2e-14 of exact, where one sequential cumsum
+        drifts by 1.3e-11.  Summed from the top in pieces, w runs on from
+        carry = [s, c, x, k], the Kahan state (s, c) above it and the raw sum
+        x of the k points of an open block, and leaves it for the next."""
         n = len(w)
         if out is None:
             out = np.empty(n + 1)
         out[-1] = 0.0
         rev, w = out[-2::-1], w[::-1]
-        if n < _BLOCK:
+        if n < _BLOCK and carry is None:
             np.cumsum(w, out=rev)
             return out
-        full = n - n % _BLOCK
-        blocks = rev[:full].reshape(-1, _BLOCK)
-        np.cumsum(w[:full].reshape(-1, _BLOCK), axis=1, out=blocks)
-        offsets = np.empty(len(blocks))
-        s = c = 0.0
-        for j, x in enumerate(blocks[:, -1].tolist()):
-            offsets[j] = s - c
-            y = x - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        blocks += offsets[:, None]
-        np.cumsum(w[full:], out=rev[full:])
-        rev[full:] += s - c
+        s, c, x, k = carry or (0.0, 0.0, 0.0, 0)
+        h = min(n, -k % _BLOCK)  # the points that go on with the open block
+        if h:
+            rev[:h] = w[:h]
+            rev[0] += x
+            np.cumsum(rev[:h], out=rev[:h])
+            x, k = float(rev[h - 1]), k + h
+            rev[:h] += s - c
+        full = n - (n - h) % _BLOCK
+        if full > h or k == _BLOCK:  # whole blocks, or an open one just closed
+            blocks = rev[h:full].reshape(-1, _BLOCK)
+            np.add.accumulate(w[h:full].reshape(-1, _BLOCK), axis=1, out=blocks)
+            offsets = []
+            for t in ([x] if k == _BLOCK else []) + blocks[:, -1].tolist():
+                offsets.append(s - c)
+                y = t - c
+                t = s + y
+                c = (t - s) - y
+                s = t
+            if k == _BLOCK:
+                x, k = 0.0, 0
+            # on the forward view numpy buffers one temporary, on the reversed one three
+            out[n - full : n - h].reshape(-1, _BLOCK)[:] += np.array(offsets[::-1][: len(blocks)])[:, None]
+        if full < n:
+            np.cumsum(w[full:], out=rev[full:])
+            x, k = float(rev[-1]), n - full
+            rev[full:] += s - c
+        if carry is not None:
+            carry[:] = s, c, x, k
         return out
 
-    def _weights(self, k_min: int) -> tuple[np.ndarray, slice]:
-        """(w, s): zeros over the support and the slice of its points k >=
-        k_min, where each table writes its p(k)/d(k)."""
-        return np.zeros(len(self.ks)), slice(int(self.at(k_min)), None)
+    @staticmethod
+    def _weights(order: int, ks: np.ndarray, ps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The terms of the U table of that order at the sorted points ks,
+        into out: p(k)/k (order 1) or p(k)/(k(k - 1)) (2), 0 where k < order."""
+        z = int(np.searchsorted(ks, order))
+        out[:z] = 0.0
+        k, d = ks[z:], out[z:]
+        if order == 2:
+            np.subtract(k, 1.0, out=d)
+            np.multiply(k, d, out=d)
+            np.divide(ps[z:], d, out=d)
+        else:
+            np.divide(ps[z:], k, out=d)
+        return out
 
     @cached_property
     def S(self) -> np.ndarray:
@@ -164,18 +191,11 @@ class SuffixMoments:
 
     @cached_property
     def U1(self) -> np.ndarray:
-        w, s = self._weights(1)
-        np.divide(self.ps[s], self.ks[s], out=w[s])
-        return self._suffix(w)
+        return self._suffix(self._weights(1, self.ks, self.ps, np.empty(len(self.ks))))
 
     @cached_property
     def U2(self) -> np.ndarray:
-        w, s = self._weights(2)
-        k, d = self.ks[s], w[s]
-        np.subtract(k, 1.0, out=d)
-        np.multiply(k, d, out=d)
-        np.divide(self.ps[s], d, out=d)
-        return self._suffix(w)
+        return self._suffix(self._weights(2, self.ks, self.ps, np.empty(len(self.ks))))
 
     def accept_mass(self, variant: Variant, t: np.ndarray) -> np.ndarray:
         """B(t) = S(t) A(t) at the consecutive steps t, A(t) the success of

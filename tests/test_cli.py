@@ -159,6 +159,25 @@ def test_cutoff_uniform_past_any_support_array():
     assert rec["M"] == "203187870"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dp", "--variant", "bw", "--model", "uniform:n=1000000000"],
+     ["cutoff", "--variant", "classic", "--model", "uniform:n=1000000000"]],
+    ids=["dp", "cutoff-classic"],
+)
+def test_uniform_support_past_the_cap_is_refused_before_any_array(argv):
+    # the induction and the classic scan read the support, which at n = 10^9
+    # asked for 7.45 GiB and exited 3 out of memory under the limit; the
+    # cap of 2*10^8 points refuses it first, naming the size
+    start = time.perf_counter()
+    done = run_limited(argv)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == (
+        "numeric failure: the support of Uniform(n=1000000000) holds 1000000000 points, past the cap of 200000000\n"
+    )
+
+
 @pytest.mark.parametrize("variant", ["bw", "pd"])
 def test_cutoff_poisson_at_a_billion_within_the_mass_window(variant):
     # the curve over the window of 1.6 million points and a few cutoffs of

@@ -340,6 +340,24 @@ def test_poisson_window_cap_is_checked_before_any_table(monkeypatch):
         poisson_k_max(2.0)
 
 
+def test_uniform_support_cap_is_checked_before_any_array(monkeypatch):
+    # n = 2*10^8 is the last size built; one more is refused, naming it,
+    # and neither of the support's two arrays is asked for
+    def no_array(*_, **__):
+        raise AssertionError("an array was built")
+
+    monkeypatch.setattr(np, "arange", no_array)
+    monkeypatch.setattr(np, "full", no_array)
+    cap = core_model._MAX_POINTS
+    assert cap == 2 * 10**8
+    for n in (cap + 1, 10**9, 10**18):
+        message = rf"^the support of Uniform\(n={n}\) holds {n} points, past the cap of {cap}$"
+        with pytest.raises(RuntimeError, match=message):
+            support(Uniform(n))
+    with pytest.raises(AssertionError, match="an array was built"):
+        support(Uniform(cap))
+
+
 def test_truncate_to_explicit_preserves_mass():
     m = truncate_to_explicit(Poisson(6.0))
     total = sum(p for _, p in m.items)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
-from secstop.dp import DPPolicy, backward_induction, exhaustive_oracle
+from secstop.cli import parse_model
+from secstop.dp import backward_induction, exhaustive_oracle
 from secstop.exact import best_cutoff, step_reject_prob, success_curve
 
-from oracles import accept_success_known, pbw_known
+from oracles import WholeArrayPolicy, accept_success_known, checked_induction, mask_runs, pbw_known
 
 
 # ---------------------------------------------------------------- known n
@@ -114,13 +116,15 @@ def _loop_induction(variant, model):
         while r >= 1 and nice_probability(variant, r) == 0.0:
             r -= 1
         threshold = r
-    return DPPolicy(variant, model, T, tuple(accept), tuple(A.tolist()), tuple(C.tolist()),
-                    float(C[0]), witness is None, threshold, witness)
+    return WholeArrayPolicy(variant, model, T, tuple(accept), tuple(A.tolist()), tuple(C.tolist()),
+                            float(C[0]), witness is None, threshold, witness)
 
 
 def _assert_same_policy(got, want):
-    """The accept pattern, threshold and witness equal the loop's; the values
-    lie within the loop's own drift, (T + 1) eps relative, the first-order
+    """The whole-array induction's accept pattern, threshold and witness
+    equal the loop's (and `checked_induction` holds the streamed library
+    induction to it bit for bit); the values lie within the loop's own
+    drift, (T + 1) eps relative, the first-order
     bound of its sequential suffix sums over T + 1 points (measured: at most
     0.006 of that on these models).  The induction itself is within 1e-13
     of exact fractions (tests/test_exact_references.py)."""
@@ -139,9 +143,9 @@ def _assert_same_policy(got, want):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_induction_matches_loop_reference_known_and_uniform(variant):
     for n in range(1, 61):
-        _assert_same_policy(backward_induction(variant, Known(n)), _loop_induction(variant, Known(n)))
+        _assert_same_policy(checked_induction(variant, Known(n)), _loop_induction(variant, Known(n)))
     for n in range(1, 301):
-        _assert_same_policy(backward_induction(variant, Uniform(n)), _loop_induction(variant, Uniform(n)))
+        _assert_same_policy(checked_induction(variant, Uniform(n)), _loop_induction(variant, Uniform(n)))
 
 
 # with Known and Uniform(1..3) above, the tables on which every step is one
@@ -169,7 +173,7 @@ _MODELS += [truncate_to_explicit(Poisson(lam)) for lam in (10.0, 20.0)] + [Expli
 @pytest.mark.parametrize("variant", list(Variant))
 @pytest.mark.parametrize("model", _EXPLICIT_MODELS)
 def test_induction_matches_loop_reference_explicit(variant, model):
-    _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
+    _assert_same_policy(checked_induction(variant, model), _loop_induction(variant, model))
 
 
 def _normalized(weights: dict) -> Explicit:
@@ -197,7 +201,7 @@ _ISLANDS = st.builds(
 def test_induction_matches_loop_reference_on_random_tables(weights):
     model = _normalized(weights)
     for variant in Variant:
-        _assert_same_policy(backward_induction(variant, model), _loop_induction(variant, model))
+        _assert_same_policy(checked_induction(variant, model), _loop_induction(variant, model))
 
 
 def _runs(accept: np.ndarray) -> int:
@@ -210,10 +214,43 @@ def test_induction_matches_loop_reference_over_twenty_runs():
     # accept set switches at every spike, 22 runs over 10240 steps
     model = _normalized({5 * 2**i: 0.5**i for i in range(12)})
     for variant in Variant:
-        pol = backward_induction(variant, model)
+        pol = checked_induction(variant, model)
         _assert_same_policy(pol, _loop_induction(variant, model))
         if variant is not Variant.CLASSIC:
             assert _runs(pol.accept_at) >= 20
+
+
+def _random_gapped_tables(count: int, seed: int) -> list:
+    """Tables of 1 to 8 points with gaps, drawn once: points up to 10, 400,
+    5000 or 20000 (so up to five chunks of steps) and integer weights."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        ks = sorted(rng.sample(range(rng.choice([10, 400, 5000, 20000])), rng.randint(1, 8)))
+        tables.append(_normalized({k: rng.randint(1, 50) for k in ks}))
+    return tables
+
+
+_ISLANDS = parse_model(f"table:{Path(__file__).resolve().parent / 'data' / 'islands.csv'}")
+_SPIKES = _normalized({5 * 2**i: 0.5**i for i in range(12)})
+
+
+# a last chunk of steps that ends at step 1, where the first step's mass
+# moves the two-sided value, and postdoc with no reachable live step
+_EDGES = [Explicit(((1, 0.5), (2, 0.3), (4097, 0.2))), Explicit(((0, 0.5), (1, 0.5), (5, 0.0)))]
+
+
+@pytest.mark.parametrize("model", [_ISLANDS, _SPIKES, *_EDGES, *_random_gapped_tables(80, 31)], ids=str)
+def test_accept_runs_are_the_runs_of_the_whole_array_mask(model):
+    # the streamed induction keeps only the runs of accepting steps; they are
+    # the runs of the whole-array induction's mask, which checked_induction
+    # also holds it to bit for bit, here with the islands' eight runs of
+    # accept and reject steps and the spikes' 22 for the two-sided rules
+    for variant in Variant:
+        want = mask_runs(checked_induction(variant, model).accept_at)
+        assert backward_induction(variant, model).accept_runs == want
+        if model is _SPIKES and variant is not Variant.CLASSIC:
+            assert len(want) >= 10
 
 
 # ------------------------------------------------- coherence with the curve
@@ -271,7 +308,7 @@ def test_classic_two_point_mass_is_not_threshold():
     # almost surely 100 objects, tiny chance of 1000: accepting the best-so-
     # far near step 100 is good, but just past it the rare long horizon makes
     # waiting better, so the accept region is not an up-set.
-    pol = backward_induction(Variant.CLASSIC, Explicit(((100, 0.99), (1000, 0.01))))
+    pol = checked_induction(Variant.CLASSIC, Explicit(((100, 0.99), (1000, 0.01))))
     assert not pol.is_threshold
     assert pol.witness == (100, 101)
     assert pol.accept_at[100]
@@ -293,7 +330,7 @@ def test_uniform_is_threshold(variant, n):
 def test_commit_to_reject_is_dominated(variant, model):
     # step_reject_prob is the value of rejecting *everything* after r; the
     # adaptive continue-value can only be better.
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     for r in range(1, pol.horizon):
         assert step_reject_prob(variant, model, r) <= pol.value_reject[r] + 1e-12
 
@@ -318,7 +355,7 @@ def _printed_recursion_gap(variant, model):
     for t in range(top - 1, -1, -1):
         w = 1.0 / (t + 1)
         C[t] = S[t + 1] / S[t] * (w * max(A[t + 1], C[t + 1]) + (1.0 - w) * C[t + 1])
-    return max(abs(c - v) for c, v in zip(C, backward_induction(variant, model).value_reject.tolist()))
+    return max(abs(c - v) for c, v in zip(C, checked_induction(variant, model).value_reject.tolist()))
 
 
 @pytest.mark.parametrize("variant", [Variant.CLASSIC, Variant.POSTDOC])
@@ -399,9 +436,12 @@ def test_dp_on_zero_support_mass():
     ids=str,
 )
 def test_policy_arrays_are_read_only_values_not_views(variant, model):
-    # A and C are divided in place and the mask written through a slice, yet
-    # each array the policy holds is its own read-only memory
-    pol = backward_induction(variant, model)
+    # the whole-array induction divides A and C in place and writes the mask
+    # through a slice, yet each array it holds is its own read-only memory;
+    # the library's policy holds the runs of that mask, an immutable tuple
+    pol = checked_induction(variant, model)
+    runs = backward_induction(variant, model).accept_runs
+    assert isinstance(runs, tuple) and all(type(f) is int and type(t) is int for f, t in runs)
     arrays = (pol.accept_at, pol.value_accept, pol.value_reject)
     for a in arrays:
         assert not a.flags.writeable and a.flags.owndata

@@ -54,7 +54,7 @@ from secstop.exact import (
 )
 from secstop.specfun import harmonic, poisson_k_max
 
-from oracles import accept_success_known, harmonic_table, poisson_fstar_and_f
+from oracles import accept_success_known, checked_induction, harmonic_table, poisson_fstar_and_f
 
 V = Variant
 
@@ -496,7 +496,7 @@ def test_step_accept_is_the_induction_accept_value(variant, model):
     # on finite supports P_A(r) is the DP's A(r), a ratio of suffix sums,
     # except the best-or-worst step 1, where the DP counts the sole object
     # as both best and worst; the two add in different orders
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     for r in range(1, pol.horizon + 1):
         if r == 1 and variant is V.BEST_OR_WORST:
             continue

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from secstop.core_model import Explicit, Known, Poisson, Uniform, Variant, support
-from secstop.dp import backward_induction
 from secstop.exact import positive_cutoff, step_accept_prob, step_reject_prob, success_curve
 from secstop.specfun import poisson_pmf_array, poisson_tail
 
+from oracles import checked_induction
 from test_dp import _MODELS as _DP_MODELS
 from test_exact import _MIXED_MODELS, _POISSON_1000_WINDOW
 
@@ -312,7 +312,7 @@ def test_uniform_classic_reject_against_references(model):
 @pytest.mark.parametrize("variant", list(V))
 @pytest.mark.parametrize("model", _SMALL + _MIXED_MODELS + _POISSON_1000, ids=_model_id)
 def test_induction_values_against_exact_fractions(variant, model):
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     A, C = _frac_induction(variant, model)
     steps = _cutoffs(model) if isinstance(model, (Known, Uniform)) else range(pol.horizon + 1)
     for t in steps:
@@ -326,7 +326,7 @@ def test_induction_values_against_mpmath(variant, model):
     # threshold models: C(t) = F(max(t, M))/S(t), with M the best positive
     # cutoff: certified by the sign of ΔF where that has a closed form, else
     # the 50-digit curve's local maximum next to the induction's threshold
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     ref = _Closed(model, exact=False)
     with mpmath.workdps(50):
         if variant is V.CLASSIC and isinstance(model, Uniform):
@@ -349,7 +349,7 @@ def _suffix_max_gap(variant, model) -> float:
     """The largest relative gap between C(t) and max_{r>=t} F(r)/S(t) over
     the steps t >= 1 with S(t) > 0, both from the float code, S(t) from
     fsum; 0 for a policy that is not a threshold rule."""
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     if not pol.is_threshold:
         return 0.0
     T = pol.horizon
@@ -373,7 +373,7 @@ def test_continue_value_is_the_curve_suffix_maximum(variant):
 def test_continue_value_is_the_curve_suffix_maximum_at_uniform_1e5(variant):
     # on classic Uniform(10^5) the cancelling curve was 2.1e-10 off at n - 1
     model = Uniform(10**5)
-    pol = backward_induction(variant, model)
+    pol = checked_induction(variant, model)
     F = success_curve(variant, model).values
     n = model.n
     best = np.maximum.accumulate(F[1:n][::-1])[::-1]

@@ -79,21 +79,27 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
 @pytest.mark.parametrize(
     "variant, model, budget",
     [
-        # ks, ps and B while the S table is summed (the U table before it,
-        # with its weights in B's place), and a quarter array of `_suffix`'s
-        # block scratch: about 4.2 units for every rule.  The recursion then
-        # holds B, S, D and an accept window's steps and weights
-        *[(v, Uniform(N), 4.25) for v in Variant],
-        # a one-point support: A, C, the accept test's C(t) (1 - _ACCEPT_REL)
-        # and the accept mask, about 3.05 units
-        (Variant.BEST_OR_WORST, Known(N), 3.1),
-        # B and the gather of S at the steps (its steps and slots), then B, S,
-        # D and an accept window's steps and weights: about 3.9 units
-        (Variant.BEST_OR_WORST, explicit_from_dict({5: 0.9, N: 0.1}), 3.95),
+        # the support, ks and ps (2 units), and one set of chunk buffers: the
+        # float steps, B, D and S, 4097 points each, and the accept mask;
+        # about 2.14 units for every rule.  The whole-array induction held
+        # 4.17: the tables, B, S, D and an accept window
+        *[(v, Uniform(N), 2.2) for v in Variant],
+        # a one-point support: the steps, B and D; S is one value at every
+        # step, the one point's; about 0.09 units
+        (Variant.BEST_OR_WORST, Known(N), 0.1),
+        # the chunk buffers and a gather's steps and slots in the tables over
+        # the two points: about 0.17 units
+        (Variant.BEST_OR_WORST, explicit_from_dict({5: 0.9, N: 0.1}), 0.2),
     ],
 )
 def test_backward_induction_budget(variant, model, budget):
     assert _peak_units(lambda: backward_induction(variant, model)) <= budget
+
+
+def test_backward_induction_over_a_million_steps_holds_the_support_and_chunks():
+    # bw on Uniform(10^6): the support, 2 arrays of the horizon, and the
+    # chunk buffers, 0.01 of one here; the whole-array induction held 4.2
+    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(10 * N)), 10 * N) <= 2.2
 
 
 @pytest.mark.parametrize(
