@@ -138,18 +138,19 @@ def _continue_mass(chunks, c: int, nu1: float):
 
         D(t)/w(t) = D(u)/w(u) + sum_{s = t+1..u} nu_s B(s)/w(s-1),
 
-    a suffix sum of positive terms (`SuffixMoments._suffix`) on windows
-    that double down from the run's top, so the pass is O(T); the run ends
-    at the last step below with B <= D.  The chunks cut a window into
-    pieces, summed in place into D and searched from the top, and its
-    `_suffix` carry crosses the chunk edges with D and the open run.  The
-    steps s <= c, where w(s - 1) = 0 and nu_1 is the variant's first-step
-    chance, are scalar.  D is within 2e-15 relative of the exact recursion
-    on its float inputs, and within 1.4e-14 where a run sums hundreds of
-    equal terms (postdoc between support points: the drift of `_suffix`'s
-    block cumsums).
+    a suffix sum of positive terms (`SuffixMoments._suffix`); the run ends
+    at the last step below with B <= D.  Both kinds of run are solved on
+    windows that double down from the run's top, so each costs O(its length
+    + _RUN_WINDOW) and the pass O(T).  The chunks cut a window into pieces,
+    summed in place into D and searched from the top, and the open window
+    (with an accept window's `_suffix` carry) crosses the chunk edges with
+    D.  The steps s <= c, where w(s - 1) = 0 and nu_1 is the variant's
+    first-step chance, are scalar.  D is within 2e-15 relative of the exact
+    recursion on its float inputs, and within 1.4e-14 where a run sums
+    hundreds of equal terms (postdoc between support points: the drift of
+    `_suffix`'s block cumsums).
     """
-    D = win = None  # the open accept window: [top step, bottom step, width, D at its top, carry]
+    D = win = rej = None  # the open accept window: [top step, bottom step, width, D at its top, carry]
     for base, X, B, *S in chunks:
         lo = max(base, 0)
         if D is None:  # from a reject step T + 1, D(T + 1) = B(T + 1) = 0
@@ -162,13 +163,16 @@ def _continue_mass(chunks, c: int, nu1: float):
                     d += (nu1 if p == 1 else c / p) * (b - d)
                 p -= 1
                 D[p - base] = d
-            elif win is None:
-                a = max(lo, c + 1)
-                j = _last(B[a - base : p - base] > d)
-                t = a if j is None else a + j
-                D[t - base : p - base] = d
+            elif win is None:  # the open reject window: [bottom step, width]
+                rej = rej or [p - _RUN_WINDOW, _RUN_WINDOW]
+                t = max(rej[0], lo, c + 1)
+                j = _last(B[t - base : p - base] > d)
                 if j is not None:
-                    win = [t, max(t - _RUN_WINDOW, c), _RUN_WINDOW, d, [0.0, 0.0, 0.0, 0]]
+                    t += j
+                    win, rej = [t, max(t - _RUN_WINDOW, c), _RUN_WINDOW, d, [0.0, 0.0, 0.0, 0]], None
+                elif t == rej[0]:  # the next window, from this one's bottom
+                    rej = [t - 2 * rej[1], 2 * rej[1]]
+                D[t - base : p - base] = d
                 p = t
             else:
                 u, bottom, width, top, carry = win

@@ -16,7 +16,8 @@ diff REV` changed in the module (`--lines` those on the lines named), and
 module parsed and written back by `ast.unparse`; a control run of that
 source unmutated must pass first.
 Each mutant then runs the test files with `pytest -x`, and it is killed
-when they fail (or time out) and survives when they pass.  The survivors
+when they fail, or run past three times the control run's time, and
+survives when they pass.  The survivors
 are printed as JSON, and with `--record FILE` (tests/data/mutants.json)
 those that the file does not account for are flagged.  The exit code is 1
 when an unrecorded mutant survives.
@@ -41,6 +42,8 @@ _COMPARE_FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
 }
 _OPERATOR_SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
+# seconds the control run may take
+_CONTROL_TIMEOUT = 3600.0
 
 
 def _spots(tree: ast.AST) -> list[tuple[ast.AST, int]]:
@@ -118,7 +121,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--since", help="mutate only the lines that git diff SINCE changed")
     parser.add_argument("--lines", type=int, nargs="+", help="mutate only these lines of the module")
-    parser.add_argument("--timeout", type=float, help="seconds for one run of the tests (three control runs)")
     parser.add_argument("--record", help="a JSON list of known survivors (tests/data/mutants.json)")
     args = parser.parse_args(argv)
 
@@ -137,12 +139,12 @@ def main(argv: list[str] | None = None) -> int:
         shutil.copytree(root, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", "out", ".pytest_cache"))
         target = tree / args.module
         target.write_text(ast.unparse(ast.parse(source)) + "\n")
-        passed, seconds, failed = _run_tests(tree, args.tests, args.timeout or 3600.0)
+        passed, seconds, failed = _run_tests(tree, args.tests, _CONTROL_TIMEOUT)
         print(f"control (unparsed, unmutated): {'passed' if passed else 'FAILED ' + failed} in {seconds:.1f} s",
               flush=True)
         if not passed:
             return 2
-        timeout = args.timeout or 3 * seconds  # a mutant that loops forever is killed
+        timeout = 3 * seconds  # a mutant that loops forever is killed
         survivors, unrecorded = [], 0
         for k, _ in chosen:
             mutated = ast.parse(source)

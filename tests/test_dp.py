@@ -22,7 +22,8 @@ from secstop.core_model import (
     truncate_to_explicit,
 )
 from secstop.cli import parse_model
-from secstop.dp import backward_induction, exhaustive_oracle
+from secstop import dp
+from secstop.dp import _RUN_WINDOW, backward_induction, exhaustive_oracle
 from secstop.exact import best_cutoff, step_reject_prob, success_curve
 
 from oracles import WholeArrayPolicy, accept_success_known, checked_induction, mask_runs, pbw_known
@@ -209,13 +210,15 @@ def _runs(accept: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(accept[2:] != accept[1:-1]))
 
 
+# twelve spikes at 5 * 2^i with masses 2^-i: for the two-sided rules the
+# accept set switches at every spike, 22 runs over 10240 steps
+_SPIKES = _normalized({5 * 2**i: 0.5**i for i in range(12)})
+
+
 def test_induction_matches_loop_reference_over_twenty_runs():
-    # twelve spikes at 5 * 2^i with masses 2^-i: for the two-sided rules the
-    # accept set switches at every spike, 22 runs over 10240 steps
-    model = _normalized({5 * 2**i: 0.5**i for i in range(12)})
     for variant in Variant:
-        pol = checked_induction(variant, model)
-        _assert_same_policy(pol, _loop_induction(variant, model))
+        pol = checked_induction(variant, _SPIKES)
+        _assert_same_policy(pol, _loop_induction(variant, _SPIKES))
         if variant is not Variant.CLASSIC:
             assert _runs(pol.accept_at) >= 20
 
@@ -231,8 +234,7 @@ def _random_gapped_tables(count: int, seed: int) -> list:
     return tables
 
 
-_ISLANDS = parse_model(f"table:{Path(__file__).resolve().parent / 'data' / 'islands.csv'}")
-_SPIKES = _normalized({5 * 2**i: 0.5**i for i in range(12)})
+_ISLANDS_TABLE = parse_model(f"table:{Path(__file__).resolve().parent / 'data' / 'islands.csv'}")
 
 
 # a last chunk of steps that ends at step 1, where the first step's mass
@@ -240,17 +242,31 @@ _SPIKES = _normalized({5 * 2**i: 0.5**i for i in range(12)})
 _EDGES = [Explicit(((1, 0.5), (2, 0.3), (4097, 0.2))), Explicit(((0, 0.5), (1, 0.5), (5, 0.0)))]
 
 
-@pytest.mark.parametrize("model", [_ISLANDS, _SPIKES, *_EDGES, *_random_gapped_tables(80, 31)], ids=str)
+@pytest.mark.parametrize("model", [_ISLANDS_TABLE, _SPIKES, *_EDGES, *_random_gapped_tables(80, 31)], ids=str)
 def test_accept_runs_are_the_runs_of_the_whole_array_mask(model):
-    # the streamed induction keeps only the runs of accepting steps; they are
-    # the runs of the whole-array induction's mask, which checked_induction
-    # also holds it to bit for bit, here with the islands' eight runs of
-    # accept and reject steps and the spikes' 22 for the two-sided rules
+    # the streamed induction keeps only the runs of accepting steps;
+    # checked_induction holds them to the runs of the whole-array
+    # induction's mask, here with the islands' eight runs of accept and
+    # reject steps and the spikes' 22 for the two-sided rules
     for variant in Variant:
-        want = mask_runs(checked_induction(variant, model).accept_at)
-        assert backward_induction(variant, model).accept_runs == want
+        runs = mask_runs(checked_induction(variant, model).accept_at)
         if model is _SPIKES and variant is not Variant.CLASSIC:
-            assert len(want) >= 10
+            assert len(runs) >= 10
+
+
+@pytest.mark.parametrize("model", [_ISLANDS_TABLE, _SPIKES, Explicit(((2, 0.5), (3, 0.5), (20000, 0.0)))], ids=str)
+def test_run_searches_scan_each_step_a_bounded_number_of_times(model, monkeypatch):
+    # both kinds of run are searched on windows that double down from the
+    # run's top, so the searches scan O(T + runs * _RUN_WINDOW) steps, a
+    # chunk's many runs too; past the last mass, where B = D = 0 (a tie),
+    # is one reject run, not one accept window a step
+    scanned = []
+    last = dp._last
+    monkeypatch.setattr(dp, "_last", lambda mask: scanned.append(len(mask)) or last(mask))
+    for variant in Variant:
+        scanned.clear()
+        pol = backward_induction(variant, model)
+        assert sum(scanned) <= 3 * (pol.horizon + 1) + 2 * _RUN_WINDOW * (2 * len(pol.accept_runs) + 1)
 
 
 # ------------------------------------------------- coherence with the curve
@@ -436,16 +452,13 @@ def test_dp_on_zero_support_mass():
     ids=str,
 )
 def test_policy_arrays_are_read_only_values_not_views(variant, model):
-    # the whole-array induction divides A and C in place and writes the mask
-    # through a slice, yet each array it holds is its own read-only memory;
-    # the library's policy holds the runs of that mask, an immutable tuple
-    pol = checked_induction(variant, model)
-    runs = backward_induction(variant, model).accept_runs
-    assert isinstance(runs, tuple) and all(type(f) is int and type(t) is int for f, t in runs)
-    arrays = (pol.accept_at, pol.value_accept, pol.value_reject)
-    for a in arrays:
-        assert not a.flags.writeable and a.flags.owndata
-        assert len(a) == pol.horizon + 1
-    for i, a in enumerate(arrays):
-        for b in arrays[i + 1 :]:
-            assert not np.shares_memory(a, b)
+    # the policy holds no array of the steps, only its accept runs: a tuple
+    # of tuples of plain ints, disjoint and apart, from the lowest, inside
+    # the live steps 1..horizon
+    pol = backward_induction(variant, model)
+    runs = pol.accept_runs
+    assert type(runs) is tuple and all(type(r) is tuple and len(r) == 2 for r in runs)
+    assert all(type(f) is int and type(t) is int for f, t in runs)
+    steps = [s for r in runs for s in r]
+    assert steps == sorted(steps) and all(1 <= s <= pol.horizon for s in steps)
+    assert all(b[0] > a[1] + 1 for a, b in zip(runs, runs[1:]))
