@@ -25,8 +25,21 @@ array of the horizon but the support (and with gaps the tables over it): on
 contiguous points the S and U tables are summed a chunk at a time too.
 Each chunk tests A >= C (1 - _ACCEPT_REL) on its live steps, where S > 0,
 and the policy keeps the runs of accepting steps, from which the threshold,
-or a witness against one, is read.  On a threshold model C(t) is the best
-curve value past t over S(t), max_{r >= t} F(r)/S(t).
+or a witness against one, is read.
+
+On Known(n), and on Uniform(n) for the two-sided rules, the pass is not
+run: the problem is monotone.  P_R(t) = F(t)/S(t), the value of rejecting
+at t and taking the next nice object, gives F(t) - F(t - 1) = nu_t S(t)
+(P_R(t) - A(t)), and ΔF changes sign once, from + to -, at M =
+`exact.positive_cutoff` (`exact._delta_sign`), so {t >= 2 : A(t) >=
+P_R(t)} is the up-set t > M.  In the monotone case the one-stage
+look-ahead rule is optimal (Chow, Robbins and Siegmund 1971), so C(t) =
+F(max(t, M))/S(t) = max_{r >= t} F(r)/S(t) for t >= 1: the steps M + 1..n
+accept, 2..M reject, and step 1 where B(1) >= F(M), B(1) = F(0) for
+classic and bw and 0 = F(n) for postdoc, decided as `exact.best_cutoff`
+decides F(0) against F(M) (`exact._closed_at_least`).  C(0) = max(B(1),
+F(M)) is its P (F(0) = F(1) for postdoc): O(log n), no array, and no
+_ACCEPT_REL.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from .core_model import (
     nice_probability,
     support,
 )
-from .exact import _CHUNK, SuffixMoments
+from .exact import _CHUNK, SuffixMoments, _closed_at_least, _closed_form_search, positive_cutoff
 from .specfun import np
 
 # steps in the first window of a run; each further window is twice as long
@@ -66,7 +79,7 @@ class DPPolicy:
     model: CountModel
     horizon: int
     # the maximal runs of accepting steps, (first, last) pairs from the
-    # lowest; a step accepts where A(t) >= C(t) (1 - _ACCEPT_REL)
+    # lowest; a step accepts where A(t) >= C(t), in the pass within _ACCEPT_REL
     accept_runs: tuple[tuple[int, int], ...]
     value: float  # C(0)
     is_threshold: bool
@@ -205,9 +218,16 @@ def _continue_mass(chunks, c: int, nu1: float):
 def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     if isinstance(model, Poisson):
         raise ValueError("Poisson's tail past its window must be folded in; truncate_to_explicit first")
+    c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
+    if _closed_form_search(variant, model):  # the monotone case, without the pass
+        n, m = model.n, positive_cutoff(variant, model)
+        zero, f0, fm = _closed_at_least(variant, model, 0, m)
+        runs = [(m + 1, n)] * (m < n)
+        if _closed_at_least(variant, model, 0 if nu1 > 0.0 else n, m)[0]:  # B(1) = F(0), or F(n) = 0, >= F(M)
+            runs = [(1, n if m == 1 else 1)] + runs[m == 1 :]
+        return _policy(variant, model, n, n + 1, runs, f0 if zero else fm)
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
-    c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
     # past it B = D = 0, and so A = C = 0 and no step accepts
     last = len(mom.ps) - 1
@@ -236,8 +256,11 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         above = bool(acc[0])
     value = float(D[-base] / S[0])  # the last chunk holds step 0, which no test divides
     flips = [0] * above + flips[::-1]
-    runs = [(f + 1, t) for f, t in zip(flips[::2], flips[1::2])]
+    return _policy(variant, model, T, L, [(f + 1, t) for f, t in zip(flips[::2], flips[1::2])], value)
 
+
+def _policy(variant: Variant, model: CountModel, T: int, L: int, runs: list, value: float) -> DPPolicy:
+    """The policy of the accept runs over the live steps 1..L - 1 of T."""
     # Classify the policy by its reachable decisions only: the live steps
     # from the first whose nice-probability is positive (step 1, or 2 for
     # postdoc).  An accepting step whose nice-probability is exactly 1 (step
@@ -245,9 +268,8 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     # absorbs every surviving trajectory, so decisions past it are vacuous:
     # the realized policy of "accept at 1, dip, accept late" is
     # indistinguishable from the pure cutoff-0 rule.
-    lo = 1 if nu1 > 0.0 else 2
-    hi = L
-    for s in range(lo, min(L, c + 1)):
+    lo, hi = (1 if _NICE_FIRST[variant] > 0.0 else 2), L
+    for s in range(lo, min(L, int(_NICE_NUMERATOR[variant]) + 1)):
         if runs and runs[0][0] <= s <= runs[0][1] and nice_probability(variant, s) >= 1.0:
             hi = s + 1
             break

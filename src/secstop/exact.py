@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .core_model import (
+    _MAX_POINTS,
     _NICE_FIRST,
     _NICE_NUMERATOR,
     CountModel,
@@ -62,8 +63,8 @@ from .specfun import (
 _U = 2.0**-53
 _DF_REL = 1100 * _U
 _DF_GAMMA = (1.0 + _DF_REL) / (1.0 - _DF_REL)
-# the float error of the closed forms best_cutoff compares at r = 0 and M,
-# where they come close (n <= 200, H_n < 6): a `harmonic_gap` within 8 eps
+# the float error of the closed forms `_closed_at_least` compares at r = 0
+# and M, where they come close (n <= 200, H_n < 6): a `harmonic_gap` within 8 eps
 # H_n, cancelled by at most 16 in `_uniform_tail_sums`, and a few roundings
 _CLOSED_REL = 2e-13
 # block length of the compensated suffix sums (SuffixMoments._suffix)
@@ -366,18 +367,20 @@ def _first_value(variant: Variant, mom: SuffixMoments) -> float:
 
 
 def success_curve(variant: Variant, model: CountModel, r_max: int | None = None) -> SuccessCurve:
-    """F(r) for r = 0..r_max (default: the top of the support, past which
-    F(r) is 0.0; r_max never moves a bit): F(0) = sum_k p(k) nu_k, a dot,
-    and F(r) = c r K(r + 1) (`SuffixMoments.cutoff_values`).  A two-sided
-    prefix of a Uniform curve, r_max < n, takes `_uniform_prefix_curve`."""
+    """F(r) for r = 0..r_max, at most _MAX_POINTS (default: the top of the
+    support, past which F(r) is 0.0; r_max never moves a bit): F(0) a dot,
+    F(r) = c r K(r + 1) (`SuffixMoments.cutoff_values`), and a two-sided
+    prefix of a Uniform curve, r_max < n, by `_uniform_prefix_curve`."""
     if r_max is not None and r_max < 0:
         raise ValueError("r_max must be >= 0")
-    if isinstance(model, Uniform) and variant is not Variant.CLASSIC and r_max is not None and r_max < model.n:
+    prefix = isinstance(model, Uniform) and variant is not Variant.CLASSIC and r_max is not None and r_max < model.n
+    mom = None if prefix else SuffixMoments(*support(model))
+    r_max = int(mom.ks[-1]) if r_max is None else r_max
+    if r_max + 1 > _MAX_POINTS:
+        raise RuntimeError(f"the curve F(0..{r_max}) holds {r_max + 1} points, past the cap of {_MAX_POINTS}")
+    if prefix:
         values, terms = _uniform_prefix_curve(variant, model, r_max), model.n
     else:
-        mom = SuffixMoments(*support(model))
-        if r_max is None:
-            r_max = int(mom.ks[-1])
         values, terms = np.empty(r_max + 1), len(mom.ks)
         values[0] = _first_value(variant, mom)
         if r_max >= 1:
@@ -491,6 +494,15 @@ def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
     return c * r * (n * gap(n - 1, r - 1) - n + r) / (n * n)
 
 
+def _closed_at_least(variant: Variant, model: Known | Uniform, r: int, m: int) -> tuple[bool, float, float]:
+    """(F(r) >= F(m), F(r), F(m)) from `_closed_value`, as exact fractions
+    where the floats lie within _CLOSED_REL: an analytic tie goes to r."""
+    fr, fm = _closed_value(variant, model, r), _closed_value(variant, model, m)
+    if abs(fr - fm) <= _CLOSED_REL * max(fr, fm):
+        return _exact_value(variant, model, r) >= _exact_value(variant, model, m), fr, fm
+    return fr > fm, fr, fm
+
+
 def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     """Argmax of the cutoff curve over r from 0 to the top of the support,
     ties to the smallest r.
@@ -513,11 +525,7 @@ def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     """
     if _closed_form_search(variant, model):
         m = positive_cutoff(variant, model)
-        f0, fm = _closed_value(variant, model, 0), _closed_value(variant, model, m)
-        if abs(f0 - fm) <= _CLOSED_REL * max(f0, fm):
-            zero = _exact_value(variant, model, 0) >= _exact_value(variant, model, m)
-        else:
-            zero = f0 > fm
+        zero, f0, fm = _closed_at_least(variant, model, 0, m)
         return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=f0 if zero else fm)
     m, prob = _scan_cutoff(variant, model)
     return CutoffReport(model=model, variant=variant, cutoff=m, prob=prob)

@@ -1,26 +1,30 @@
 """Reference forms that only the tests read: the fixed-n accept value, the
 closed-form optimum of a known count, the split of the Poisson bw curve by
-the smoothing identity F(r) = f*(r) - f(r), a whole-array table of H_m, and
-the backward induction over whole arrays of the horizon, which keeps A(t),
-C(t) and the accept mask that `dp.backward_induction` streams past."""
+the smoothing identity F(r) = f*(r) - f(r), a whole-array table of H_m, F(r)
+on Known and Uniform in 40-digit mpmath, and the backward induction over
+whole arrays of the horizon, which keeps A(t), C(t) and the accept mask
+that `dp.backward_induction` streams past."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from secstop.core_model import (
     _NICE_FIRST,
     _NICE_NUMERATOR,
     CountModel,
+    Known,
     Poisson,
+    Uniform,
     Variant,
     nice_probability,
     support,
 )
 from secstop.dp import _ACCEPT_REL, _RUN_WINDOW, backward_induction
-from secstop.exact import _CHUNK, SuffixMoments, poisson_smoothing_coefficients
+from secstop.exact import _CHUNK, SuffixMoments, _closed_form_search, best_cutoff, poisson_smoothing_coefficients
 from secstop.specfun import _CACHE_TOP, _EXPANSION_FROM, harmonic
 
 
@@ -305,15 +309,42 @@ def mask_runs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple((int(f), int(t) - 1) for f, t in zip(edges[::2], edges[1::2]))
 
 
+def closed_curve_value(variant: Variant, model: Known | Uniform, r: int) -> mpmath.mpf:
+    """F(r) on Known(n), or on Uniform(n) for the two-sided rules, in 40-digit
+    mpmath: nu_n at r = 0 on Known, (c H_n - 1)/n on Uniform, and for r >= 1
+    the forms of `exact._delta_sign`."""
+    n, c = model.n, _NICE_NUMERATOR[variant]
+    with mpmath.workdps(40):
+        H = mpmath.harmonic
+        if isinstance(model, Uniform):
+            return (c * H(n) - 1) / n if r == 0 else c * r * (n * (H(n - 1) - H(r - 1)) - n + r) / mpmath.mpf(n) ** 2
+        if r == 0:
+            return mpmath.mpf(_NICE_FIRST[variant]) if n == 1 else mpmath.mpf(c) / n
+        if r >= n:
+            return mpmath.mpf(0)
+        if variant is Variant.CLASSIC:
+            return mpmath.mpf(r) / n * (H(n - 1) - H(r - 1))
+        return mpmath.mpf(c) * r * (n - r) / (n * (n - 1))
+
+
 def checked_induction(variant: Variant, model: CountModel) -> WholeArrayPolicy:
     """The whole-array induction, once `dp.backward_induction` is found to
-    equal it bit for bit: the horizon, value, threshold, witness and
-    is_threshold, and accept runs that are the runs of its mask."""
+    equal it: the horizon, threshold, witness and is_threshold, accept runs
+    that are the runs of its mask, and the value bit for bit.  On the models
+    that `dp` reads from the monotone case (Known, and Uniform for the
+    two-sided rules) the value is instead `best_cutoff`'s P bit for bit, and
+    within 1e-13 of the 40-digit F(threshold)."""
     want = whole_array_induction(variant, model)
     got = backward_induction(variant, model)
-    for field in ("variant", "model", "horizon", "value", "is_threshold", "threshold", "witness"):
+    for field in ("variant", "model", "horizon", "is_threshold", "threshold", "witness"):
         g, w = getattr(got, field), getattr(want, field)
         assert g == w and type(g) is type(w), field
-    assert got.value.hex() == want.value.hex()
+    assert type(got.value) is float
+    if _closed_form_search(variant, model):
+        assert got.value.hex() == best_cutoff(variant, model).prob.hex()
+        ref = closed_curve_value(variant, model, got.threshold)
+        assert abs(got.value - ref) <= 1e-13 * ref
+    else:
+        assert got.value.hex() == want.value.hex()
     assert got.accept_runs == mask_runs(want.accept_at)
     return want

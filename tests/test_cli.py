@@ -161,12 +161,12 @@ def test_cutoff_uniform_past_any_support_array():
 
 @pytest.mark.parametrize(
     "argv",
-    [["dp", "--variant", "bw", "--model", "uniform:n=1000000000"],
+    [["dp", "--variant", "classic", "--model", "uniform:n=1000000000"],
      ["cutoff", "--variant", "classic", "--model", "uniform:n=1000000000"]],
     ids=["dp", "cutoff-classic"],
 )
 def test_uniform_support_past_the_cap_is_refused_before_any_array(argv):
-    # the induction and the classic scan read the support, which at n = 10^9
+    # classic's induction and scan read the support, which at n = 10^9
     # asked for 7.45 GiB and exited 3 out of memory under the limit; the
     # cap of 2*10^8 points refuses it first, naming the size
     start = time.perf_counter()
@@ -176,6 +176,29 @@ def test_uniform_support_past_the_cap_is_refused_before_any_array(argv):
     assert done.stderr == (
         "numeric failure: the support of Uniform(n=1000000000) holds 1000000000 points, past the cap of 200000000\n"
     )
+
+
+@pytest.mark.parametrize("variant", ["bw", "pd"])
+@pytest.mark.parametrize("model", ["uniform:n=1000000000", "known:n=1000000000000"])
+def test_dp_of_the_monotone_case_past_any_support_array(variant, model):
+    # M from the sign of the first difference and the value from the closed
+    # form: no support, which at n = 10^9 asked for 7.45 GiB
+    start = time.perf_counter()
+    done = run_limited(["dp", "--variant", variant, "--model", model, "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 0, done.stderr
+    (rec,) = json.loads(done.stdout)
+    assert rec["is_threshold"] == "true" and rec["horizon"] == model.split("=")[1]
+
+
+def test_curve_past_the_cap_is_refused_before_its_array():
+    # a default r_max past Poisson(10^9)'s window: a curve of 1.0*10^9
+    # cutoffs, which asked for 7.45 GiB and exited 3 out of memory
+    start = time.perf_counter()
+    done = run_limited(["curve", "--variant", "bw", "--model", "poisson:lambda=1e9"])
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "numeric failure: the curve F(0..1000252985) holds 1000252986 points, past the cap of 200000000\n"
 
 
 @pytest.mark.parametrize("variant", ["bw", "pd"])

@@ -69,10 +69,13 @@ _MORE_COMMANDS = [
     # a negative cutoff and a negative r_max: usage errors from the library
     "simulate --variant bw --model uniform:n=50 --cutoff -1 --trials 10",
     "curve --variant bw --model known:n=5 --rmax -1",
-    # a Uniform support of 10^9 points, past the cap of 2*10^8: refused
-    # before any array
+    # the induction from the monotone case, without the support of 10^9
+    # points; classic reads it, past the cap of 2*10^8: refused before any
+    # array
     "dp --variant bw --model uniform:n=1000000000",
     "cutoff --variant classic --model uniform:n=1000000000",
+    # a curve of 10^9 cutoffs past the Poisson window, past the same cap
+    "curve --variant bw --model poisson:lambda=1e9",
 ]
 
 def _commands() -> list[list[str]]:

@@ -254,6 +254,26 @@ def test_accept_runs_are_the_runs_of_the_whole_array_mask(model):
             assert len(runs) >= 10
 
 
+# gapless tables with the masses of Uniform(10^5) and of Known(n), small (at
+# odd n, A and C tie exactly at step (n + 1)/2) and at and past the edges of
+# the 4,096-step chunks: the models that `dp` reads from the monotone case,
+# here through the streamed induction
+_GAPLESS = {f"known:{n}": (Known(n), Explicit(((n, 1.0),))) for n in [*range(1, 61), 4095, 4096, 4097, 8193, 10**5]}
+_GAPLESS["uniform:100000"] = (Uniform(10**5), Explicit(tuple((k, 1.0 / 10**5) for k in range(1, 10**5 + 1))))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("name", list(_GAPLESS))
+def test_streamed_induction_on_gapless_copies_of_the_monotone_models(variant, name):
+    model, table = _GAPLESS[name]
+    assert np.array_equal(support(table)[1], support(model)[1])
+    streamed, closed = backward_induction(variant, table), backward_induction(variant, model)
+    checked_induction(variant, table)  # bit for bit with the whole-array induction
+    for field in ("horizon", "accept_runs", "is_threshold", "threshold", "witness"):
+        assert getattr(streamed, field) == getattr(closed, field), field
+    assert streamed.value == pytest.approx(closed.value, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("model", [_ISLANDS_TABLE, _SPIKES, Explicit(((2, 0.5), (3, 0.5), (20000, 0.0)))], ids=str)
 def test_run_searches_scan_each_step_a_bounded_number_of_times(model, monkeypatch):
     # both kinds of run are searched on windows that double down from the
@@ -305,12 +325,21 @@ def test_induction_threshold_equals_the_certified_cutoff(n):
         assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff, (variant, model)
 
 
+@pytest.fixture(scope="module")
+def uniform_1007027_table():
+    n = 1_007_027
+    return Explicit(tuple((k, 1.0 / n) for k in range(1, n + 1)))
+
+
 @pytest.mark.parametrize("variant", [Variant.BEST_OR_WORST, Variant.POSTDOC])
-def test_induction_threshold_at_the_knife_edge_of_1007027(variant):
+def test_induction_threshold_at_the_knife_edge_of_1007027(variant, uniform_1007027_table):
     # (A - C)/C at step 204616 is -4.7e-13 (bw) and -9.5e-13 (pd): an
-    # absolute band of 1e-12 accepted there and gave threshold 204615
+    # absolute band of 1e-12 accepted there and gave threshold 204615.  The
+    # streamed induction meets that step on the masses as a table
     model = Uniform(1_007_027)
-    assert backward_induction(variant, model).threshold == best_cutoff(variant, model).cutoff
+    want = best_cutoff(variant, model).cutoff
+    assert backward_induction(variant, model).threshold == want
+    assert backward_induction(variant, uniform_1007027_table).threshold == want
 
 
 def test_poisson_requires_truncation():
@@ -392,6 +421,8 @@ def test_printed_recursion_underweights_best_or_worst(model):
 def test_oracle_caps_support():
     with pytest.raises(ValueError):
         exhaustive_oracle(Variant.CLASSIC, Known(10), ThresholdPolicy(3))
+    # a support up to 9 is within the cap; a zero mass at 9 enumerates nothing
+    assert exhaustive_oracle(Variant.CLASSIC, explicit_from_dict({1: 1.0, 9: 0.0}), ThresholdPolicy(0)) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -22,7 +22,7 @@ from secstop.core_model import Explicit, Known, Poisson, Uniform, Variant, suppo
 from secstop.exact import positive_cutoff, step_accept_prob, step_reject_prob, success_curve
 from secstop.specfun import poisson_pmf_array, poisson_tail
 
-from oracles import checked_induction
+from oracles import checked_induction, mask_runs
 from test_dp import _MODELS as _DP_MODELS
 from test_exact import _MIXED_MODELS, _POISSON_1000_WINDOW
 
@@ -348,16 +348,21 @@ def test_induction_values_against_mpmath(variant, model):
 def _suffix_max_gap(variant, model) -> float:
     """The largest relative gap between C(t) and max_{r>=t} F(r)/S(t) over
     the steps t >= 1 with S(t) > 0, both from the float code, S(t) from
-    fsum; 0 for a policy that is not a threshold rule."""
+    fsum; 0 where the accept steps are not one run up to the last live
+    step.  Only there is the continuation from every step a threshold rule:
+    `is_threshold` reads the reachable steps only, and an accepting step 1
+    whose nice-probability is 1 makes it a cutoff-0 rule whatever the steps
+    above do."""
     pol = checked_induction(variant, model)
-    if not pol.is_threshold:
-        return 0.0
     T = pol.horizon
-    F = success_curve(variant, model, T).values
-    best = np.maximum.accumulate(F[1:][::-1])[::-1]  # max_{r>=t} F(r), t = 1..T
     ks, ps = support(model)
     S = np.array([math.fsum(ps[ks >= t]) for t in range(1, T + 1)])
     live = S > 0.0
+    runs = mask_runs(pol.accept_at)
+    if len(runs) != 1 or runs[0][1] != int(np.flatnonzero(live)[-1]) + 1:
+        return 0.0
+    F = success_curve(variant, model, T).values
+    best = np.maximum.accumulate(F[1:][::-1])[::-1]  # max_{r>=t} F(r), t = 1..T
     want = best[live] / S[live]
     got = pol.value_reject[1:][live]
     return float(np.max(np.abs(got - want) / np.where(want > 0.0, want, 1.0), initial=0.0))
@@ -367,6 +372,17 @@ def _suffix_max_gap(variant, model) -> float:
 def test_continue_value_is_the_curve_suffix_maximum(variant):
     for model in _DP_MODELS:
         assert _suffix_max_gap(variant, model) <= REL, model
+
+
+def test_suffix_maximum_check_skips_an_accept_set_of_two_runs():
+    # classic on {1: 0.5, 2: 0.3, 4097: 0.2} accepts at steps 1 and 2, where
+    # nu_1 = 1 makes the rule cutoff 0, and again from step 1508: a
+    # threshold policy whose C(t) further up is 0.24 off the curve's suffix
+    # maximum
+    model = Explicit(((1, 0.5), (2, 0.3), (4097, 0.2)))
+    pol = checked_induction(V.CLASSIC, model)
+    assert pol.is_threshold and len(mask_runs(pol.accept_at)) == 2
+    assert _suffix_max_gap(V.CLASSIC, model) == 0.0
 
 
 @pytest.mark.parametrize("variant", list(V))

@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 
 from secstop import core_model, mc
-from secstop.core_model import Known, Poisson, ThresholdPolicy, Uniform, Variant, explicit_from_dict, support
+from secstop.core_model import Explicit, Known, Poisson, ThresholdPolicy, Uniform, Variant, explicit_from_dict, support
 from secstop.dp import backward_induction
 from secstop.exact import best_cutoff, success_curve
 
@@ -76,17 +76,24 @@ def test_uniform_prefix_curve_is_linear_in_r_max_not_n():
     assert _peak_units(lambda: success_curve(Variant.POSTDOC, Uniform(10 * N), r_max)) <= 6 * r_max / N
 
 
+# the masses of Uniform(N) as a gapless table, which takes the induction
+_UNIFORM_TABLE = Explicit(tuple((k, 1.0 / N) for k in range(1, N + 1)))
+
+
 @pytest.mark.parametrize(
     "variant, model, budget",
     [
         # the support, ks and ps (2 units), and one set of chunk buffers: the
         # float steps, B, D and S, 4097 points each, and the accept mask;
-        # about 2.14 units for every rule.  The whole-array induction held
-        # 4.17: the tables, B, S, D and an accept window
-        *[(v, Uniform(N), 2.2) for v in Variant],
+        # about 2.14 units.  The whole-array induction held 4.17: the
+        # tables, B, S, D and an accept window
+        (Variant.CLASSIC, Uniform(N), 2.2),
+        # the same, and a list of the table's points or masses while each
+        # support array is built from it: about 2.92 units
+        *[(v, _UNIFORM_TABLE, 3.0) for v in (Variant.BEST_OR_WORST, Variant.POSTDOC)],
         # a one-point support: the steps, B and D; S is one value at every
         # step, the one point's; about 0.09 units
-        (Variant.BEST_OR_WORST, Known(N), 0.1),
+        (Variant.BEST_OR_WORST, Explicit(((N, 1.0),)), 0.1),
         # the chunk buffers and a gather's steps and slots in the tables over
         # the two points: about 0.17 units
         (Variant.BEST_OR_WORST, explicit_from_dict({5: 0.9, N: 0.1}), 0.2),
@@ -97,9 +104,19 @@ def test_backward_induction_budget(variant, model, budget):
 
 
 def test_backward_induction_over_a_million_steps_holds_the_support_and_chunks():
-    # bw on Uniform(10^6): the support, 2 arrays of the horizon, and the
-    # chunk buffers, 0.01 of one here; the whole-array induction held 4.2
-    assert _peak_units(lambda: backward_induction(Variant.BEST_OR_WORST, Uniform(10 * N)), 10 * N) <= 2.2
+    # classic on Uniform(10^6): the support, 2 arrays of the horizon, and
+    # the chunk buffers, 0.01 of one here; the whole-array induction held 4.2
+    assert _peak_units(lambda: backward_induction(Variant.CLASSIC, Uniform(10 * N)), 10 * N) <= 2.2
+
+
+@pytest.mark.parametrize(
+    "variant, model",
+    [(v, Known(10 * N)) for v in Variant] + [(v, Uniform(10**9)) for v in (Variant.BEST_OR_WORST, Variant.POSTDOC)],
+)
+def test_backward_induction_of_the_monotone_case_allocates_no_array(variant, model):
+    # M by `positive_cutoff`'s bisection and F from closed forms: a peak
+    # within the small-object allowance _FIXED_BYTES
+    assert _peak_units(lambda: backward_induction(variant, model)) <= 0
 
 
 @pytest.mark.parametrize(
