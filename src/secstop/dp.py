@@ -36,10 +36,12 @@ P_R(t)} is the up-set t > M.  In the monotone case the one-stage
 look-ahead rule is optimal (Chow, Robbins and Siegmund 1971), so C(t) =
 F(max(t, M))/S(t) = max_{r >= t} F(r)/S(t) for t >= 1: the steps M + 1..n
 accept, 2..M reject, and step 1 where B(1) >= F(M), B(1) = F(0) for
-classic and bw and 0 = F(n) for postdoc, decided as `exact.best_cutoff`
-decides F(0) against F(M) (`exact._closed_at_least`).  C(0) = max(B(1),
-F(M)) is its P (F(0) = F(1) for postdoc): O(log n), no array, and no
-_ACCEPT_REL.
+classic and bw and 0 = F(n) for postdoc.  One call of
+`exact._closed_at_least`, the test by which `exact.best_cutoff` decides
+F(0) against F(M), gives C(0) = max(F(0), F(M)), its P (F(0) = F(1) for
+postdoc), and for classic and bw step 1's decision too; on Uniform it
+bounds F(0) first and computes it only where it may win.  O(log n), no
+array, and no _ACCEPT_REL.
 """
 
 from __future__ import annotations
@@ -221,11 +223,13 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
     c, nu1 = int(_NICE_NUMERATOR[variant]), _NICE_FIRST[variant]
     if _closed_form_search(variant, model):  # the monotone case, without the pass
         n, m = model.n, positive_cutoff(variant, model)
-        zero, f0, fm = _closed_at_least(variant, model, 0, m)
+        zero, value = _closed_at_least(variant, model, 0, m)
         runs = [(m + 1, n)] * (m < n)
-        if _closed_at_least(variant, model, 0 if nu1 > 0.0 else n, m)[0]:  # B(1) = F(0), or F(n) = 0, >= F(M)
+        # step 1 accepts where B(1) >= F(M): B(1) = F(0) for classic and bw, and 0 = F(n) for postdoc
+        first = zero if nu1 > 0.0 else _closed_at_least(variant, model, n, m)[0]
+        if first:
             runs = [(1, n if m == 1 else 1)] + runs[m == 1 :]
-        return _policy(variant, model, n, n + 1, runs, f0 if zero else fm)
+        return _policy(variant, model, n, n + 1, runs, value)
     mom = SuffixMoments(*support(model))
     T = int(mom.ks[-1])
     # S(t) > 0 on the live steps 0..L - 1, up to the last point with mass;
@@ -245,7 +249,9 @@ def backward_induction(variant: Variant, model: CountModel) -> DPPolicy:
         # the float bound is a tie, and ties resolve to accept (odd-n Known
         # models tie A and C exactly at step (n+1)/2)
         A, C = B[lo - base : hi - base + 1], D[lo - base : hi - base + 1]
-        h = min(max(a - lo, 0), hi + 1 - lo)  # the steps below a, where S(t) = S[0]
+        # the steps below a, where S(t) = S[0]: at most hi + 1 - lo, as a is
+        # at most the chunk's top + 1 and at most max(lo, k_0) <= L - 1
+        h = max(a - lo, 0)
         for Y in (A, C):
             if h:
                 Y[:h] /= S[0]
@@ -275,12 +281,15 @@ def _policy(variant: Variant, model: CountModel, T: int, L: int, runs: list, val
             break
     # the runs over the reachable steps lo..hi - 1: the first accept ->
     # reject there is a witness, and without one the first accept step is
-    # one past the threshold
+    # one past the threshold.  The top reachable step hi - 1 accepts (the
+    # last live step, where C = 0 <= A, or an absorbing one), so the last
+    # run holds it, any run before it ends on a reject step, and there is
+    # no reachable run only where there is no reachable step (hi <= lo)
     reach = [(max(f, lo), l) for f, l in runs if f < hi and l >= lo]
-    witness = next(((l, l + 1) for _, l in reach if l < hi - 1), None)
+    witness = (reach[0][1], reach[0][1] + 1) if len(reach) > 1 else None
     threshold = None
     if witness is None:
-        r = reach[0][0] - 1 if reach else (hi - 1 if hi > lo else T)
+        r = reach[0][0] - 1 if reach else T
         # canonical form: dropping leading never-nice steps changes nothing
         while r >= 1 and nice_probability(variant, r) == 0.0:
             r -= 1

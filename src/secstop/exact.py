@@ -31,6 +31,7 @@ difference inside it is a tie that goes to the smaller cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -50,6 +51,7 @@ from .core_model import (
     threshold_success_known,
 )
 from .specfun import (
+    EULER_GAMMA,
     harmonic,
     harmonic_form_sign,
     harmonic_gap,
@@ -440,19 +442,35 @@ def _delta_sign(variant: Variant, model: Known | Uniform, r: int) -> int:
     return (g > 0) - (g < 0)
 
 
-def positive_cutoff(variant: Variant, model: CountModel) -> int:
+def positive_cutoff(variant: Variant, model: CountModel, near: int | None = None) -> int:
     """M, the best cutoff r >= 1: the first r in [1, n - 1] with ΔF(r) <= 0
     (n when there is none, at n = 1), by bisection on the certified sign of
     `_delta_sign`, for every variant on Known(n) and the two-sided rules on
-    Uniform(n).  O(log n) sign evaluations and no arrays."""
+    Uniform(n).  O(log n) sign evaluations and no arrays; from a guess near
+    (a scan's M at the last n), O(log |M - near|), 2 where M is near or
+    near + 1."""
     if not _closed_form_search(variant, model):
         raise ValueError("the closed-form search covers Known, and Uniform for bw and pd")
-    return _first_fall(lambda r: _delta_sign(variant, model, r) > 0, 1, model.n)
+    return _first_fall(lambda r: _delta_sign(variant, model, r) > 0, 1, model.n, near)
 
 
-def _first_fall(rises, lo: int, hi: int) -> int:
+def _first_fall(rises, lo: int, hi: int, near: int | None = None) -> int:
     """The first r in [lo, hi) where rises(r) is false, hi where there is
-    none, by bisection: rises must hold on a prefix of the range."""
+    none, by bisection: rises must hold on a prefix of the range.  From a
+    guess near in the range, steps that double outward from it bracket r
+    first; since rises falls once, the bracket holds the same r."""
+    if near is not None and lo <= near < hi:
+        step = 1
+        if rises(near):
+            lo = near + 1
+            while near + step < hi and rises(near + step):
+                lo, step = near + step + 1, 2 * step
+            hi = min(hi, near + step)
+        else:
+            hi = near
+            while near - step >= lo and not rises(near - step):
+                hi, step = near - step, 2 * step
+            lo = max(lo, near - step + 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if rises(mid):
@@ -494,13 +512,34 @@ def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
     return c * r * (n * gap(n - 1, r - 1) - n + r) / (n * n)
 
 
-def _closed_at_least(variant: Variant, model: Known | Uniform, r: int, m: int) -> tuple[bool, float, float]:
-    """(F(r) >= F(m), F(r), F(m)) from `_closed_value`, as exact fractions
-    where the floats lie within _CLOSED_REL: an analytic tie goes to r."""
-    fr, fm = _closed_value(variant, model, r), _closed_value(variant, model, m)
+def _uniform_first_bound(variant: Variant, n: int) -> float:
+    """An upper bound on F(0) = (c H_n - 1)/n under Uniform(n), in O(1):
+    H_n < ln n + gamma + 1/(2n) for every n >= 1, as H_n - ln n - gamma
+    lies in (1/(2n + 1), 1/(2n)).  The roundings of log (within 1 ulp),
+    gamma, 1/(2n), the two sums, the product, the difference and the
+    division move it by at most 7 u c s/n, so a margin of 16 u c s keeps
+    it above F(0)."""
+    s = math.log(n) + EULER_GAMMA + 0.5 / n
+    return (_NICE_NUMERATOR[variant] * s * (1.0 + 16 * _U) - 1.0) / n
+
+
+def _closed_at_least(variant: Variant, model: Known | Uniform, r: int, m: int) -> tuple[bool, float]:
+    """(F(r) >= F(m), F(r) if so, else F(m)) from `_closed_value`, as exact
+    fractions where the floats lie within _CLOSED_REL: an analytic tie goes
+    to r.  F(0) on Uniform(n) is first bounded by `_uniform_first_bound`
+    and computed only where the bound does not lie below F(m)'s _CLOSED_REL
+    band, so an F(0) that loses to F(M) (at every n from 15 for bw and from
+    9 for pd on) does not walk the harmonic table up to n, as H_n does for
+    1000 < n <= 10^4."""
+    fm = _closed_value(variant, model, m)
+    if r == 0 and isinstance(model, Uniform) and _uniform_first_bound(variant, model.n) < fm * (1.0 - _CLOSED_REL):
+        return False, fm
+    fr = _closed_value(variant, model, r)
     if abs(fr - fm) <= _CLOSED_REL * max(fr, fm):
-        return _exact_value(variant, model, r) >= _exact_value(variant, model, m), fr, fm
-    return fr > fm, fr, fm
+        wins = _exact_value(variant, model, r) >= _exact_value(variant, model, m)
+    else:
+        wins = fr > fm
+    return wins, fr if wins else fm
 
 
 def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
@@ -514,19 +553,24 @@ def best_cutoff(variant: Variant, model: CountModel) -> CutoffReport:
     builds the curve.  On Known(n), and on Uniform(n) for the two-sided
     rules, the best positive cutoff M is `positive_cutoff`'s bisection, each
     sign decided in floats only outside an explicit error bound and exactly
-    inside it.  F(0) and F(M) come from closed forms, and where they lie
-    within _CLOSED_REL of each other they are compared as exact fractions,
-    so the analytic ties (postdoc cutoffs 0 and 1, Known(2) and Known(3))
-    resolve to 0.  Every other model (Poisson, explicit tables, and classic
-    on Uniform(n), whose support is a table) takes `_scan_cutoff`: one scan
+    inside it.  F(M) comes from a closed form.  On Uniform(n), F(0) is first
+    bounded in O(1) (`_uniform_first_bound`), and where the bound lies below
+    F(M)'s _CLOSED_REL band (from n = 15 for bw and n = 9 for pd on) M wins
+    and F(0), whose H_n walks the harmonic table up to n for 1000 < n <=
+    10^4, is never computed.  Otherwise F(0) comes from its closed form, and
+    where F(0) and F(M) lie within _CLOSED_REL of each other they are
+    compared as exact fractions, so the analytic ties (postdoc cutoffs 0 and
+    1, Known(2) and Known(3)) resolve to 0.  Every other model (Poisson,
+    explicit tables, and classic on Uniform(n), whose support is a table)
+    takes `_scan_cutoff`: one scan
     of the sign of ΔF over the support's step tables, O(top - k_0) however
     far the first support point k_0 lies from 0, where a difference inside
     its rounding bound is a tie and goes to the smaller cutoff.
     """
     if _closed_form_search(variant, model):
         m = positive_cutoff(variant, model)
-        zero, f0, fm = _closed_at_least(variant, model, 0, m)
-        return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=f0 if zero else fm)
+        zero, prob = _closed_at_least(variant, model, 0, m)
+        return CutoffReport(model=model, variant=variant, cutoff=0 if zero else m, prob=prob)
     m, prob = _scan_cutoff(variant, model)
     return CutoffReport(model=model, variant=variant, cutoff=m, prob=prob)
 

@@ -149,18 +149,19 @@ def scan_estimator_failures(
         raise ValueError("need 1 <= n_min <= n_max")
     if estimator in _UNIFORM_ESTIMATORS:
         estimates = uniform_cutoff_estimates
-        exact_m = lambda n: positive_cutoff(Variant.BEST_OR_WORST, Uniform(n))
+        # M(n) is about theta n, so a search that gallops from the last n's M takes about 2 signs
+        exact_m = lambda n, last: positive_cutoff(Variant.BEST_OR_WORST, Uniform(n), near=last)
     elif estimator in _POISSON_ESTIMATORS:
         estimates = lambda n: poisson_cutoff_estimates(float(n))
-        exact_m = lambda n: best_cutoff(Variant.BEST_OR_WORST, Poisson(float(n))).cutoff
+        exact_m = lambda n, last: best_cutoff(Variant.BEST_OR_WORST, Poisson(float(n))).cutoff
     else:
         raise ValueError(f"unknown estimator {estimator}")
     failures: list[int] = []
     details: list[tuple[int, int, int]] = []
-    max_dev = 0
+    max_dev, m = 0, None
     for n in range(n_min, n_max + 1):
         rounded = integer_estimate(estimator, dict(estimates(n))[estimator])
-        m = exact_m(n)
+        m = exact_m(n, m)
         if rounded != m:
             failures.append(n)
             details.append((n, rounded, m))

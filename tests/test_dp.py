@@ -254,12 +254,14 @@ def test_accept_runs_are_the_runs_of_the_whole_array_mask(model):
             assert len(runs) >= 10
 
 
-# gapless tables with the masses of Uniform(10^5) and of Known(n), small (at
-# odd n, A and C tie exactly at step (n + 1)/2) and at and past the edges of
-# the 4,096-step chunks: the models that `dp` reads from the monotone case,
-# here through the streamed induction
+# gapless tables with the masses of Uniform(n) and of Known(n), small (at
+# odd n, A and C tie exactly at step (n + 1)/2; Uniform(1..60) are criterion
+# 4's models) and at and past the edges of the 4,096-step chunks: the models
+# that `dp` reads from the monotone case, here through the streamed induction
 _GAPLESS = {f"known:{n}": (Known(n), Explicit(((n, 1.0),))) for n in [*range(1, 61), 4095, 4096, 4097, 8193, 10**5]}
-_GAPLESS["uniform:100000"] = (Uniform(10**5), Explicit(tuple((k, 1.0 / 10**5) for k in range(1, 10**5 + 1))))
+_GAPLESS |= {
+    f"uniform:{n}": (Uniform(n), Explicit(tuple((k, 1.0 / n) for k in range(1, n + 1)))) for n in [*range(1, 61), 10**5]
+}
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -16,6 +16,7 @@ induction value.
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,14 +37,21 @@ from secstop.core_model import (
     threshold_success_known,
     truncate_to_explicit,
 )
+from secstop import exact, specfun
 from secstop.cli import parse_model
 from secstop.dp import backward_induction
 from secstop.exact import (
+    _CLOSED_REL,
+    _U,
     ConditioningError,
     SuffixMoments,
+    _closed_at_least,
+    _closed_form_search,
     _closed_value,
     _exact_value,
+    _first_fall,
     _first_value,
+    _uniform_first_bound,
     best_cutoff,
     closed_form_uniform,
     poisson_smoothing_coefficients,
@@ -945,6 +953,89 @@ def test_analytic_ties_resolve_to_zero_exactly():
         m = positive_cutoff(variant, model)
         assert _exact_value(variant, model, 0) == _exact_value(variant, model, m), model
         assert best_cutoff(variant, model).cutoff == 0, model
+
+
+def _float_then_fraction(variant, model, r, m):
+    """F(r) >= F(m) and the larger value, in floats outside the _CLOSED_REL
+    band and as fractions inside it, with F(r) always computed."""
+    fr, fm = _closed_value(variant, model, r), _closed_value(variant, model, m)
+    if abs(fr - fm) <= _CLOSED_REL * max(fr, fm):
+        wins = _exact_value(variant, model, r) >= _exact_value(variant, model, m)
+    else:
+        wins = fr > fm
+    return wins, fr if wins else fm
+
+
+def test_zero_cutoff_bound_decides_as_the_float_then_fraction_path():
+    # the bound on F(0) decides only where the computed F(0) would lose too
+    ns = [*range(1, 3001), 10**4, 10**5, 10**6, *random.Random(33).sample(range(3001, 2 * 10**5 + 1), 60)]
+    for n in ns:
+        for model in (Known(n), Uniform(n)):
+            for variant in V:
+                if _closed_form_search(variant, model):
+                    m = positive_cutoff(variant, model)
+                    got, want = _closed_at_least(variant, model, 0, m), _float_then_fraction(variant, model, 0, m)
+                    assert got[0] == want[0] and got[1].hex() == want[1].hex(), (variant, model)
+
+
+@pytest.mark.parametrize("variant", [V.BEST_OR_WORST, V.POSTDOC])
+def test_zero_cutoff_bound_inside_the_band_defers_to_f0(variant, monkeypatch):
+    # an F(m) within _CLOSED_REL above the bound: the bound alone does not
+    # settle it, so F(0) is computed and compared
+    n, m = 10**4, 7
+    fm = _uniform_first_bound(variant, n) * (1.0 + _CLOSED_REL / 2)
+    closed, asked = exact._closed_value, []
+
+    def value(variant, model, r):
+        asked.append(r)
+        return fm if r == m else closed(variant, model, r)
+
+    monkeypatch.setattr(exact, "_closed_value", value)
+    assert _closed_at_least(variant, Uniform(n), 0, m) == (False, fm)
+    assert 0 in asked
+
+
+@pytest.mark.parametrize("variant", [V.BEST_OR_WORST, V.POSTDOC])
+def test_uniform_first_bound_lies_just_above_f0(variant):
+    # F(0) <= bound <= F(0) + c (1/(2n(2n + 1)) + 32 u (ln n + 1))/n: H_n -
+    # ln n - gamma lies in (1/(2n + 1), 1/(2n)), and the roundings stay
+    # within the bound's 16 u margin
+    c = 2 if variant is V.BEST_OR_WORST else 1
+    ns = [*range(1, 301), 1000, 4097, 10**4, 10**5, 10**6, 10**7, 10**9, 10**12, 10**15]
+    with mpmath.workdps(50):
+        for n in ns:
+            f0 = (c * mpmath.harmonic(n) - 1) / n
+            bound = mpmath.mpf(_uniform_first_bound(variant, n))
+            assert f0 <= bound <= f0 + c * (mpmath.mpf(1) / (2 * n * (2 * n + 1)) + 32 * _U * (math.log(n) + 1)) / n, n
+
+
+def test_zero_cutoff_on_large_uniform_does_not_walk_the_harmonic_table(monkeypatch):
+    # F(0) loses to F(M) by the bound alone, and M's signs and F(M) read
+    # harmonic gaps from the expansion: the table holds at most H_1000
+    monkeypatch.setattr(specfun, "_H", array("d", [0.0]))
+    monkeypatch.setattr(specfun, "_H_CARRY", array("d", [0.0]))
+    for variant in (V.BEST_OR_WORST, V.POSTDOC):
+        assert best_cutoff(variant, Uniform(10**4)).cutoff > 0
+        assert backward_induction(variant, Uniform(10**4)).threshold > 0
+    assert len(specfun._H) <= 1001
+
+
+def test_first_fall_from_a_guess_finds_the_fall_of_the_bisection():
+    for hi in range(1, 40):
+        for fall in range(1, hi + 1):
+            for near in (None, *range(-1, hi + 2)):
+                calls = []
+
+                def rises(r):
+                    assert 1 <= r < hi
+                    calls.append(r)
+                    return r < fall
+
+                assert _first_fall(rises, 1, hi, near) == fall
+                if near is not None and 1 <= near < hi:
+                    assert len(calls) <= 2 * (abs(fall - near).bit_length() + 1), (hi, fall, near)
+                    if fall - near in (0, 1):
+                        assert len(calls) <= 2, (hi, fall, near)
 
 
 # ---------------------------------------------------- structural invariants

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from secstop import exact, lab
 from secstop.core_model import Uniform, Variant
 from secstop.estimate import EstimatorId, theta
 from secstop.exact import best_cutoff, closed_form_uniform
@@ -179,6 +180,20 @@ def test_r_star_lambda_deviations():
     scan = scan_estimator_failures(EstimatorId.R_STAR_LAMBDA, 2, 200)
     assert scan.failures == (2, 3, 4, 7, 9, 11, 13, 15)
     assert scan.max_deviation == 1
+
+
+def test_a_scan_without_misses_has_no_deviation():
+    scan = scan_estimator_failures(EstimatorId.AFFINE_THETA, 24, 400)
+    assert (scan.failures, scan.details, scan.max_deviation) == ((), (), 0)
+
+
+def test_scan_from_the_last_cutoff_equals_a_scan_of_fresh_bisections(monkeypatch):
+    # each n's search starts at the last n's M; ΔF falls once, so every M is
+    # the plain bisection's
+    estimators = (EstimatorId.ROUND_N_THETA, EstimatorId.AFFINE_THETA, EstimatorId.LAMBERT_UNIFORM)
+    scans = [scan_estimator_failures(e, 1, 700) for e in estimators]
+    monkeypatch.setattr(lab, "positive_cutoff", lambda variant, model, near=None: exact.positive_cutoff(variant, model))
+    assert scans == [scan_estimator_failures(e, 1, 700) for e in estimators]
 
 
 def test_scan_validates_range():
