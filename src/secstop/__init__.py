@@ -5,105 +5,76 @@ second-best) over four count models (known n, Uniform[1, n], Poisson,
 explicit pmf): exact threshold success curves and optimal cutoffs,
 backward-induction policies, closed-form asymptotic estimators with
 failure scans, and a reproducible Monte Carlo harness.
+
+`import secstop` loads none of its submodules.  Each exported name is
+listed once in `_EXPORTS` with the module that defines it, and that module
+is imported on the name's first access (PEP 562); the name is then cached
+in the package, so `from secstop import X`, `secstop.X` and
+`from secstop import *` give the defining module's own object.
 """
 
-from .core_model import (
-    CountModel,
-    CutoffReport,
-    EstimatorCheck,
-    Explicit,
-    Known,
-    Poisson,
-    ThresholdPolicy,
-    Uniform,
-    Variant,
-    explicit_from_dict,
-    nice_probability,
-    support,
-    tail_prob,
-    threshold_success_known,
-    truncate_to_explicit,
-)
-from .dp import DPPolicy, backward_induction, exhaustive_oracle
-from .estimate import (
-    EstimatorId,
-    affine_shift,
-    g_theta,
-    integer_estimate,
-    lambda0,
-    lambda_m,
-    poisson_cutoff_estimates,
-    theta,
-    uniform_cutoff_estimates,
-    with_estimates,
-)
-from .exact import (
-    SuccessCurve,
-    best_cutoff,
-    closed_form_uniform,
-    poisson_smoothing_coefficients,
-    step_accept_prob,
-    step_reject_prob,
-    success_curve,
-)
-from .lab import (
-    AsymptoteReport,
-    Convergent,
-    FailureScan,
-    asymptote_probe,
-    cf_convergents,
-    scan_estimator_failures,
-    verify_convergent_cutoffs,
-)
-from .mc import SimConfig, SimReport, merge, simulate
-from .specfun import TruncationError
+from importlib import import_module
 
-__all__ = [
-    "CountModel",
-    "CutoffReport",
-    "EstimatorCheck",
-    "Explicit",
-    "Known",
-    "Poisson",
-    "ThresholdPolicy",
-    "Uniform",
-    "Variant",
-    "explicit_from_dict",
-    "nice_probability",
-    "support",
-    "tail_prob",
-    "threshold_success_known",
-    "truncate_to_explicit",
-    "DPPolicy",
-    "backward_induction",
-    "exhaustive_oracle",
-    "EstimatorId",
-    "affine_shift",
-    "g_theta",
-    "integer_estimate",
-    "lambda0",
-    "lambda_m",
-    "poisson_cutoff_estimates",
-    "theta",
-    "uniform_cutoff_estimates",
-    "with_estimates",
-    "SuccessCurve",
-    "best_cutoff",
-    "closed_form_uniform",
-    "poisson_smoothing_coefficients",
-    "step_accept_prob",
-    "step_reject_prob",
-    "success_curve",
-    "AsymptoteReport",
-    "Convergent",
-    "FailureScan",
-    "asymptote_probe",
-    "cf_convergents",
-    "scan_estimator_failures",
-    "verify_convergent_cutoffs",
-    "SimConfig",
-    "SimReport",
-    "merge",
-    "simulate",
-    "TruncationError",
-]
+_EXPORTS = {
+    "CountModel": "core_model",
+    "CutoffReport": "core_model",
+    "EstimatorCheck": "core_model",
+    "Explicit": "core_model",
+    "Known": "core_model",
+    "Poisson": "core_model",
+    "ThresholdPolicy": "core_model",
+    "Uniform": "core_model",
+    "Variant": "core_model",
+    "explicit_from_dict": "core_model",
+    "nice_probability": "core_model",
+    "support": "core_model",
+    "tail_prob": "core_model",
+    "threshold_success_known": "core_model",
+    "truncate_to_explicit": "core_model",
+    "DPPolicy": "dp",
+    "backward_induction": "dp",
+    "exhaustive_oracle": "dp",
+    "EstimatorId": "estimate",
+    "affine_shift": "estimate",
+    "g_theta": "estimate",
+    "integer_estimate": "estimate",
+    "lambda0": "estimate",
+    "lambda_m": "estimate",
+    "poisson_cutoff_estimates": "estimate",
+    "theta": "estimate",
+    "uniform_cutoff_estimates": "estimate",
+    "with_estimates": "estimate",
+    "SuccessCurve": "exact",
+    "best_cutoff": "exact",
+    "closed_form_uniform": "exact",
+    "poisson_smoothing_coefficients": "exact",
+    "step_accept_prob": "exact",
+    "step_reject_prob": "exact",
+    "success_curve": "exact",
+    "AsymptoteReport": "lab",
+    "Convergent": "lab",
+    "FailureScan": "lab",
+    "asymptote_probe": "lab",
+    "cf_convergents": "lab",
+    "scan_estimator_failures": "lab",
+    "verify_convergent_cutoffs": "lab",
+    "SimConfig": "mc",
+    "SimReport": "mc",
+    "merge": "mc",
+    "simulate": "mc",
+    "TruncationError": "specfun",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,14 +8,16 @@ Exit codes: 0 success; 1 a verification check failed; 2 usage or parse
 error; 3 numeric failure (an estimator's series past its cap of 10^6
 terms, a pmf whose masses miss 1 by more than a table allows, a Poisson
 window past 2*10^7 points, a Uniform support past 2*10^8) or out of memory.
+
+Each command starts on only the modules it runs.  `core_model`, `exact`
+and `estimate` are imported here, as every command reads them; `dp`, `lab`
+and `mc`, and the `csv` and `json` writers, are imported inside the
+commands, suites and renderers that call them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 
@@ -30,7 +32,6 @@ from .core_model import (
     explicit_from_dict,
     truncate_to_explicit,
 )
-from .dp import backward_induction
 from .estimate import (
     EstimatorId,
     g_theta,
@@ -40,12 +41,6 @@ from .estimate import (
     with_estimates,
 )
 from .exact import best_cutoff, success_curve
-from .lab import (
-    cf_convergents,
-    scan_estimator_failures,
-    verify_convergent_cutoffs,
-)
-from .mc import SimConfig, simulate, trial_steps
 
 
 # cap on the points swept by `curve --sweep lambda` (rates) and by
@@ -97,6 +92,8 @@ def parse_model(spec: str) -> CountModel:
 def _read_pmf_table(path: str) -> Explicit:
     """The pmf in a CSV file with the header `k,p` and one row per k (blank
     lines skipped); `Explicit` checks the masses."""
+    import csv
+
     lineno = 1
     try:
         with open(path, newline="") as fh:
@@ -139,6 +136,9 @@ def _records_to_human(records: list[dict]) -> str:
 
 
 def _records_to_csv(records: list[dict]) -> str:
+    import csv
+    import io
+
     if not records:
         return ""
     buf = io.StringIO()
@@ -151,6 +151,8 @@ def _records_to_csv(records: list[dict]) -> str:
 
 
 def _records_to_json(records: list[dict]) -> str:
+    import json
+
     out = [{k: _fmt(v) for k, v in r.items()} for r in records]
     return json.dumps(out, indent=2) + "\n"
 
@@ -229,6 +231,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .mc import SimConfig, simulate, trial_steps
+
     model = parse_model(args.model)
     variant = Variant(args.variant)
     config = SimConfig(
@@ -269,6 +273,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_dp(args) -> int:
+    from .dp import backward_induction
+
     model = parse_model(args.model)
     if isinstance(model, Poisson):
         model = truncate_to_explicit(model)
@@ -336,6 +342,8 @@ _CONSTANT_VARIANT = {"einv": Variant.CLASSIC, "theta": Variant.BEST_OR_WORST}
 
 
 def cmd_convergents(args) -> int:
+    from .lab import cf_convergents, verify_convergent_cutoffs
+
     x = _CONSTANTS[args.constant]()
     convs = cf_convergents(x, args.count)
     variant = _CONSTANT_VARIANT[args.constant]
@@ -362,6 +370,8 @@ _ESTIMATOR_FLAGS = {e.value.lower(): e for e in EstimatorId}
 
 
 def cmd_scan_failures(args) -> int:
+    from .lab import scan_estimator_failures
+
     if not 1 <= args.from_ <= args.to <= _MAX_SWEEP_RATES:  # also inf and nan
         raise ModelSpecError(f"scan-failures needs 1 <= --from <= --to <= {_MAX_SWEEP_RATES}")
     if not (args.from_.is_integer() and args.to.is_integer()):
@@ -385,6 +395,8 @@ def cmd_scan_failures(args) -> int:
 # ------------------------------------------------------------ verify suites
 
 def _suite_thresholds() -> list[tuple[str, bool, str]]:
+    from .dp import backward_induction
+
     out = []
     for n in (5, 17, 40, 60):
         ok = backward_induction(Variant.BEST_OR_WORST, Uniform(n)).is_threshold
@@ -430,6 +442,8 @@ _PRINTED_ROUND_N_THETA_FAILURES = (
 
 
 def _suite_failures() -> list[tuple[str, bool, str]]:
+    from .lab import scan_estimator_failures
+
     out = []
     scan = scan_estimator_failures(EstimatorId.ROUND_N_THETA, 2, 121)
     ok = scan.failures == _PRINTED_ROUND_N_THETA_FAILURES
@@ -462,6 +476,8 @@ def _suite_failures() -> list[tuple[str, bool, str]]:
 
 
 def _suite_convergents() -> list[tuple[str, bool, str]]:
+    from .lab import cf_convergents, verify_convergent_cutoffs
+
     out = []
     for key, name, cutoffs in (("einv", "1/e", "classic"), ("theta", "theta", "uniform-model")):
         rows = verify_convergent_cutoffs(_CONSTANT_VARIANT[key], cf_convergents(_CONSTANTS[key](), 12))
@@ -475,6 +491,8 @@ def _suite_convergents() -> list[tuple[str, bool, str]]:
 
 
 def _suite_counterexample() -> list[tuple[str, bool, str]]:
+    from .dp import backward_induction
+
     pol = backward_induction(Variant.CLASSIC, Explicit(((100, 0.99), (1000, 0.01))))
     return [
         (
@@ -486,6 +504,8 @@ def _suite_counterexample() -> list[tuple[str, bool, str]]:
 
 
 def _suite_conjecture() -> list[tuple[str, bool, str]]:
+    from .lab import scan_estimator_failures
+
     scan = scan_estimator_failures(EstimatorId.HALF_LAMBDA_MINUS_ONE, 2, 200)
     out = [
         (

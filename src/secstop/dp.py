@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .core_model import (
@@ -306,6 +305,8 @@ def exhaustive_oracle(variant: Variant, model: CountModel, policy: ThresholdPoli
     Exact rational: sum_k p(k) * wins(k) / k!, with p(k) taken as the exact
     binary rational of the stored float.  Support must not exceed 9.
     """
+    from fractions import Fraction
+
     ks, ps = support(model)
     if int(ks.max(initial=0)) > _ORACLE_MAX_K:
         raise ValueError(f"exhaustive oracle capped at support <= {_ORACLE_MAX_K}")

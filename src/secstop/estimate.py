@@ -75,36 +75,55 @@ def integer_estimate(estimator: "EstimatorId", value: float) -> int:
     return round_half_away(value)
 
 
-def uniform_cutoff_estimates(n: int) -> list[tuple[EstimatorId, float]]:
-    """Three real-valued estimates of the optimal cutoff when X ~ U[1, n].
+_UNIFORM_ESTIMATORS = (
+    EstimatorId.ROUND_N_THETA,
+    EstimatorId.AFFINE_THETA,
+    EstimatorId.LAMBERT_UNIFORM,
+)
+_POISSON_ESTIMATORS = (
+    EstimatorId.R_STAR_LAMBDA,
+    EstimatorId.HALF_LAMBDA_MINUS_ONE,
+)
+
+
+def cutoff_estimate(estimator: EstimatorId, size: float) -> float:
+    """One estimator's real-valued estimate of the optimal cutoff, at X ~
+    U[1, n] for the Uniform estimators (size = n) or at X ~ Poisson(lam)
+    for the Poisson ones (size = lam).
 
     RoundNTheta is the bare first-order term n*theta; AffineTheta adds the
     constant correction; LambertUniform keeps the full finite-n maximizer
     -(n/2) W(-2 e^{psi(n) - 2}/n) of the smoothed curve, psi(n) = H_{n-1} -
-    gamma.
+    gamma.  RStarLambda is the exact maximizer r_lam of the smoothed
+    Poisson curve 2r(eS1 - r eS2), namely eS1/(2 eS2), and
+    HalfLambdaMinusOne the asymptote lam/2 - 1 that r_lam drifts toward.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    th = theta()
-    lam_arg = -2.0 * math.exp(-2.0 + (harmonic(n - 1) - EULER_GAMMA)) / n
-    return [
-        (EstimatorId.ROUND_N_THETA, n * th),
-        (EstimatorId.AFFINE_THETA, n * th + affine_shift()),
-        (EstimatorId.LAMBERT_UNIFORM, -(n / 2.0) * lambert_w0(lam_arg)),
-    ]
+    if estimator in _UNIFORM_ESTIMATORS:
+        if size < 1:
+            raise ValueError("n must be >= 1")
+    elif size <= 0.0:
+        raise ValueError("lam must be positive")
+    if estimator is EstimatorId.ROUND_N_THETA:
+        return size * theta()
+    if estimator is EstimatorId.AFFINE_THETA:
+        return size * theta() + affine_shift()
+    if estimator is EstimatorId.LAMBERT_UNIFORM:
+        lam_arg = -2.0 * math.exp(-2.0 + (harmonic(size - 1) - EULER_GAMMA)) / size
+        return -(size / 2.0) * lambert_w0(lam_arg)
+    if estimator is EstimatorId.R_STAR_LAMBDA:
+        exp_s1, exp_s2 = poisson_smoothing_coefficients(size)
+        return exp_s1 / (2.0 * exp_s2)
+    return size / 2.0 - 1.0
+
+
+def uniform_cutoff_estimates(n: int) -> list[tuple[EstimatorId, float]]:
+    """The three Uniform estimates of the optimal cutoff when X ~ U[1, n]."""
+    return [(eid, cutoff_estimate(eid, n)) for eid in _UNIFORM_ESTIMATORS]
 
 
 def poisson_cutoff_estimates(lam: float) -> list[tuple[EstimatorId, float]]:
-    """Two estimates for X ~ Poisson(lam): the exact maximizer r_lam of the
-    smoothed curve 2r(eS1 - r eS2), namely eS1/(2 eS2), and the asymptote
-    lam/2 - 1 that r_lam drifts toward."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    exp_s1, exp_s2 = poisson_smoothing_coefficients(lam)
-    return [
-        (EstimatorId.R_STAR_LAMBDA, exp_s1 / (2.0 * exp_s2)),
-        (EstimatorId.HALF_LAMBDA_MINUS_ONE, lam / 2.0 - 1.0),
-    ]
+    """The two Poisson estimates of the optimal cutoff when X ~ Poisson(lam)."""
+    return [(eid, cutoff_estimate(eid, lam)) for eid in _POISSON_ESTIMATORS]
 
 
 def _bisect(f, lo: float, hi: float) -> float:

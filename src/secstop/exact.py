@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .core_model import (
@@ -493,6 +492,8 @@ def _closed_value(variant: Variant, model: Known | Uniform, r: int) -> float:
 
 def _exact_value(variant: Variant, model: Known | Uniform, r: int) -> Fraction:
     """F(r) as an exact fraction, from the same closed forms."""
+    from fractions import Fraction
+
     n = model.n
 
     def gap(a: int, b: int) -> Fraction:

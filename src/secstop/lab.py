@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core_model import Known, Poisson, Uniform, Variant, support, threshold_success_known
 from .estimate import (
+    _POISSON_ESTIMATORS,
+    _UNIFORM_ESTIMATORS,
     EstimatorId,
+    cutoff_estimate,
     integer_estimate,
-    poisson_cutoff_estimates,
     theta,
-    uniform_cutoff_estimates,
 )
 from .exact import best_cutoff, positive_cutoff
 from .specfun import sinh_integral
@@ -56,6 +56,8 @@ def cf_convergents(x: float, count: int) -> list[Convergent]:
     is q_k * q_{k+1} against 1/8 ulp); past that depth the expansion digests
     representation noise and a precision error is raised instead.
     """
+    from fractions import Fraction
+
     if not 0.0 < x < 1.0:
         raise ValueError("x must be in (0, 1)")
     if count < 1:
@@ -129,17 +131,6 @@ class FailureScan:
     details: tuple[tuple[int, int, int], ...]  # (n, rounded estimate, exact M)
 
 
-_UNIFORM_ESTIMATORS = {
-    EstimatorId.ROUND_N_THETA,
-    EstimatorId.AFFINE_THETA,
-    EstimatorId.LAMBERT_UNIFORM,
-}
-_POISSON_ESTIMATORS = {
-    EstimatorId.HALF_LAMBDA_MINUS_ONE,
-    EstimatorId.R_STAR_LAMBDA,
-}
-
-
 def scan_estimator_failures(
     estimator: EstimatorId, n_min: int, n_max: int
 ) -> FailureScan:
@@ -148,11 +139,11 @@ def scan_estimator_failures(
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
     if estimator in _UNIFORM_ESTIMATORS:
-        estimates = uniform_cutoff_estimates
+        estimate = lambda n: cutoff_estimate(estimator, n)
         # M(n) is about theta n, so a search that gallops from the last n's M takes about 2 signs
         exact_m = lambda n, last: positive_cutoff(Variant.BEST_OR_WORST, Uniform(n), near=last)
     elif estimator in _POISSON_ESTIMATORS:
-        estimates = lambda n: poisson_cutoff_estimates(float(n))
+        estimate = lambda n: cutoff_estimate(estimator, float(n))
         exact_m = lambda n, last: best_cutoff(Variant.BEST_OR_WORST, Poisson(float(n))).cutoff
     else:
         raise ValueError(f"unknown estimator {estimator}")
@@ -160,7 +151,7 @@ def scan_estimator_failures(
     details: list[tuple[int, int, int]] = []
     max_dev, m = 0, None
     for n in range(n_min, n_max + 1):
-        rounded = integer_estimate(estimator, dict(estimates(n))[estimator])
+        rounded = integer_estimate(estimator, estimate(n))
         m = exact_m(n, m)
         if rounded != m:
             failures.append(n)

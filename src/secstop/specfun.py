@@ -32,7 +32,6 @@ import importlib.util
 import math
 import sys
 from array import array
-from decimal import Context, Decimal, localcontext
 
 
 def _lazy_numpy():
@@ -162,12 +161,13 @@ def harmonic_gap_ratio(a: int, b: int) -> tuple[int, int]:
     return split(b + 1, a + 1) if a > b else (0, 1)
 
 
-# 40-digit decimal harmonic numbers: gamma to 50 digits, and the expansion
+# 40-digit decimal harmonic numbers: gamma to 50 digits (a string, so that
+# only this branch imports decimal), and the expansion
 # H_m = ln m + gamma + 1/(2m) - sum_k B_2k/(2k m^2k) through k = 6, whose
 # remainder |B_14|/(14 m^14) = 1/(12 m^14) is below 1e-43 from m = 1000 on,
 # under 40 digits; below that the sum is taken term by term
 _DEC_PREC = 40
-_DEC_GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+_DEC_GAMMA = "0.57721566490153286060651209008240243104215933593992"
 _DEC_BERNOULLI = ((1, 12), (-1, 120), (1, 252), (-1, 240), (1, 132), (-691, 32760))
 # longest sum of 1/k that harmonic_form_sign takes as an exact ratio before
 # trying 40 digits: about 0.05 s of integer products
@@ -176,11 +176,13 @@ _RATIO_TERMS = 20_000
 
 def _harmonic_decimal(m: int) -> Decimal:
     """H_m in the current decimal context."""
+    from decimal import Decimal
+
     if m < _EXPANSION_FROM:
         return sum((1 / Decimal(k) for k in range(1, m + 1)), Decimal(0))
     x = Decimal(m)
     inv2 = 1 / (x * x)
-    h = x.ln() + _DEC_GAMMA + 1 / (2 * x)
+    h = x.ln() + Decimal(_DEC_GAMMA) + 1 / (2 * x)
     power = inv2
     for num, den in _DEC_BERNOULLI:
         h -= num * power / den
@@ -204,6 +206,8 @@ def harmonic_form_sign(A: int, a: int, b: int, B: int) -> int:
     if abs(g) > A * e + _EPS * (A * d + abs(B)):
         return 1 if g > 0 else -1
     if a - b > _RATIO_TERMS:
+        from decimal import Context, Decimal, localcontext
+
         with localcontext(Context(prec=_DEC_PREC)):
             gd = A * (_harmonic_decimal(a) - _harmonic_decimal(b)) - B
         if abs(gd) > (A + abs(B) + 1) * Decimal("1e-34"):

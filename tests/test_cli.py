@@ -710,6 +710,65 @@ def test_an_array_command_loads_numpy():
     assert "'numpy._core'" in done.stderr
 
 
+def test_import_secstop_loads_no_submodule():
+    done = _fresh(
+        "import sys, secstop\n"
+        "print(sorted(m for m in sys.modules if m.startswith('secstop.')))\n"
+        "print(sorted({'fractions', 'decimal', 'json', 'csv'} & set(sys.modules)))\n"
+    )
+    assert done.stdout.split("\n") == ["[]", "[]", ""], done.stderr[-500:]
+
+
+# runs one command, then writes to stderr the secstop modules it loaded
+_MODULE_PROBE = (
+    "import sys\n"
+    "from secstop.cli import main\n"
+    "main(sys.argv[1:])\n"
+    "sys.stderr.write(' '.join(sorted(m[8:] for m in sys.modules if m.startswith('secstop.'))))\n"
+)
+
+# what every command loads: the CLI and the three modules it reads at start-up
+_START_MODULES = {"cli", "core_model", "estimate", "exact", "specfun"}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("cutoff --variant bw --model uniform:n=1000000", set()),
+        ("cutoff --variant pd --model poisson:lambda=40", set()),
+        ("curve --variant bw --model poisson:lambda=5", set()),
+        ("curve --variant bw --sweep lambda --from 1 --to 3 --step 1", set()),
+        ("table", set()),
+        ("dp --variant bw --model uniform:n=50", {"dp"}),
+        ("verify thresholds", {"dp"}),
+        ("simulate --variant bw --model uniform:n=40 --cutoff 8 --trials 1000 --seed 1", {"mc"}),
+        ("convergents --constant theta", {"lab"}),
+        ("scan-failures --estimator affinetheta --from 2 --to 30", {"lab"}),
+        ("verify failures", {"lab"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(command, extra):
+    done = _fresh(_MODULE_PROBE, *command.split())
+    assert done.stdout, done.stderr[-500:]
+    assert set(done.stderr.split()) == _START_MODULES | extra
+
+
+def test_every_export_is_its_defining_modules_object():
+    # tests/test_reachability.py checks that _EXPORTS names the defining modules
+    done = _fresh(
+        "import sys, secstop\n"
+        "names = {}\n"
+        "exec('from secstop import *', names)\n"
+        "print(sorted(n for n in secstop.__all__\n"
+        "             if names[n] is not getattr(sys.modules['secstop.' + secstop._EXPORTS[n]], n)))\n"
+        "print(sorted(set(secstop.__all__) - set(dir(secstop))))\n"
+        "print(sorted(set(names) - {'__builtins__'}) == sorted(secstop.__all__))\n"
+    )
+    assert done.stdout.split("\n") == ["[]", "[]", "True", ""], done.stderr[-500:]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        secstop.no_such_name  # noqa: B018
+
+
 def test_numpy_imported_first_is_the_package_binding():
     # the binding reuses an imported numpy, and a numpy imported after
     # secstop is the binding, loaded on first use

@@ -1,18 +1,22 @@
 """Every top-level name of `src/secstop` (function, class or constant) is
 reached from the command line, the package's exports or the benchmark's
-contract, the exports are exactly what the package imports, no module but
-`__init__.py` imports a name that it never reads, and every parameter with
-a default is passed by some call in `src/` or `bench/`.
+contract, the exports are exactly the package's export table, no module
+imports a name that it never reads, and every parameter with a default is
+passed by some call in `src/` or `bench/`.
 
-The roots are `cli.main`, the names of `secstop.__all__`, the names that
-`bench/workloads.py` and `bench/worker.py` import from secstop, and the
-functions that `bench/tracer.py::TRACED` patches.  From them the walk
-follows every name a reached top-level definition mentions (body,
-decorators, defaults, annotations) across the modules' relative imports,
-and `module.name` where module is a module imported as a name.  A local
-variable that shadows a top-level name counts as a use of it, so the walk
-can only reach too much, never too little.  Code that only tests read
-belongs under `tests/`; `bench/` is read, never changed.
+The roots are `cli.main`, the names of `secstop.__all__`, the package's
+PEP 562 hooks, the names that `bench/workloads.py` and `bench/worker.py`
+import from secstop, and the functions that `bench/tracer.py::TRACED`
+patches.  From them the walk follows every name a reached top-level
+definition mentions (body, decorators, defaults, annotations) across the
+modules' relative imports, and `module.name` where module is a module
+imported as a name.  `__init__.py` imports nothing but lists each export
+with its module in `_EXPORTS`, which the walk reads as the imports they
+stand for; a relative import inside a function body binds its name for the
+whole module, like one at the top.  A local variable that shadows a
+top-level name counts as a use of it, so the walk can only reach too much,
+never too little.  Code that only tests read belongs under `tests/`;
+`bench/` is read, never changed.
 """
 
 import ast
@@ -37,12 +41,22 @@ class _Module:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
                     self.defs.setdefault(name.id, []).append(node)
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            elif not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                self.loose.append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     target = (node.module, alias.name) if node.module else (alias.name, None)
                     self.imports[alias.asname or alias.name] = target
-            else:
-                self.loose.append(node)
+        self.imports |= {name: (mod, name) for name, mod in _export_table(tree).items()}
+
+
+def _export_table(tree: ast.Module) -> dict[str, str]:
+    """name -> defining module, from a top-level `_EXPORTS = {...}` literal."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+            return ast.literal_eval(node.value)
+    return {}
 
 
 def _package() -> dict[str, _Module]:
@@ -95,7 +109,9 @@ def _bench_roots(mods: dict[str, _Module]) -> set[tuple[str, str]]:
 
 def _reached(mods: dict[str, _Module]) -> set[tuple[str, str]]:
     exported = {_resolve(mods, "__init__", name) for name in secstop.__all__}
-    todo = {("cli", "main"), ("__init__", "__all__")} | exported | _bench_roots(mods)
+    # the import system calls the package's __getattr__ and __dir__
+    hooks = {("__init__", "__getattr__"), ("__init__", "__dir__")}
+    todo = {("cli", "main"), ("__init__", "__all__")} | hooks | exported | _bench_roots(mods)
     for mod, module in mods.items():
         todo |= _uses(mods, mod, module.loose)
     seen: set[tuple[str, str]] = set()
@@ -117,42 +133,45 @@ def test_every_top_level_name_is_reached():
 
 
 def test_all_lists_exactly_what_the_package_imports():
-    imported = list(_package()["__init__"].imports)
-    assert sorted(secstop.__all__) == sorted(imported)
+    # the package imports its exports lazily, each from its module in _EXPORTS
+    imported = list(_export_table(ast.parse((_SRC / "__init__.py").read_text())))
+    assert imported and sorted(secstop.__all__) == sorted(imported)
     assert len(set(secstop.__all__)) == len(secstop.__all__)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
-    """The names that the module's top-level imports bind and that nothing
-    else in the module reads."""
-    bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound |= {a.asname or a.name for a in node.names}
-    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+    """The names that the module's imports bind and that nothing in their
+    scope reads: the module for a top-level import, the function for one in
+    a function's body."""
+    unused = set()
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope, statements in [(tree, tree.body), *((fn, list(ast.walk(fn))) for fn in functions)]:
+        bound = set()
+        for node in statements:
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        unused |= bound - {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+    return sorted(unused)
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    # __init__.py imports to export, which test_all_lists_exactly_what_the_package_imports checks
     unused = [
         f"{p.stem}.{name}"
         for p in sorted(_SRC.glob("*.py"))
-        if p.name != "__init__.py"
         for name in _unused_imports(ast.parse(p.read_text()))
     ]
     assert not unused, f"imported and never read: {unused}"
 
 
 def test_every_relative_import_names_the_defining_module():
-    # `from .m import x` reads x where it is defined, not through a module
-    # that imports it in turn; __init__.py re-exports by design
+    # `from .m import x`, and an export table entry x -> m, read x where it
+    # is defined, not through a module that imports it in turn
     mods = _package()
     indirect = [
         f"{mod}: from .{src} import {name}"
         for mod, module in mods.items()
-        if mod != "__init__"
         for src, name in module.imports.values()
         if name is not None and name not in mods[src].defs
     ]
